@@ -19,10 +19,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, RowIndexSet, Task, resolve_rows
+from .data import DataError, Dataset, RowIndexSet, Task, resolve_rows, write_atomic
 from .discovery import (
     ConstraintPartition,
     WrapperConfig,
@@ -457,10 +458,53 @@ def _node_to_obj(node: Node) -> dict:
     }
 
 
-def _node_from_obj(obj: dict) -> Node:
+def _index(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DataError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def _finite(value, what: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise DataError(f"{what} {value!r} is not finite")
+    return value
+
+
+def _node_from_obj(obj: dict, n_nodes: int, n_features: int) -> Node:
     if "leaf" in obj:
-        return Node.make_leaf(float(obj["leaf"]))
-    return Node.make_internal(obj["feature"], obj["threshold"], obj["left"], obj["right"])
+        return Node.make_leaf(_finite(obj["leaf"], "leaf weight"))
+    feature = _index(obj["feature"], "feature")
+    if not 0 <= feature < n_features:
+        raise DataError(f"feature {feature} out of range for {n_features} features")
+    children = []
+    for key in ("left", "right"):
+        child = _index(obj[key], f"{key} child")
+        if not 0 <= child < n_nodes:
+            raise DataError(f"{key} child {child} out of range for {n_nodes} nodes")
+        children.append(child)
+    return Node.make_internal(feature, _finite(obj["threshold"], "threshold"), *children)
+
+
+def _tree_from_obj(obj: dict, n_features: int) -> Tree:
+    """Parse one tree, checking each node once: children in range, features
+    in [0, n_features), finite thresholds and leaf weights, and no node
+    reached twice from the root (so prediction cannot cycle)."""
+    n_nodes = len(obj["nodes"])
+    nodes = tuple(_node_from_obj(n, n_nodes, n_features) for n in obj["nodes"])
+    root = _index(obj["root"], "root")
+    if not 0 <= root < n_nodes:
+        raise DataError(f"root {root} out of range for {n_nodes} nodes")
+    reached = [False] * n_nodes
+    stack = [root]
+    while stack:
+        node_id = stack.pop()
+        if reached[node_id]:
+            raise DataError(f"node {node_id} is reached twice from the root")
+        reached[node_id] = True
+        if not nodes[node_id].is_leaf:
+            stack += (nodes[node_id].left, nodes[node_id].right)
+    return Tree(nodes=nodes, root=root, used_group=obj["used_group"])
 
 
 def ensemble_to_json_obj(ens: Ensemble) -> dict:
@@ -496,42 +540,42 @@ def ensemble_to_json_obj(ens: Ensemble) -> dict:
 
 
 def ensemble_from_json_obj(obj: dict) -> Ensemble:
+    """Parse and validate a model document; every defect is a DataError."""
     try:
         params = TrainParams(**obj["params"])
-        trees = tuple(
-            Tree(
-                nodes=tuple(_node_from_obj(n) for n in t["nodes"]),
-                root=int(t["root"]),
-                used_group=t["used_group"],
-            )
-            for t in obj["trees"]
-        )
+        n_features = _index(obj["n_features"], "n_features")
+        trees = []
+        for i, t in enumerate(obj["trees"]):
+            try:
+                trees.append(_tree_from_obj(t, n_features))
+            except DataError as exc:
+                raise DataError(f"tree {i}: {exc}") from exc
         return Ensemble(
-            trees=trees,
+            trees=tuple(trees),
             params=params,
             task=Task.parse(obj["task"]),
-            base_score=float(obj["base_score"]),
-            n_features=int(obj["n_features"]),
+            base_score=_finite(obj["base_score"], "base_score"),
+            n_features=n_features,
             feature_names=tuple(obj["feature_names"]),
             constraint_log=tuple(
                 None if p is None else ConstraintPartition.from_json_obj(p)
                 for p in obj["constraint_log"]
             ),
         )
-    except (KeyError, TypeError) as exc:
+    except DataError as exc:
         raise DataError(f"malformed model document: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"malformed model document: {type(exc).__name__}: {exc}") from exc
 
 
 def save_model(ens: Ensemble, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ensemble_to_json_obj(ens), fh, indent=2)
-        fh.write("\n")
+    write_atomic(Path(path), json.dumps(ensemble_to_json_obj(ens), indent=2) + "\n")
 
 
 def load_model(path) -> Ensemble:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise DataError(f"{path}: not valid JSON: {exc}") from exc
     return ensemble_from_json_obj(obj)

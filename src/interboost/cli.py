@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 from .boosting import (
@@ -20,12 +18,12 @@ from .boosting import (
     NoConstraints,
     PerResidual,
     TrainParams,
-    ensemble_to_json_obj,
     load_model,
     predict_matrix,
+    save_model,
     train,
 )
-from .data import DataError, Task, format_real, load_csv
+from .data import DataError, Task, format_real, load_csv, write_atomic
 from .discovery import ConstraintPartition, WrapperConfig, discover_constraints, discover_constraints_traced
 from .experiment import BenchmarkConfig, TuningGrid, benchmark, report_to_csv, report_to_json_obj, tune
 
@@ -37,19 +35,6 @@ class ConfigError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we map usage errors to 1
         raise ConfigError(message)
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
 
 
 def _dump_json(obj) -> str:
@@ -147,8 +132,8 @@ def cmd_discover(args) -> int:
     cfg = _wrapper_config(args, config)
     partition, steps = discover_constraints_traced(ds, None, cfg)
     out = _out_dir(args, config)
-    _write_atomic(out / "partition.json", _dump_json(partition.to_json_obj()))
-    _write_atomic(
+    write_atomic(out / "partition.json", _dump_json(partition.to_json_obj()))
+    write_atomic(
         out / "discovery_log.json",
         _dump_json(
             {
@@ -189,7 +174,7 @@ def cmd_train(args) -> int:
         schedule = NoConstraints()
     ens = train(ds, None, params, schedule)
     out = _out_dir(args, config)
-    _write_atomic(out / "model.json", _dump_json(ensemble_to_json_obj(ens)))
+    save_model(ens, out / "model.json")
     print(f"trained {params.n_trees} trees; wrote {out / 'model.json'}")
     return 0
 
@@ -248,7 +233,7 @@ def cmd_predict(args) -> int:
     prediction = predict_matrix(ens, X)
     out = _out_dir(args, config)
     lines = ["prediction"] + [format_real(v) for v in prediction]
-    _write_atomic(out / "predictions.csv", "\n".join(lines) + "\n")
+    write_atomic(out / "predictions.csv", "\n".join(lines) + "\n")
     print(f"wrote {len(prediction)} predictions to {out / 'predictions.csv'}")
     return 0
 
@@ -279,8 +264,8 @@ def cmd_benchmark(args) -> int:
     data_path = _effective(args.data, config, "data", "dataset")
     report = benchmark(ds, cfg, dataset_name=Path(str(data_path)).stem)
     out = _out_dir(args, config)
-    _write_atomic(out / "report.json", _dump_json(report_to_json_obj(report)))
-    _write_atomic(out / "report.csv", report_to_csv(report))
+    write_atomic(out / "report.json", _dump_json(report_to_json_obj(report)))
+    write_atomic(out / "report.csv", report_to_csv(report))
     for v in report.variants:
         change = (
             "n/a"
@@ -300,7 +285,7 @@ def cmd_tune(args) -> int:
     seed = _effective(args.seed, config, "seed", 0)
     params = tune(ds, None, grid, k, seed)
     out = _out_dir(args, config)
-    _write_atomic(
+    write_atomic(
         out / "tuned_params.json",
         _dump_json(
             {

@@ -5,7 +5,10 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import os
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -182,6 +185,21 @@ def save_csv(ds: Dataset, path, target_name: str = "target") -> None:
             writer.writerow(
                 [format_real(v) for v in ds.features[i, :]] + [format_real(ds.target[i])]
             )
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write `text` to `path` through a temporary file in the same directory
+    and a rename, so readers never see a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        if os.path.exists(tmp_name):
+            os.unlink(tmp_name)
+        raise
 
 
 def take_rows(ds: Dataset, rows: RowIndexSet | np.ndarray) -> Dataset:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DataError, RowIndexSet, Task, replace_target, resolve_rows, take_rows
-from .linear import Base, Product, cv_score_terms
+from .linear import Base, FoldScorer, Product
+from .linear import cv_score_terms  # noqa: F401  (perfbench/tracer.py wraps this name here)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,10 +141,7 @@ def _terms(features: list[int], interaction_scope: list[int]):
 
 
 def _discover(sub: Dataset, cfg: WrapperConfig) -> tuple[ConstraintPartition, tuple[DiscoveryStep, ...]]:
-    all_rows = RowIndexSet.all_rows(sub.n_rows)
-
-    def score(terms) -> float:
-        return cv_score_terms(sub, all_rows, terms, cfg.k_folds, cfg.seed)
+    score = FoldScorer(sub, None, cfg.k_folds, cfg.seed).score
 
     remaining = list(range(sub.n_features))
     groups: list[list[int]] = []

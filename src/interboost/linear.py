@@ -77,17 +77,22 @@ class DesignMatrix:
     includes_intercept: bool = False
 
     def __post_init__(self):
-        if len(set(self.terms)) != len(self.terms):
-            raise ValueError("duplicate terms in design")
-        base_set = {t.index for t in self.terms if isinstance(t, Base)}
-        for t in self.terms:
-            if isinstance(t, Product) and not (t.a in base_set and t.b in base_set):
-                raise ValueError(f"product term {t} references a feature with no base column")
+        _check_term_spec(self.terms)
         expected = len(self.terms) + (1 if self.includes_intercept else 0)
         if self.values.ndim != 2 or self.values.shape[1] != expected:
             raise ValueError(
                 f"design has {self.values.shape} values for {len(self.terms)} terms"
             )
+
+
+def _check_term_spec(terms: tuple[Term, ...]) -> None:
+    """No duplicate terms, and every product's features have base columns."""
+    if len(set(terms)) != len(terms):
+        raise ValueError("duplicate terms in design")
+    base_set = {t.index for t in terms if isinstance(t, Base)}
+    for t in terms:
+        if isinstance(t, Product) and not (t.a in base_set and t.b in base_set):
+            raise ValueError(f"product term {t} references a feature with no base column")
 
 
 @dataclass(frozen=True)
@@ -119,13 +124,24 @@ def fit_standardization(
     stats: dict[int, tuple[float, float]] = {}
     for t in terms:
         if isinstance(t, Base) and t.index not in stats:
-            col = ds.features[rows.indices, t.index]
-            mean = float(col.mean())
-            sd = float(col.std(ddof=1)) if col.size > 1 else 0.0
-            if not np.isfinite(sd) or sd <= 0.0:
-                sd = 1.0
-            stats[t.index] = (mean, sd)
+            stats[t.index] = _column_stats(ds.features[rows.indices, t.index])
     return stats
+
+
+def _column_stats(col: np.ndarray) -> tuple[float, float]:
+    """(mean, sample stddev) of one column, the stddev clamped to 1 when degenerate."""
+    mean = float(col.mean())
+    sd = float(col.std(ddof=1)) if col.size > 1 else 0.0
+    if not np.isfinite(sd) or sd <= 0.0:
+        sd = 1.0
+    return mean, sd
+
+
+def _check_feature_indices(ds: Dataset, terms) -> None:
+    for t in terms:
+        for idx in (t.index,) if isinstance(t, Base) else (t.a, t.b):
+            if not 0 <= idx < ds.n_features:
+                raise ValueError(f"feature index {idx} out of range for {ds.n_features} features")
 
 
 def materialize(
@@ -144,10 +160,7 @@ def materialize(
     if len(rows) == 0:
         raise ValueError("cannot materialize a design over an empty row set")
     terms = tuple(terms)
-    for t in terms:
-        for idx in (t.index,) if isinstance(t, Base) else (t.a, t.b):
-            if not 0 <= idx < ds.n_features:
-                raise ValueError(f"feature index {idx} out of range for {ds.n_features} features")
+    _check_feature_indices(ds, terms)
     stats = standardization if standardization is not None else fit_standardization(ds, rows, terms)
     std_cols: dict[int, np.ndarray] = {}
     for t in terms:
@@ -156,16 +169,19 @@ def materialize(
                 raise ValueError(f"no standardization statistics for feature {t.index}")
             mean, sd = stats[t.index]
             std_cols[t.index] = (ds.features[rows.indices, t.index] - mean) / sd
-    columns = []
-    for t in terms:
-        if isinstance(t, Base):
-            columns.append(std_cols[t.index])
-        else:
-            columns.append(std_cols[t.a] * std_cols[t.b])
+    columns = _design_columns(terms, std_cols)
     if include_intercept:
         columns.append(np.ones(len(rows)))
     values = np.column_stack(columns) if columns else np.empty((len(rows), 0))
     return DesignMatrix(values, terms, stats, include_intercept)
+
+
+def _design_columns(terms, std_cols: dict[int, np.ndarray]) -> list[np.ndarray]:
+    """Design columns for `terms` from standardized base columns: bases as
+    they are, products as elementwise products, in term order."""
+    return [
+        std_cols[t.index] if isinstance(t, Base) else std_cols[t.a] * std_cols[t.b] for t in terms
+    ]
 
 
 def _with_intercept(X: DesignMatrix) -> np.ndarray:
@@ -305,7 +321,13 @@ _P_EPS = 1e-15
 def predict(model: LinearModel, ds: Dataset, rows: RowIndexSet | None = None) -> np.ndarray:
     """Model outputs over rows: linear response for OLS, probability for logistic."""
     X = materialize(ds, rows, model.terms, model.standardization)
-    z = X.values @ model.coefficients + model.intercept
+    return _response(model, X.values)
+
+
+def _response(model: LinearModel, values: np.ndarray) -> np.ndarray:
+    """Model output for design values (no intercept column) built with the
+    model's own standardization."""
+    z = values @ model.coefficients + model.intercept
     if model.kind is ModelKind.OLS:
         return z
     return np.clip(sigmoid(z), _P_EPS, 1.0 - _P_EPS)
@@ -343,6 +365,61 @@ def fit_for_task(task: Task, X: DesignMatrix, y: np.ndarray) -> LinearModel:
     return fit_logistic(X, y)
 
 
+class FoldScorer:
+    """k-fold validation scores of term lists over one fixed set of rows.
+
+    The fold plan is built once. Each base feature is standardized once per
+    fold, on first use, with statistics from that fold's training rows, and
+    its standardized training and validation columns are kept. A score then
+    only stacks cached columns and runs the k fits, with the same arithmetic
+    as materializing every fold's design afresh.
+    """
+
+    def __init__(self, ds: Dataset, rows: RowIndexSet | None, k: int = 3, seed: int = 0):
+        rows = resolve_rows(ds, rows)
+        self._ds = ds
+        self._folds = tuple(
+            (rows.indices[fold_train.indices], rows.indices[fold_val.indices])
+            for fold_train, fold_val in kfold(len(rows), k, seed).folds
+        )
+        # Per fold, feature -> (mean, sd) and standardized train / validation columns.
+        self._stats: list[dict[int, tuple[float, float]]] = [{} for _ in self._folds]
+        self._train: list[dict[int, np.ndarray]] = [{} for _ in self._folds]
+        self._val: list[dict[int, np.ndarray]] = [{} for _ in self._folds]
+
+    def _standardize(self, feature: int) -> None:
+        if feature in self._stats[0]:
+            return
+        x = self._ds.features
+        for fold, (train_idx, val_idx) in enumerate(self._folds):
+            mean, sd = _column_stats(x[train_idx, feature])
+            self._stats[fold][feature] = (mean, sd)
+            self._train[fold][feature] = (x[train_idx, feature] - mean) / sd
+            self._val[fold][feature] = (x[val_idx, feature] - mean) / sd
+
+    def score(self, terms) -> float:
+        """Mean validation score of the task-appropriate linear model over
+        `terms`: R-squared of an OLS fit for regression, accuracy of a
+        logistic fit for classification."""
+        terms = tuple(terms)
+        if not terms:
+            raise ValueError("term list must be nonempty")
+        _check_feature_indices(self._ds, terms)
+        _check_term_spec(terms)
+        bases = [t.index for t in terms if isinstance(t, Base)]
+        for f in bases:
+            self._standardize(f)
+        task, y = self._ds.task, self._ds.target
+        scores = []
+        for fold, (train_idx, val_idx) in enumerate(self._folds):
+            train_values = np.column_stack(_design_columns(terms, self._train[fold]))
+            stats = {f: self._stats[fold][f] for f in bases}
+            model = fit_for_task(task, DesignMatrix(train_values, terms, stats), y[train_idx])
+            val_values = np.column_stack(_design_columns(terms, self._val[fold]))
+            scores.append(score_for_task(task, y[val_idx], _response(model, val_values)))
+        return float(np.mean(scores))
+
+
 def cv_score_terms(
     ds: Dataset,
     rows: RowIndexSet | None,
@@ -353,20 +430,7 @@ def cv_score_terms(
     """Mean k-fold validation score of the task-appropriate linear model over
     an explicit term list. Standardization statistics come from each fold's
     training part only."""
-    terms = tuple(terms)
-    if not terms:
-        raise ValueError("term list must be nonempty")
-    rows = resolve_rows(ds, rows)
-    plan = kfold(len(rows), k, seed)
-    scores = []
-    for fold_train, fold_val in plan.folds:
-        train_rows = RowIndexSet(rows.indices[fold_train.indices])
-        val_rows = RowIndexSet(rows.indices[fold_val.indices])
-        X = materialize(ds, train_rows, terms)
-        model = fit_for_task(ds.task, X, ds.target[train_rows.indices])
-        prediction = predict(model, ds, val_rows)
-        scores.append(score_for_task(ds.task, ds.target[val_rows.indices], prediction))
-    return float(np.mean(scores))
+    return FoldScorer(ds, rows, k, seed).score(terms)
 
 
 def cv_score(

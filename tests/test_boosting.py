@@ -354,6 +354,9 @@ class TestSerialization:
         bad.write_text("not json")
         with pytest.raises(DataError, match="JSON"):
             load_model(bad)
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(DataError, match="JSON"):
+            load_model(bad)
 
 
 class TestParamsValidation:

@@ -148,6 +148,33 @@ class TestTrainPredictCommands:
         assert run("predict", "--model", bad, "--data", data_csv,
                    "--out-dir", tmp_path) == 2
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda m: m["trees"][0]["nodes"][0].update(left=0), "node 0 is reached twice"),
+            (lambda m: m["trees"][0]["nodes"][0].update(feature=99), "feature 99 out of range"),
+            (lambda m: m["trees"][0]["nodes"][0].update(feature=-5), "feature -5 out of range"),
+            (lambda m: m["trees"][0]["nodes"][0].update(right=10**6), "right child 1000000 out of range"),
+            (lambda m: m["params"].update(learning_rate=5), "learning_rate"),
+            (lambda m: m["trees"][1]["nodes"][0].update(threshold=float("nan")), "threshold nan is not finite"),
+        ],
+        ids=["root-cycle", "feature-range", "negative-feature", "child-range", "learning-rate", "nan-threshold"],
+    )
+    def test_corrupt_model_is_data_error(self, tmp_path, data_csv, capsys, mutate, message):
+        out = tmp_path / "out"
+        assert run("train", "--data", data_csv, "--target", "y", "--task", "regression",
+                   "--n-trees", 2, "--max-depth", 2, "--out-dir", out) == 0
+        model = json.loads((out / "model.json").read_text())
+        mutate(model)
+        (out / "model.json").write_text(json.dumps(model))
+        capsys.readouterr()
+        assert run("predict", "--model", out / "model.json", "--data", data_csv,
+                   "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed model document")
+        assert message in err
+        assert not (out / "predictions.csv").exists()
+
 
 class TestBenchmarkCommand:
     def _config(self, tmp_path, data_csv, out_name="bench"):

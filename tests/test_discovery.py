@@ -125,6 +125,21 @@ class TestDiscovery:
             == discover_constraints(ds, None, cfg).groups
         )
 
+    def test_one_fold_plan_per_discovery(self, monkeypatch):
+        import interboost.linear
+
+        plans = []
+        original = interboost.linear.kfold
+
+        def counting_kfold(n_rows, k, seed):
+            plans.append((n_rows, k, seed))
+            return original(n_rows, k, seed)
+
+        monkeypatch.setattr(interboost.linear, "kfold", counting_kfold)
+        ds = make_regression(120, 8, seed=5, target_fn=lambda X: X[:, 0] * X[:, 1], noise_sd=0.1)
+        discover_constraints(ds, None, WrapperConfig(seed=3))
+        assert plans == [(120, 3, 3)]
+
     def test_max_group_size_cap(self):
         ds = make_regression(
             300, 4, seed=3, target_fn=lambda X: X[:, 0] * X[:, 1] * X[:, 2], noise_sd=0.05

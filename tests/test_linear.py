@@ -1,16 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from interboost.data import Dataset, RowIndexSet, Task
+from interboost.data import Dataset, RowIndexSet, Task, kfold
+from interboost.discovery import WrapperConfig, discover_constraints_traced
 from interboost.linear import (
     Base,
     DesignMatrix,
+    FoldScorer,
     Product,
     _with_intercept,
     accuracy,
     cv_score,
+    cv_score_terms,
     expand_pairwise,
+    fit_for_task,
     fit_logistic,
     fit_ols,
     fit_standardization,
@@ -19,6 +25,7 @@ from interboost.linear import (
     materialize,
     predict,
     r_squared,
+    score_for_task,
     sigmoid,
 )
 from oracles import central_difference_grad, pinv_least_squares
@@ -314,6 +321,108 @@ class TestCvScore:
         ds = make_regression(10, 2, seed=0)
         with pytest.raises(ValueError):
             cv_score(ds, None, (), False, 3, 0)
+
+
+def reference_cv_score(ds, rows, terms, k, seed):
+    """Per-call k-fold loop: a fresh fold plan, and every fold's train and
+    validation designs materialized from scratch."""
+    rows = RowIndexSet.all_rows(ds.n_rows) if rows is None else rows
+    scores = []
+    for fold_train, fold_val in kfold(len(rows), k, seed).folds:
+        train_rows = RowIndexSet(rows.indices[fold_train.indices])
+        val_rows = RowIndexSet(rows.indices[fold_val.indices])
+        model = fit_for_task(ds.task, materialize(ds, train_rows, terms), ds.target[train_rows.indices])
+        prediction = predict(model, ds, val_rows)
+        scores.append(score_for_task(ds.task, ds.target[val_rows.indices], prediction))
+    return float(np.mean(scores))
+
+
+def _with_constant_column(ds):
+    X = np.column_stack([ds.features, np.full(ds.n_rows, 2.5)])
+    names = ds.feature_names + ("const",)
+    return Dataset(X, names, ds.target, ds.task)
+
+
+TERM_LISTS = (
+    (Base(0),),
+    (Base(2), Base(0), Product(0, 2)),
+    (Base(1), Base(3), Base(0), Product(0, 1), Product(1, 3)),
+    (Base(4), Base(1), Product(1, 4)),  # feature 4 is constant: sd clamps to 1
+    (Base(0), Base(1), Base(2), Base(3), Product(0, 1), Product(0, 2), Product(2, 3)),
+    (Base(3),),
+)
+
+
+class TestFoldScorer:
+    @pytest.mark.parametrize(
+        "ds",
+        [
+            _with_constant_column(
+                make_regression(
+                    90, 4, seed=3, target_fn=lambda X: X[:, 0] * X[:, 1] + X[:, 2], noise_sd=0.2
+                )
+            ),
+            _with_constant_column(
+                make_classification(90, 4, seed=5, logit_fn=lambda X: 2 * X[:, 0] * X[:, 2])
+            ),
+        ],
+        ids=["regression", "classification"],
+    )
+    @pytest.mark.parametrize("subset", [False, True], ids=["all-rows", "row-subset"])
+    def test_equals_reference_loop(self, ds, subset):
+        rows = RowIndexSet(np.arange(1, ds.n_rows, 2)) if subset else None
+        scorer = FoldScorer(ds, rows, 3, 11)
+        # one scorer across term lists in both orders, and each list twice:
+        # columns cached for one list must not leak into another's score
+        for terms in TERM_LISTS + TERM_LISTS[::-1]:
+            expected = reference_cv_score(ds, rows, terms, 3, 11)
+            assert scorer.score(terms) == expected
+            assert cv_score_terms(ds, rows, terms, 3, 11) == expected
+
+    def test_rejects_bad_term_lists(self):
+        scorer = FoldScorer(make_regression(30, 2, seed=0), None, 3, 0)
+        with pytest.raises(ValueError, match="nonempty"):
+            scorer.score(())
+        with pytest.raises(ValueError, match="out of range"):
+            scorer.score((Base(2),))
+        with pytest.raises(ValueError, match="no base column"):
+            scorer.score((Base(0), Product(0, 1)))
+        with pytest.raises(ValueError, match="duplicate"):
+            scorer.score((Base(0), Base(0)))
+
+    @pytest.mark.parametrize(
+        "ds",
+        [
+            make_regression(
+                150, 6, seed=21, target_fn=lambda X: X[:, 0] * X[:, 3] + X[:, 1], noise_sd=0.1
+            ),
+            make_classification(150, 6, seed=22, logit_fn=lambda X: 3 * X[:, 2] * X[:, 4]),
+        ],
+        ids=["regression", "classification"],
+    )
+    def test_discovery_candidate_scores_equal_reference(self, ds):
+        cfg = WrapperConfig(k_folds=3, seed=4)
+        _, steps = discover_constraints_traced(ds, None, cfg)
+
+        def terms(features, scope):
+            pairs = itertools.combinations(sorted(scope), 2)
+            return tuple(Base(f) for f in features) + tuple(Product(a, b) for a, b in pairs)
+
+        def ref(features, scope):
+            return reference_cv_score(ds, None, terms(features, scope), cfg.k_folds, cfg.seed)
+
+        group: list[int] = []
+        checked = 0
+        for step in steps:
+            for c in step.candidates:
+                if step.action == "seed":
+                    assert c.plain == ref([c.feature], [])
+                else:
+                    assert c.plain == ref(group + [c.feature], group)
+                    assert c.interaction == ref(group + [c.feature], group + [c.feature])
+                checked += 1
+            group = [] if step.action == "close" else list(step.subset)
+        assert checked > 6
 
 
 if __name__ == "__main__":
