@@ -16,6 +16,7 @@ current negative gradients for each of the first x trees.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, Dataset, RowIndexSet, Task, resolve_rows, write_atomic
+from .data import checked_int, checked_real, read_json
 from .discovery import (
     ConstraintPartition,
     WrapperConfig,
@@ -45,18 +47,24 @@ class TrainParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 0:
+        if checked_int("n_trees", self.n_trees) < 0:
             raise ValueError("n_trees must be >= 0")
-        if self.max_depth < 1:
+        if checked_int("max_depth", self.max_depth) < 1:
             raise ValueError("max_depth must be >= 1")
-        if not 0.0 < self.learning_rate <= 1.0:
+        if not 0.0 < checked_real("learning_rate", self.learning_rate) <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
-        if self.reg_lambda < 0 or self.gamma < 0:
+        if checked_real("reg_lambda", self.reg_lambda) < 0 or checked_real("gamma", self.gamma) < 0:
             raise ValueError("reg_lambda and gamma must be >= 0")
-        if self.min_child_samples < 1:
+        if checked_int("min_child_samples", self.min_child_samples) < 1:
             raise ValueError("min_child_samples must be >= 1")
-        if self.min_child_hessian < 0:
+        if checked_real("min_child_hessian", self.min_child_hessian) < 0:
             raise ValueError("min_child_hessian must be >= 0")
+        if self.base_score is not None:
+            checked_real("base_score", self.base_score)
+        checked_int("seed", self.seed)
+
+    def to_json_obj(self) -> dict:
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -242,6 +250,19 @@ class Split:
     right_rows: RowIndexSet
 
 
+def _find_split(X, pos, g, h, allowed, params: TrainParams):
+    """(gain, threshold, feature) of the best split of rows `pos` of X over
+    the `allowed` features in ascending order, or None; `g` and `h` are
+    aligned with `pos`. The first maximum wins, so ties go to the lower
+    feature index. Only the allowed columns of the rows are copied."""
+    best = None
+    for f in allowed:
+        found = _scan_feature(X[pos, f], g, h, params)
+        if found is not None and (best is None or found[0] > best[0]):
+            best = (found[0], found[1], f)
+    return best
+
+
 def best_split(
     rows: RowIndexSet,
     allowed,
@@ -261,12 +282,7 @@ def best_split(
         raise ValueError("best_split requires a nonempty allowed set")
     if gh.g.shape != (len(rows),) or gh.h.shape != (len(rows),):
         raise ValueError("gradient vectors must align with the row set")
-    best = None
-    for f in allowed:
-        x = ds.features[rows.indices, f]
-        found = _scan_feature(x, gh.g, gh.h, params)
-        if found is not None and (best is None or found[0] > best[0]):
-            best = (found[0], found[1], f)
+    best = _find_split(ds.features, rows.indices, gh.g, gh.h, allowed, params)
     if best is None:
         return None
     gain, threshold, feature = best
@@ -300,10 +316,7 @@ def _grow(
     def build(pos: np.ndarray, depth: int, allowed) -> int:
         found = None
         if depth < params.max_depth:
-            for f in allowed:
-                scan = _scan_feature(Xsub[pos, f], g[pos], h[pos], params)
-                if scan is not None and (found is None or scan[0] > found[0]):
-                    found = (scan[0], scan[1], f)
+            found = _find_split(Xsub, pos, g[pos], h[pos], allowed, params)
         if found is None:
             weight = leaf_weight(float(g[pos].sum()), float(h[pos].sum()), params.reg_lambda)
             nodes.append(Node.make_leaf(weight))
@@ -458,32 +471,19 @@ def _node_to_obj(node: Node) -> dict:
     }
 
 
-def _index(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DataError(f"{what} {value!r} is not an integer")
-    return value
-
-
-def _finite(value, what: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DataError(f"{what} {value!r} is not finite")
-    return value
-
-
 def _node_from_obj(obj: dict, n_nodes: int, n_features: int) -> Node:
     if "leaf" in obj:
-        return Node.make_leaf(_finite(obj["leaf"], "leaf weight"))
-    feature = _index(obj["feature"], "feature")
+        return Node.make_leaf(checked_real("leaf weight", obj["leaf"]))
+    feature = checked_int("feature", obj["feature"])
     if not 0 <= feature < n_features:
         raise DataError(f"feature {feature} out of range for {n_features} features")
     children = []
     for key in ("left", "right"):
-        child = _index(obj[key], f"{key} child")
+        child = checked_int(f"{key} child", obj[key])
         if not 0 <= child < n_nodes:
             raise DataError(f"{key} child {child} out of range for {n_nodes} nodes")
         children.append(child)
-    return Node.make_internal(feature, _finite(obj["threshold"], "threshold"), *children)
+    return Node.make_internal(feature, checked_real("threshold", obj["threshold"]), *children)
 
 
 def _tree_from_obj(obj: dict, n_features: int) -> Tree:
@@ -492,7 +492,7 @@ def _tree_from_obj(obj: dict, n_features: int) -> Tree:
     reached twice from the root (so prediction cannot cycle)."""
     n_nodes = len(obj["nodes"])
     nodes = tuple(_node_from_obj(n, n_nodes, n_features) for n in obj["nodes"])
-    root = _index(obj["root"], "root")
+    root = checked_int("root", obj["root"])
     if not 0 <= root < n_nodes:
         raise DataError(f"root {root} out of range for {n_nodes} nodes")
     reached = [False] * n_nodes
@@ -508,20 +508,9 @@ def _tree_from_obj(obj: dict, n_features: int) -> Tree:
 
 
 def ensemble_to_json_obj(ens: Ensemble) -> dict:
-    params = {
-        "n_trees": ens.params.n_trees,
-        "max_depth": ens.params.max_depth,
-        "learning_rate": ens.params.learning_rate,
-        "reg_lambda": ens.params.reg_lambda,
-        "gamma": ens.params.gamma,
-        "min_child_samples": ens.params.min_child_samples,
-        "min_child_hessian": ens.params.min_child_hessian,
-        "base_score": ens.params.base_score,
-        "seed": ens.params.seed,
-    }
     return {
         "task": ens.task.value,
-        "params": params,
+        "params": ens.params.to_json_obj(),
         "base_score": ens.base_score,
         "n_features": ens.n_features,
         "feature_names": list(ens.feature_names),
@@ -543,18 +532,18 @@ def ensemble_from_json_obj(obj: dict) -> Ensemble:
     """Parse and validate a model document; every defect is a DataError."""
     try:
         params = TrainParams(**obj["params"])
-        n_features = _index(obj["n_features"], "n_features")
+        n_features = checked_int("n_features", obj["n_features"])
         trees = []
         for i, t in enumerate(obj["trees"]):
             try:
                 trees.append(_tree_from_obj(t, n_features))
-            except DataError as exc:
+            except (TypeError, ValueError) as exc:
                 raise DataError(f"tree {i}: {exc}") from exc
         return Ensemble(
             trees=tuple(trees),
             params=params,
             task=Task.parse(obj["task"]),
-            base_score=_finite(obj["base_score"], "base_score"),
+            base_score=float(checked_real("base_score", obj["base_score"])),
             n_features=n_features,
             feature_names=tuple(obj["feature_names"]),
             constraint_log=tuple(
@@ -573,9 +562,4 @@ def save_model(ens: Ensemble, path) -> None:
 
 
 def load_model(path) -> Ensemble:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    return ensemble_from_json_obj(obj)
+    return ensemble_from_json_obj(read_json(path, DataError))

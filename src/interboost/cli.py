@@ -9,6 +9,7 @@ error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from .boosting import (
     train,
 )
 from .data import DataError, Task, format_real, load_csv, write_atomic
+from .data import checked_int, read_csv, read_json
 from .discovery import ConstraintPartition, WrapperConfig, discover_constraints, discover_constraints_traced
 from .experiment import BenchmarkConfig, TuningGrid, benchmark, report_to_csv, report_to_json_obj, tune
 
@@ -42,14 +44,19 @@ def _dump_json(obj) -> str:
 
 
 def _load_config(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: config is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
+    config = read_json(path, ConfigError)
+    if not isinstance(config, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    return obj
+    for key in ("data", "target", "task", "out_dir", "model"):
+        value = config.get(key, "")
+        if not isinstance(value, str) or "\0" in value:
+            raise ConfigError(f"config field {key!r} must be a string, got {value!r}")
+    if "seed" in config:
+        try:
+            checked_int("seed", config["seed"])
+        except TypeError as exc:
+            raise ConfigError(f"config field 'seed': {exc}") from exc
+    return config
 
 
 def _section(config: dict, name: str) -> dict:
@@ -78,48 +85,52 @@ def _load_dataset(args, config: dict):
     return load_csv(data_path, target, Task.parse(task_name))
 
 
+def _present(values: dict) -> dict:
+    return {k: v for k, v in values.items() if v is not None}
+
+
+def _build(cls, config: dict, name: str, defaults: dict, **overrides):
+    """`cls` built from `defaults`, then the keys of config section `name`
+    that are fields of `cls`, then `overrides` (flags and built sub-configs);
+    None in `defaults` or `overrides` means "not given". The dataclass
+    checks every value."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    section = {k: v for k, v in _section(config, name).items() if k in fields}
+    try:
+        return cls(**{**_present(defaults), **section, **_present(overrides)})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} config: {exc}") from exc
+
+
 def _wrapper_config(args, config: dict) -> WrapperConfig:
-    section = _section(config, "wrapper")
-    seed = _effective(args.seed, section, "seed", config.get("seed", 0))
-    try:
-        return WrapperConfig(
-            k_folds=section.get("k_folds", 3),
-            seed=seed,
-            epsilon=section.get("epsilon", 1e-6),
-            max_group_size=section.get("max_group_size"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad wrapper config: {exc}") from exc
-
-
-def _tuning_grid(config: dict) -> TuningGrid:
-    section = _section(config, "grid")
-    try:
-        return TuningGrid(
-            n_trees=tuple(section.get("n_trees", (50, 100, 200, 300))),
-            max_depth=tuple(section.get("max_depth", (3, 4, 6))),
-            learning_rate=tuple(section.get("learning_rate", (0.05, 0.1, 0.3))),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad tuning grid: {exc}") from exc
+    return _build(WrapperConfig, config, "wrapper", {"seed": config.get("seed")}, seed=args.seed)
 
 
 def _train_params(args, config: dict) -> TrainParams:
-    section = _section(config, "train")
-    try:
-        return TrainParams(
-            n_trees=_effective(args.n_trees, section, "n_trees", 100),
-            max_depth=_effective(args.max_depth, section, "max_depth", 4),
-            learning_rate=_effective(args.learning_rate, section, "learning_rate", 0.1),
-            reg_lambda=_effective(args.reg_lambda, section, "reg_lambda", 1.0),
-            gamma=_effective(args.gamma, section, "gamma", 0.0),
-            min_child_samples=section.get("min_child_samples", 1),
-            min_child_hessian=section.get("min_child_hessian", 1e-6),
-            base_score=section.get("base_score"),
-            seed=_effective(args.seed, section, "seed", config.get("seed", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad training params: {exc}") from exc
+    return _build(
+        TrainParams,
+        config,
+        "train",
+        {"n_trees": 100, "max_depth": 4, "learning_rate": 0.1, "seed": config.get("seed")},
+        n_trees=args.n_trees,
+        max_depth=args.max_depth,
+        learning_rate=args.learning_rate,
+        reg_lambda=args.reg_lambda,
+        gamma=args.gamma,
+        seed=args.seed,
+    )
+
+
+def _benchmark_config(args, config: dict) -> BenchmarkConfig:
+    return _build(
+        BenchmarkConfig,
+        config,
+        "benchmark",
+        {"split_seed": config.get("seed")},
+        split_seed=args.seed,
+        grid=_build(TuningGrid, config, "grid", {}),
+        wrapper_cfg=_wrapper_config(args, config),
+    )
 
 
 def _out_dir(args, config: dict) -> Path:
@@ -149,15 +160,6 @@ def cmd_discover(args) -> int:
     return 0
 
 
-def _load_partition_file(path, n_features: int) -> ConstraintPartition:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: constraints file is not valid JSON: {exc}") from exc
-    return ConstraintPartition.from_json_obj(obj, n_features)
-
-
 def cmd_train(args) -> int:
     config = _load_config(args.config) if args.config else {}
     if args.constraints and args.partial_x:
@@ -165,7 +167,8 @@ def cmd_train(args) -> int:
     ds = _load_dataset(args, config)
     params = _train_params(args, config)
     if args.constraints:
-        schedule = FixedPartition(_load_partition_file(args.constraints, ds.n_features))
+        partition = read_json(args.constraints, DataError)
+        schedule = FixedPartition(ConstraintPartition.from_json_obj(partition, ds.n_features))
     elif args.partial_x:
         wrapper_cfg = _wrapper_config(args, config)
         first = discover_constraints(ds, None, wrapper_cfg)
@@ -179,82 +182,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_feature_matrix(path, feature_names: tuple[str, ...]):
-    """Pull the model's feature columns (by name) out of a prediction CSV."""
-    import csv as _csv
-
-    import numpy as np
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        names = [h.strip() for h in header]
-        missing = [n for n in feature_names if n not in names]
-        if missing:
-            raise DataError(
-                f"{path}: feature mismatch, missing columns {missing} required by the model"
-            )
-        positions = [names.index(n) for n in feature_names]
-        rows = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            if len(row) != len(names):
-                raise DataError(f"{path}: row {row_no} has {len(row)} cells, expected {len(names)}")
-            values = []
-            for pos in positions:
-                cell = row[pos]
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: cell {cell!r} at row {row_no}, column {names[pos]!r} "
-                        "is not a number"
-                    ) from None
-                if not np.isfinite(value):
-                    raise DataError(
-                        f"{path}: non-finite value at row {row_no}, column {names[pos]!r}"
-                    )
-                values.append(value)
-            rows.append(values)
-        if not rows:
-            raise DataError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
-
-
 def cmd_predict(args) -> int:
     config = _load_config(args.config) if args.config else {}
     model_path = _require(_effective(args.model, config, "model", None), "--model")
     data_path = _require(_effective(args.data, config, "data", None), "--data")
     ens = load_model(model_path)
-    X = _read_feature_matrix(data_path, ens.feature_names)
+    _, X = read_csv(data_path, ens.feature_names)
     prediction = predict_matrix(ens, X)
     out = _out_dir(args, config)
     lines = ["prediction"] + [format_real(v) for v in prediction]
     write_atomic(out / "predictions.csv", "\n".join(lines) + "\n")
     print(f"wrote {len(prediction)} predictions to {out / 'predictions.csv'}")
     return 0
-
-
-def _benchmark_config(args, config: dict) -> BenchmarkConfig:
-    section = _section(config, "benchmark")
-    try:
-        return BenchmarkConfig(
-            test_fraction=section.get("test_fraction", 0.25),
-            split_seed=_effective(args.seed, section, "split_seed", config.get("seed", 0)),
-            grid=_tuning_grid(config),
-            k=section.get("k", 3),
-            wrapper_cfg=_wrapper_config(args, config),
-            partial_x_list=tuple(section.get("partial_x_list", (1, 5, 10, 20, 30))),
-            random_runs=section.get("random_runs", 5),
-            random_groups=section.get("random_groups", 2),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad benchmark config: {exc}") from exc
 
 
 def cmd_benchmark(args) -> int:
@@ -280,10 +219,9 @@ def cmd_benchmark(args) -> int:
 def cmd_tune(args) -> int:
     config = _load_config(args.config) if args.config else {}
     ds = _load_dataset(args, config)
-    grid = _tuning_grid(config)
-    k = _section(config, "benchmark").get("k", 3)
+    cfg = _benchmark_config(args, config)
     seed = _effective(args.seed, config, "seed", 0)
-    params = tune(ds, None, grid, k, seed)
+    params = tune(ds, None, cfg.grid, cfg.k, seed)
     out = _out_dir(args, config)
     write_atomic(
         out / "tuned_params.json",
@@ -292,7 +230,7 @@ def cmd_tune(args) -> int:
                 "n_trees": params.n_trees,
                 "max_depth": params.max_depth,
                 "learning_rate": params.learning_rate,
-                "k": k,
+                "k": cfg.k,
                 "seed": seed,
             }
         ),

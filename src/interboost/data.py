@@ -1,10 +1,13 @@
-"""Tabular dataset container, CSV ingestion, and deterministic splitting."""
+"""Tabular dataset container, user-file readers (CSV and JSON), value
+checks, and deterministic splitting."""
 
 from __future__ import annotations
 
 import csv
 import enum
+import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass
@@ -123,46 +126,105 @@ def resolve_rows(ds: Dataset, rows: RowIndexSet | None) -> RowIndexSet:
     return rows
 
 
+def read_csv(path, columns=None) -> tuple[tuple[str, ...], np.ndarray]:
+    """Parse a numeric CSV (header row, UTF-8, decimal-point reals).
+
+    Returns the header names and a float64 matrix of the named `columns`
+    in that order, or of every column when `columns` is None. Only those
+    columns are parsed; each of their cells must be a finite real, and
+    every row must have one cell per header name. Blank lines are skipped.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file, expected a header row")
+            names = tuple(h.strip() for h in header)
+            if columns is None:
+                positions = range(len(names))
+            else:
+                missing = [c for c in columns if c not in names]
+                if missing:
+                    raise DataError(f"{path}: columns {missing} not among headers {list(names)}")
+                positions = [names.index(c) for c in columns]
+            values: list[list[float]] = []
+            for row_no, row in enumerate(reader, start=1):
+                if not row or (len(row) == 1 and row[0].strip() == ""):
+                    continue
+                if len(row) != len(names):
+                    raise DataError(
+                        f"{path}: row {row_no} has {len(row)} cells, expected {len(names)}"
+                    )
+                parsed = []
+                for pos in positions:
+                    try:
+                        value = float(row[pos])
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: cell {row[pos]!r} at row {row_no}, column {names[pos]!r} "
+                            "is not a number"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise DataError(
+                            f"{path}: non-finite value at row {row_no}, column {names[pos]!r}"
+                        )
+                    parsed.append(value)
+                values.append(parsed)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if not values:
+        raise DataError(f"{path}: no data rows")
+    return names, np.asarray(values, dtype=np.float64)
+
+
 def load_csv(path, target_column: str, task: Task) -> Dataset:
-    """Load a numeric CSV (header row, UTF-8, decimal-point reals).
+    """Load a numeric CSV (see `read_csv`) as a Dataset.
 
     The target column is extracted; the remaining columns become features
-    in header order. Every cell must parse as a finite real number.
+    in header order.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        names = [h.strip() for h in header]
-        if target_column not in names:
-            raise DataError(f"{path}: target column {target_column!r} not among headers {names}")
-        target_pos = names.index(target_column)
-        values: list[list[float]] = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue  # tolerate trailing blank lines
-            if len(row) != len(names):
-                raise DataError(f"{path}: row {row_no} has {len(row)} cells, expected {len(names)}")
-            parsed = []
-            for name, cell in zip(names, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: cell {cell!r} at row {row_no}, column {name!r} is not a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(f"{path}: non-finite value at row {row_no}, column {name!r}")
-                parsed.append(value)
-            values.append(parsed)
-        if not values:
-            raise DataError(f"{path}: no data rows")
-    matrix = np.asarray(values, dtype=np.float64)
+    names, matrix = read_csv(path)
+    if target_column not in names:
+        raise DataError(f"{path}: target column {target_column!r} not among headers {list(names)}")
+    target_pos = names.index(target_column)
     target = matrix[:, target_pos]
     features = np.delete(matrix, target_pos, axis=1)
     feature_names = tuple(n for i, n in enumerate(names) if i != target_pos)
     return Dataset(features, feature_names, target, task)
+
+
+def read_json(path, error: type[Exception]):
+    """Parse the UTF-8 JSON file at `path`; a file that is not valid JSON
+    raises `error`. ValueError covers JSONDecodeError, UnicodeDecodeError and
+    integers over the interpreter's digit limit; RecursionError is nesting
+    too deep for the parser."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: not valid JSON: {type(exc).__name__}: {exc}") from exc
+
+
+def checked_int(name: str, value):
+    """`value` if it is an integer and not a bool; otherwise TypeError."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise TypeError(f"{name} {value!r} is not an integer")
+    return value
+
+
+def checked_real(name: str, value):
+    """`value` if it is a finite real and not a bool; otherwise TypeError or
+    ValueError."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"{name} {value!r} is not a number")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} {value!r} is not finite")
+    return value
 
 
 def format_real(value: float) -> str:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DataError, RowIndexSet, Task, replace_target, resolve_rows, take_rows
+from .data import checked_int, checked_real
 from .linear import Base, FoldScorer, Product
 from .linear import cv_score_terms  # noqa: F401  (perfbench/tracer.py wraps this name here)
 
@@ -88,11 +89,13 @@ class WrapperConfig:
     max_group_size: int | None = None
 
     def __post_init__(self):
-        if self.k_folds < 2:
+        if checked_int("k_folds", self.k_folds) < 2:
             raise ValueError("k_folds must be >= 2")
-        if self.epsilon < 0:
+        checked_int("seed", self.seed)
+        if checked_real("epsilon", self.epsilon) < 0:
             raise ValueError("epsilon must be >= 0")
-        if self.max_group_size is not None and self.max_group_size < 1:
+        size = self.max_group_size
+        if size is not None and checked_int("max_group_size", size) < 1:
             raise ValueError("max_group_size must be >= 1 (or None for unlimited)")
 
 

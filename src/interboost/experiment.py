@@ -27,7 +27,8 @@ from .boosting import (
     predict,
     train,
 )
-from .data import Dataset, RowIndexSet, Task, kfold, resolve_rows, train_test_split
+from .data import DataError, Dataset, RowIndexSet, Task, kfold, resolve_rows, train_test_split
+from .data import checked_int, checked_real
 from .discovery import ConstraintPartition, WrapperConfig, discover_constraints
 from .linear import score_for_task
 from .prng import mix_seed, permutation
@@ -35,16 +36,24 @@ from .prng import mix_seed, permutation
 
 @dataclass(frozen=True)
 class TuningGrid:
-    n_trees: tuple[int, ...]
-    max_depth: tuple[int, ...]
-    learning_rate: tuple[float, ...]
+    n_trees: tuple[int, ...] = (50, 100, 200, 300)
+    max_depth: tuple[int, ...] = (3, 4, 6)
+    learning_rate: tuple[float, ...] = (0.05, 0.1, 0.3)
 
     def __post_init__(self):
-        if not (self.n_trees and self.max_depth and self.learning_rate):
-            raise ValueError("tuning grid axes must be nonempty")
-
-
-DEFAULT_GRID = TuningGrid((50, 100, 200, 300), (3, 4, 6), (0.05, 0.1, 0.3))
+        for name in ("n_trees", "max_depth", "learning_rate"):
+            axis = getattr(self, name)
+            if not isinstance(axis, (list, tuple)) or not axis:
+                raise ValueError(f"tuning grid axis {name} must be a nonempty list")
+            object.__setattr__(self, name, tuple(axis))
+        # TrainParams checks each field on its own, so checking every axis
+        # entry once makes every grid point valid: tune cannot fail part-way.
+        for n_trees in self.n_trees:
+            TrainParams(n_trees, self.max_depth[0], self.learning_rate[0])
+        for max_depth in self.max_depth:
+            TrainParams(self.n_trees[0], max_depth, self.learning_rate[0])
+        for learning_rate in self.learning_rate:
+            TrainParams(self.n_trees[0], self.max_depth[0], learning_rate)
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,7 @@ def build_variant(
 class BenchmarkConfig:
     test_fraction: float = 0.25
     split_seed: int = 0
-    grid: TuningGrid = DEFAULT_GRID
+    grid: TuningGrid = field(default_factory=TuningGrid)
     k: int = 3
     wrapper_cfg: WrapperConfig = field(default_factory=WrapperConfig)
     partial_x_list: tuple[int, ...] = (1, 5, 10, 20, 30)
@@ -172,11 +181,19 @@ class BenchmarkConfig:
     random_groups: int = 2
 
     def __post_init__(self):
-        if self.k < 2:
+        checked_real("test_fraction", self.test_fraction)
+        checked_int("split_seed", self.split_seed)
+        if checked_int("k", self.k) < 2:
             raise ValueError("k must be >= 2")
-        if any(x < 1 for x in self.partial_x_list):
+        if not isinstance(self.partial_x_list, (list, tuple)):
+            raise TypeError(f"partial_x_list must be a list, got {self.partial_x_list!r}")
+        object.__setattr__(self, "partial_x_list", tuple(self.partial_x_list))
+        if any(checked_int("partial_x_list entry", x) < 1 for x in self.partial_x_list):
             raise ValueError("partial_x_list entries must be >= 1")
-        if self.random_runs < 1 or self.random_groups < 1:
+        if (
+            checked_int("random_runs", self.random_runs) < 1
+            or checked_int("random_groups", self.random_groups) < 1
+        ):
             raise ValueError("random_runs and random_groups must be >= 1")
 
 
@@ -223,6 +240,8 @@ def benchmark(ds: Dataset, cfg: BenchmarkConfig, dataset_name: str = "dataset") 
     Derived seeds: tuning folds use mix_seed(split_seed, 1); random-partition
     run i uses mix_seed(split_seed, 2, i). All are recorded in the report.
     """
+    if cfg.random_groups > ds.n_features:  # checked before the long tuning run
+        raise DataError(f"random_groups {cfg.random_groups} exceeds the {ds.n_features} features")
     train_ds, test_ds = train_test_split(ds, cfg.test_fraction, cfg.split_seed)
     all_train = RowIndexSet.all_rows(train_ds.n_rows)
     tune_seed = mix_seed(cfg.split_seed, 1)
@@ -300,17 +319,7 @@ def report_to_json_obj(report: BenchmarkReport) -> dict:
     return {
         "dataset": report.dataset_name,
         "task": report.task.value,
-        "tuned_params": {
-            "n_trees": report.tuned_params.n_trees,
-            "max_depth": report.tuned_params.max_depth,
-            "learning_rate": report.tuned_params.learning_rate,
-            "reg_lambda": report.tuned_params.reg_lambda,
-            "gamma": report.tuned_params.gamma,
-            "min_child_samples": report.tuned_params.min_child_samples,
-            "min_child_hessian": report.tuned_params.min_child_hessian,
-            "base_score": report.tuned_params.base_score,
-            "seed": report.tuned_params.seed,
-        },
+        "tuned_params": report.tuned_params.to_json_obj(),
         "seeds": report.seeds,
         "variants": [
             {

@@ -370,6 +370,9 @@ class TestParamsValidation:
             dict(reg_lambda=-0.1),
             dict(gamma=-0.1),
             dict(min_child_samples=0),
+            dict(reg_lambda=float("nan")),
+            dict(gamma=float("inf")),
+            dict(base_score=float("nan")),
         ],
     )
     def test_bad_params(self, kw):
@@ -377,6 +380,13 @@ class TestParamsValidation:
         base.update(kw)
         with pytest.raises(ValueError):
             TrainParams(**base)
+
+    @pytest.mark.parametrize(
+        "kw", [dict(n_trees=2.5), dict(max_depth=True), dict(learning_rate="0.1"), dict(seed="7")]
+    )
+    def test_bad_param_types(self, kw):
+        with pytest.raises(TypeError):
+            TrainParams(**{**dict(n_trees=5, max_depth=2, learning_rate=0.1), **kw})
 
     def test_default_base_score_regression(self):
         assert default_base_score(Task.REGRESSION, np.array([1.0, 3.0])) == 2.0

@@ -1,7 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import interboost
 
 from interboost.boosting import load_model, predict_matrix, train, TrainParams
 from interboost.cli import main
@@ -80,6 +85,41 @@ class TestTrainPredictCommands:
         assert lines[0] == "prediction"
         got = np.array([float(v) for v in lines[1:]])
         np.testing.assert_array_equal(got, expected)
+
+    def test_predict_parses_only_the_model_columns(self, tmp_path, data_csv):
+        out = tmp_path / "out"
+        assert run("train", "--data", data_csv, "--target", "y", "--task", "regression",
+                   "--n-trees", 3, "--out-dir", out) == 0
+        lines = data_csv.read_text().splitlines()
+        with_id = tmp_path / "with_id.csv"
+        with_id.write_text("\n".join(
+            [f"id,{lines[0]}"] + [f"row-{i},{line}" for i, line in enumerate(lines[1:])]
+        ) + "\n")
+        assert run("predict", "--model", out / "model.json", "--data", data_csv,
+                   "--out-dir", out / "plain") == 0
+        assert run("predict", "--model", out / "model.json", "--data", with_id,
+                   "--out-dir", out / "id") == 0
+        assert ((out / "id" / "predictions.csv").read_bytes()
+                == (out / "plain" / "predictions.csv").read_bytes())
+
+    def test_config_precedence_and_values_as_written(self, tmp_path, data_csv):
+        # flag > section > top-level seed > default; values are not coerced
+        # and unknown section keys are ignored
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "seed": 5, "train": {"n_trees": 3, "max_depth": 2, "reg_lambda": 1, "bogus": 0},
+        }))
+        out = tmp_path / "out"
+        assert run("train", "--data", data_csv, "--target", "y", "--task", "regression",
+                   "--config", config, "--n-trees", 2, "--out-dir", out) == 0
+        params = json.loads((out / "model.json").read_text())["params"]
+        assert (params["n_trees"], params["max_depth"], params["seed"]) == (2, 2, 5)
+        assert params["learning_rate"] == 0.1 and params["gamma"] == 0.0
+        assert '"reg_lambda": 1,' in (out / "model.json").read_text()
+        config.write_text(json.dumps({"seed": 5, "train": {"seed": 9}}))
+        assert run("train", "--data", data_csv, "--target", "y", "--task", "regression",
+                   "--config", config, "--n-trees", 1, "--out-dir", out) == 0
+        assert json.loads((out / "model.json").read_text())["params"]["seed"] == 9
 
     def test_constraints_file_enforced(self, tmp_path, data_csv):
         out = tmp_path / "out"
@@ -251,3 +291,87 @@ class TestUsageErrors:
     def test_unknown_task_value(self, tmp_path, data_csv):
         assert run("discover", "--data", data_csv, "--target", "y",
                    "--task", "ranking", "--out-dir", tmp_path) == 1
+
+
+SMALL_GRID = {"n_trees": [2], "max_depth": [2], "learning_rate": [0.3]}
+
+# (command, which file is bad, its contents, exit code, message substring);
+# every user file ends with exit 1 (config) or 2 (data), never 3.
+BAD_USER_FILES = {
+    "deep-config": ("discover", "config", b"[" * 200_000, 1, "RecursionError"),
+    "deep-constraints": ("train", "constraints", b"[" * 200_000, 2, "RecursionError"),
+    "non-utf8-config": ("discover", "config", b'{"seed": "\xff"}', 1, "utf-8"),
+    "non-utf8-constraints": ("train", "constraints", b"[[0, 1, 2, 3, 4, 5]]\xff", 2, "utf-8"),
+    "non-utf8-model": ("predict", "model", b"\xff{}", 2, "utf-8"),
+    "non-utf8-data": ("discover", "data", b"x0,y\n1,\xff\n", 2, "utf-8"),
+    "non-utf8-predict-data": ("predict", "data", b"x0\n\xff\n", 2, "utf-8"),
+    "long-cell": ("discover", "data", b"x0,y\n" + b"1" * 140_000 + b",2\n", 2, "field limit"),
+    "train-n-trees": ("train", "config", {"train": {"n_trees": 2.5}}, 1, "n_trees 2.5"),
+    "grid-n-trees": ("tune", "config", {"grid": {"n_trees": [2.5]}}, 1, "n_trees 2.5"),
+    "grid-learning-rate": ("tune", "config", {"grid": {"learning_rate": [3]}}, 1, "learning_rate"),
+    "seed-float": ("discover", "config", {"seed": 1.5}, 1, "seed 1.5"),
+    "seed-string": ("discover", "config", {"seed": "7"}, 1, "seed '7'"),
+    "k-folds": ("discover", "config", {"wrapper": {"k_folds": 2.5}}, 1, "k_folds 2.5"),
+    "benchmark-k": ("tune", "config", {"benchmark": {"k": "3"}}, 1, "k '3'"),
+    "out-dir": ("discover", "config", {"out_dir": 7}, 1, "out_dir"),
+    "nul-in-path": ("discover", "config", {"out_dir": "out\0put"}, 1, "out_dir"),
+    "int-digit-limit": ("discover", "config", b'{"seed": ' + b"9" * 5000 + b"}", 1, "not valid JSON"),
+    "nan-reg-lambda": ("train", "config", b'{"train": {"reg_lambda": NaN}}', 1, "reg_lambda nan"),
+    "random-runs": ("benchmark", "config",
+                    {"grid": SMALL_GRID, "benchmark": {"random_runs": 2.5}}, 1, "random_runs 2.5"),
+    "random-groups": ("benchmark", "config",
+                      {"grid": SMALL_GRID, "benchmark": {"random_groups": 99}}, 2, "random_groups"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, role, contents, code, message", BAD_USER_FILES.values(), ids=BAD_USER_FILES.keys()
+)
+def test_bad_user_file_exits_cleanly(
+    tmp_path, data_csv, capsys, command, role, contents, code, message
+):
+    out = tmp_path / "out"
+    files = {"data": data_csv}
+    if command == "predict":
+        assert run("train", "--data", data_csv, "--target", "y", "--task", "regression",
+                   "--n-trees", 2, "--out-dir", out) == 0
+        files["model"] = out / "model.json"
+    files[role] = tmp_path / "bad"
+    if not isinstance(contents, bytes):
+        contents = json.dumps(contents).encode()
+    files[role].write_bytes(contents)
+    argv = [command, "--data", files["data"], "--out-dir", out]
+    if command == "predict":
+        argv += ["--model", files["model"]]
+    else:
+        argv += ["--target", "y", "--task", "regression"]
+    if command == "train" and role != "config":  # the flag would override the config
+        argv += ["--n-trees", 2]
+    for flag in ("config", "constraints"):
+        if flag in files:
+            argv += [f"--{flag}", files[flag]]
+    capsys.readouterr()
+    assert run(*argv) == code
+    assert message in capsys.readouterr().err
+
+
+def test_non_string_data_path_does_not_read_stdin(tmp_path):
+    # `open(0)` would read standard input, which stays open here, so the
+    # command would wait for it until the timeout.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"data": 0}))
+    src = Path(interboost.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "interboost.cli", "discover", "--config", str(config),
+         "--target", "y", "--task", "regression", "--out-dir", str(tmp_path / "out")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={"PYTHONPATH": str(src)},
+    )
+    try:
+        assert proc.wait(timeout=20) == 1
+        assert "'data' must be a string" in proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+            pipe.close()

@@ -49,6 +49,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="empty"):
             load_csv(tmp_csv(""), "y", Task.REGRESSION)
 
+    def test_non_utf8_is_data_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("x0,y\n1,caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(DataError, match="utf-8"):
+            load_csv(path, "y", Task.REGRESSION)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", "y", Task.REGRESSION)

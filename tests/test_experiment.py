@@ -252,6 +252,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TuningGrid((), (2,), (0.1,))
 
+    @pytest.mark.parametrize(
+        "axes",
+        [((2.5,), (2,), (0.1,)), ((5,), (2, 0), (0.1,)), ((5,), (2,), (0.1, 3)), (5, (2,), (0.1,))],
+    )
+    def test_bad_grid_entry_rejected_when_built(self, axes):
+        with pytest.raises((TypeError, ValueError)):
+            TuningGrid(*axes)
+
+    def test_json_lists_become_tuples(self):
+        grid = TuningGrid([5], [2], [0.1])
+        assert grid == TuningGrid((5,), (2,), (0.1,))
+        assert BenchmarkConfig(partial_x_list=[1, 2]).partial_x_list == (1, 2)
+
     def test_bad_benchmark_config(self):
         with pytest.raises(ValueError):
             BenchmarkConfig(partial_x_list=(0,))
@@ -259,6 +272,12 @@ class TestConfigValidation:
             BenchmarkConfig(random_runs=0)
         with pytest.raises(ValueError):
             BenchmarkConfig(k=1)
+        with pytest.raises(TypeError):
+            BenchmarkConfig(k="3")
+        with pytest.raises(TypeError):
+            BenchmarkConfig(split_seed=1.5)
+        with pytest.raises(TypeError):
+            BenchmarkConfig(partial_x_list=(1.5,))
 
     def test_partial_interaction_requires_positive_x(self):
         with pytest.raises(ValueError):
