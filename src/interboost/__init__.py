@@ -48,15 +48,10 @@ from .discovery import (
     discover_constraints_traced,
 )
 from .experiment import (
-    Baseline,
     BenchmarkConfig,
     BenchmarkReport,
-    FullInteraction,
-    PartialInteraction,
-    RandomInteraction,
     TuningGrid,
     benchmark,
-    build_variant,
     random_partition,
     tune,
 )
@@ -65,7 +60,6 @@ from .linear import cv_score, expand_pairwise, fit_logistic, fit_ols, materializ
 __version__ = "0.1.0"
 
 __all__ = [
-    "Baseline",
     "BenchmarkConfig",
     "BenchmarkReport",
     "ConstraintPartition",
@@ -75,13 +69,10 @@ __all__ = [
     "Ensemble",
     "FixedPartition",
     "FoldPlan",
-    "FullInteraction",
     "GradHess",
     "NoConstraints",
     "Node",
-    "PartialInteraction",
     "PerResidual",
-    "RandomInteraction",
     "RowIndexSet",
     "Task",
     "TrainParams",
@@ -90,7 +81,6 @@ __all__ = [
     "WrapperConfig",
     "benchmark",
     "best_split",
-    "build_variant",
     "cv_score",
     "discover_constraints",
     "discover_constraints_for_residuals",

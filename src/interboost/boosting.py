@@ -144,7 +144,7 @@ class PerResidual:
     first_tree_partition: ConstraintPartition
 
     def __post_init__(self):
-        if self.first_x < 1:
+        if checked_int("first_x", self.first_x) < 1:
             raise ValueError("first_x must be >= 1")
 
 

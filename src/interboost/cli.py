@@ -162,14 +162,16 @@ def cmd_discover(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config) if args.config else {}
-    if args.constraints and args.partial_x:
+    if args.constraints is not None and args.partial_x is not None:
         raise ConfigError("--constraints and --partial-x are mutually exclusive")
+    if args.partial_x is not None and args.partial_x < 1:  # PerResidual comes after discovery
+        raise ConfigError(f"--partial-x must be >= 1, got {args.partial_x}")
     ds = _load_dataset(args, config)
     params = _train_params(args, config)
-    if args.constraints:
+    if args.constraints is not None:
         partition = read_json(args.constraints, DataError)
         schedule = FixedPartition(ConstraintPartition.from_json_obj(partition, ds.n_features))
-    elif args.partial_x:
+    elif args.partial_x is not None:
         wrapper_cfg = _wrapper_config(args, config)
         first = discover_constraints(ds, None, wrapper_cfg)
         schedule = PerResidual(args.partial_x, wrapper_cfg, first)

@@ -3,6 +3,7 @@ checks, and deterministic splitting."""
 
 from __future__ import annotations
 
+import collections
 import csv
 import enum
 import json
@@ -132,7 +133,8 @@ def read_csv(path, columns=None) -> tuple[tuple[str, ...], np.ndarray]:
     Returns the header names and a float64 matrix of the named `columns`
     in that order, or of every column when `columns` is None. Only those
     columns are parsed; each of their cells must be a finite real, and
-    every row must have one cell per header name. Blank lines are skipped.
+    every row must have one cell per header name. Header names must be
+    distinct. Blank lines are skipped.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -141,6 +143,9 @@ def read_csv(path, columns=None) -> tuple[tuple[str, ...], np.ndarray]:
             if header is None:
                 raise DataError(f"{path}: empty file, expected a header row")
             names = tuple(h.strip() for h in header)
+            repeated = sorted(n for n, count in collections.Counter(names).items() if count > 1)
+            if repeated:
+                raise DataError(f"{path}: repeated header names {repeated}")
             if columns is None:
                 positions = range(len(names))
             else:

@@ -15,14 +15,13 @@ and product terms never span closed groups.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, DataError, RowIndexSet, Task, replace_target, resolve_rows, take_rows
 from .data import checked_int, checked_real
-from .linear import Base, FoldScorer, Product
+from .linear import FoldScorer, pairwise_terms
 from .linear import cv_score_terms  # noqa: F401  (perfbench/tracer.py wraps this name here)
 
 
@@ -133,16 +132,6 @@ class DiscoveryStep:
         }
 
 
-def _terms(features: list[int], interaction_scope: list[int]):
-    """Bases for `features` (in order) plus all pairwise products among
-    `interaction_scope`, in lexicographic index order."""
-    bases = [Base(i) for i in features]
-    products = [
-        Product(a, b) for a, b in itertools.combinations(sorted(interaction_scope), 2)
-    ]
-    return tuple(bases + products)
-
-
 def _discover(sub: Dataset, cfg: WrapperConfig) -> tuple[ConstraintPartition, tuple[DiscoveryStep, ...]]:
     score = FoldScorer(sub, None, cfg.k_folds, cfg.seed).score
 
@@ -154,7 +143,7 @@ def _discover(sub: Dataset, cfg: WrapperConfig) -> tuple[ConstraintPartition, tu
         if not subset:
             # Seed a fresh group with the best single feature by plain score.
             evals = tuple(
-                CandidateScore(f, score(_terms([f], [])), None) for f in remaining
+                CandidateScore(f, score(pairwise_terms([f], [])), None) for f in remaining
             )
             best = max(evals, key=lambda c: (c.plain, -c.feature))
             subset.append(best.feature)
@@ -171,8 +160,8 @@ def _discover(sub: Dataset, cfg: WrapperConfig) -> tuple[ConstraintPartition, tu
         evals = []
         candidates = []
         for f in remaining:
-            plain = score(_terms(subset + [f], subset))
-            inter = score(_terms(subset + [f], subset + [f]))
+            plain = score(pairwise_terms(subset + [f], subset))
+            inter = score(pairwise_terms(subset + [f], subset + [f]))
             evals.append(CandidateScore(f, plain, inter))
             if inter > plain + cfg.epsilon:
                 candidates.append(evals[-1])

@@ -1,13 +1,14 @@
-"""Benchmark harness: model variants, grid tuning, baseline-relative reports.
+"""Benchmark harness: grid tuning, then each constraint schedule scored
+against the unconstrained baseline.
 
-Four ensemble variants are compared on one shared train/test split with one
-shared set of tuned hyperparameters, so the only thing that differs between
-them is the constraint schedule:
+Every report variant trains one `boosting` schedule on one shared
+train/test split with one shared set of tuned hyperparameters, so the
+schedule is the only thing that differs between them:
 
-  baseline          unconstrained boosting
-  full_interaction  one discovered partition enforced in every tree
-  interaction_x     per-residual rediscovery for the first x trees
-  random_interaction seeded random partitions (score averaged over runs)
+  baseline           NoConstraints()
+  full_interaction   FixedPartition(p), p discovered once on the original target
+  interaction_x      PerResidual(x, ...): p for tree 1, residual rediscovery to tree x
+  random_interaction FixedPartition of a seeded random partition (score averaged over runs)
 """
 
 from __future__ import annotations
@@ -54,34 +55,6 @@ class TuningGrid:
             TrainParams(self.n_trees[0], max_depth, self.learning_rate[0])
         for learning_rate in self.learning_rate:
             TrainParams(self.n_trees[0], self.max_depth[0], learning_rate)
-
-
-@dataclass(frozen=True)
-class Baseline:
-    pass
-
-
-@dataclass(frozen=True)
-class FullInteraction:
-    pass
-
-
-@dataclass(frozen=True)
-class PartialInteraction:
-    first_x: int
-
-    def __post_init__(self):
-        if self.first_x < 1:
-            raise ValueError("first_x must be >= 1")
-
-
-@dataclass(frozen=True)
-class RandomInteraction:
-    n_groups: int
-    seed: int
-
-
-VariantSpec = Baseline | FullInteraction | PartialInteraction | RandomInteraction
 
 
 def tune(
@@ -132,41 +105,6 @@ def random_partition(n_features: int, n_groups: int, seed: int) -> ConstraintPar
     for position, feature in enumerate(perm):
         groups[position % n_groups].append(feature)
     return ConstraintPartition(tuple(tuple(g) for g in groups)).validate_for(n_features)
-
-
-def build_variant(
-    variant: VariantSpec,
-    ds: Dataset,
-    train_rows: RowIndexSet | None,
-    params: TrainParams,
-    wrapper_cfg: WrapperConfig,
-    base_partition: ConstraintPartition | None = None,
-) -> tuple[ConstraintSchedule, Ensemble]:
-    """Materialize one variant's schedule and train it.
-
-    `base_partition` optionally supplies the original-target partition so
-    repeated variants in one benchmark do not re-run discovery; when absent
-    it is discovered here (identically, since discovery is deterministic).
-    """
-    train_rows = resolve_rows(ds, train_rows)
-
-    def original_target_partition() -> ConstraintPartition:
-        if base_partition is not None:
-            return base_partition
-        return discover_constraints(ds, train_rows, wrapper_cfg)
-
-    schedule: ConstraintSchedule
-    if isinstance(variant, Baseline):
-        schedule = NoConstraints()
-    elif isinstance(variant, FullInteraction):
-        schedule = FixedPartition(original_target_partition())
-    elif isinstance(variant, PartialInteraction):
-        schedule = PerResidual(variant.first_x, wrapper_cfg, original_target_partition())
-    elif isinstance(variant, RandomInteraction):
-        schedule = FixedPartition(random_partition(ds.n_features, variant.n_groups, variant.seed))
-    else:
-        raise TypeError(f"unknown variant {variant!r}")
-    return schedule, train(ds, train_rows, params, schedule)
 
 
 @dataclass(frozen=True)
@@ -248,48 +186,37 @@ def benchmark(ds: Dataset, cfg: BenchmarkConfig, dataset_name: str = "dataset") 
     params = tune(train_ds, all_train, cfg.grid, cfg.k, tune_seed)
     base_partition = discover_constraints(train_ds, all_train, cfg.wrapper_cfg)
 
-    results: list[VariantResult] = []
+    def score(schedule: ConstraintSchedule) -> float:
+        return _test_score(train(train_ds, all_train, params, schedule), test_ds)
 
-    _, baseline_ens = build_variant(Baseline(), train_ds, all_train, params, cfg.wrapper_cfg)
-    baseline_score = _test_score(baseline_ens, test_ds)
-    results.append(VariantResult("baseline", None, baseline_score, percent_change(baseline_score, baseline_score)))
-
-    _, full_ens = build_variant(
-        FullInteraction(), train_ds, all_train, params, cfg.wrapper_cfg, base_partition
-    )
-    full_score = _test_score(full_ens, test_ds)
-    results.append(
+    baseline_score = score(NoConstraints())
+    full_score = score(FixedPartition(base_partition))
+    results = [
+        VariantResult("baseline", None, baseline_score, percent_change(baseline_score, baseline_score)),
         VariantResult(
             "full_interaction",
             {"partition": base_partition.to_json_obj()},
             full_score,
             percent_change(baseline_score, full_score),
-        )
-    )
+        ),
+    ]
 
     for x in cfg.partial_x_list:
-        _, partial_ens = build_variant(
-            PartialInteraction(x), train_ds, all_train, params, cfg.wrapper_cfg, base_partition
-        )
-        score = _test_score(partial_ens, test_ds)
+        partial_score = score(PerResidual(x, cfg.wrapper_cfg, base_partition))
         results.append(
             VariantResult(
                 f"interaction_{x}",
                 {"first_x": x, "first_tree_partition": base_partition.to_json_obj()},
-                score,
-                percent_change(baseline_score, score),
+                partial_score,
+                percent_change(baseline_score, partial_score),
             )
         )
 
     random_seeds = [mix_seed(cfg.split_seed, 2, i) for i in range(cfg.random_runs)]
     runs = []
     for run_seed in random_seeds:
-        spec = RandomInteraction(cfg.random_groups, run_seed)
-        schedule, ens = build_variant(spec, train_ds, all_train, params, cfg.wrapper_cfg)
-        assert isinstance(schedule, FixedPartition)
-        runs.append(
-            RandomRun(run_seed, schedule.partition.groups, _test_score(ens, test_ds))
-        )
+        partition = random_partition(train_ds.n_features, cfg.random_groups, run_seed)
+        runs.append(RandomRun(run_seed, partition.groups, score(FixedPartition(partition))))
     random_mean = float(np.mean([r.test_score for r in runs]))
     results.append(
         VariantResult(

@@ -50,18 +50,20 @@ class ScoreMetric(enum.Enum):
     ACCURACY = "accuracy"
 
 
+def pairwise_terms(features, interaction_scope) -> tuple[Term, ...]:
+    """Bases for `features` in the given order, then every unordered pair of
+    `interaction_scope` as a product term in lexicographic index order."""
+    products = itertools.combinations(sorted(interaction_scope), 2)
+    return tuple([Base(i) for i in features] + [Product(a, b) for a, b in products])
+
+
 def expand_pairwise(feature_subset, with_interactions: bool) -> tuple[Term, ...]:
-    """Column spec for a feature subset: bases in subset order, then, when
-    requested, every unordered pair as a product term in lexicographic
-    index order."""
+    """Column spec for a feature subset: its bases, then, when requested,
+    the products of all its pairs (see `pairwise_terms`)."""
     subset = list(feature_subset)
     if len(set(subset)) != len(subset):
         raise ValueError(f"duplicate feature indices in subset {subset}")
-    terms: list[Term] = [Base(i) for i in subset]
-    if with_interactions:
-        for a, b in itertools.combinations(sorted(subset), 2):
-            terms.append(Product(a, b))
-    return tuple(terms)
+    return pairwise_terms(subset, subset if with_interactions else ())
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,6 +17,7 @@ import pytest
 
 from interboost.boosting import (
     FixedPartition,
+    NoConstraints,
     PerResidual,
     TrainParams,
     predict,
@@ -25,14 +26,7 @@ from interboost.boosting import (
 from interboost.cli import main as cli_main
 from interboost.data import Dataset, Task, load_csv, save_csv, train_test_split
 from interboost.discovery import ConstraintPartition, WrapperConfig, discover_constraints
-from interboost.experiment import (
-    Baseline,
-    RandomInteraction,
-    TuningGrid,
-    build_variant,
-    random_partition,
-    tune,
-)
+from interboost.experiment import TuningGrid, random_partition, tune
 from interboost.linear import (
     _with_intercept,
     accuracy,
@@ -282,13 +276,12 @@ def test_criterion_7_cleve_qualitative_anchor():
     for split_seed in (0, 1, 2):
         train_ds, test_ds = train_test_split(ds, 0.25, split_seed)
         params = tune(train_ds, None, grid, k=3, seed=split_seed)
-        _, baseline = build_variant(Baseline(), train_ds, None, params, WrapperConfig())
+        baseline = train(train_ds, None, params, NoConstraints())
         base_acc = accuracy(test_ds.target, predict(baseline, test_ds, None))
         baseline_scores.append(base_acc)
         for partition_seed in range(20):
-            _, ens = build_variant(
-                RandomInteraction(2, partition_seed), train_ds, None, params, WrapperConfig()
-            )
+            partition = random_partition(train_ds.n_features, 2, partition_seed)
+            ens = train(train_ds, None, params, FixedPartition(partition))
             if accuracy(test_ds.target, predict(ens, test_ds, None)) > base_acc:
                 random_beats_baseline = True
                 break

@@ -321,6 +321,9 @@ BAD_USER_FILES = {
                     {"grid": SMALL_GRID, "benchmark": {"random_runs": 2.5}}, 1, "random_runs 2.5"),
     "random-groups": ("benchmark", "config",
                       {"grid": SMALL_GRID, "benchmark": {"random_groups": 99}}, 2, "random_groups"),
+    "repeated-header": ("train", "data", b"a,a,y\n1,2,3\n4,5,6\n", 2, "repeated header names ['a']"),
+    "repeated-predict-header": ("predict", "data", b"x0,x1,x0\n1,2,3\n", 2,
+                                "repeated header names ['x0']"),
 }
 
 
@@ -355,6 +358,30 @@ def test_bad_user_file_exits_cleanly(
     assert message in capsys.readouterr().err
 
 
+# (train flags, exit code, message substring); each is refused before
+# discovery or training runs.
+BAD_TRAIN_FLAGS = {
+    "partial-x-zero": (["--partial-x", 0], 1, "--partial-x must be >= 1, got 0"),
+    "partial-x-negative": (["--partial-x", -1], 1, "--partial-x must be >= 1, got -1"),
+    "empty-constraints": (["--constraints", ""], 2, "No such file"),
+    "empty-constraints-and-partial-x": (["--constraints", "", "--partial-x", 2], 1,
+                                        "mutually exclusive"),
+}
+
+
+@pytest.mark.parametrize("flags, code, message", BAD_TRAIN_FLAGS.values(), ids=BAD_TRAIN_FLAGS.keys())
+def test_bad_train_flag_exits_cleanly(tmp_path, data_csv, capsys, monkeypatch, flags, code, message):
+    def no_discovery(*args):
+        raise AssertionError("discovery ran")
+
+    monkeypatch.setattr("interboost.cli.discover_constraints", no_discovery)
+    out = tmp_path / "out"
+    assert run("train", "--data", data_csv, "--target", "y", "--task", "regression",
+               "--n-trees", 2, "--out-dir", out, *flags) == code
+    assert message in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
 def test_non_string_data_path_does_not_read_stdin(tmp_path):
     # `open(0)` would read standard input, which stays open here, so the
     # command would wait for it until the timeout.
@@ -375,3 +402,7 @@ def test_non_string_data_path_does_not_read_stdin(tmp_path):
         proc.wait()
         for pipe in (proc.stdin, proc.stdout, proc.stderr):
             pipe.close()
+
+
+def test_public_names_resolve():
+    assert [name for name in interboost.__all__ if not hasattr(interboost, name)] == []

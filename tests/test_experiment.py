@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from interboost.boosting import FixedPartition, NoConstraints, PerResidual
-from interboost.discovery import ConstraintPartition, WrapperConfig
+from interboost.boosting import FixedPartition, NoConstraints, PerResidual, TrainParams, predict, train
+from interboost.discovery import ConstraintPartition, WrapperConfig, discover_constraints
 from interboost.experiment import (
-    Baseline,
     BenchmarkConfig,
-    FullInteraction,
-    PartialInteraction,
-    RandomInteraction,
     TuningGrid,
     benchmark,
-    build_variant,
     percent_change,
     random_partition,
     report_to_csv,
@@ -105,65 +100,44 @@ class TestRandomPartition:
         assert random_partition(10, 3, seed=4).groups == random_partition(10, 3, seed=4).groups
 
 
-class TestBuildVariant:
+class TestVariantSchedules:
+    """The schedule behind each benchmark variant, trained directly."""
+
     def _ds(self):
         return make_regression(
             150, 3, seed=8, target_fn=lambda X: X[:, 0] * X[:, 1], noise_sd=0.1
         )
 
     def _params(self, n_trees=6):
-        from interboost.boosting import TrainParams
-
         return TrainParams(n_trees, 2, 0.3)
 
+    def _partial(self, ds, first_x):
+        cfg = WrapperConfig(seed=0, epsilon=5e-3)
+        return PerResidual(first_x, cfg, discover_constraints(ds, None, cfg))
+
     def test_baseline_logs_no_constraints(self):
-        schedule, ens = build_variant(
-            Baseline(), self._ds(), None, self._params(), WrapperConfig(seed=0)
-        )
-        assert isinstance(schedule, NoConstraints)
+        ens = train(self._ds(), None, self._params(), NoConstraints())
         assert all(p is None for p in ens.constraint_log)
 
     def test_partial_schedule_bookkeeping(self):
-        schedule, ens = build_variant(
-            PartialInteraction(3),
-            self._ds(),
-            None,
-            self._params(n_trees=10),
-            WrapperConfig(seed=0, epsilon=5e-3),
-        )
-        assert isinstance(schedule, PerResidual)
+        ds = self._ds()
+        ens = train(ds, None, self._params(n_trees=10), self._partial(ds, 3))
         flags = [p is not None for p in ens.constraint_log]
         assert flags == [True] * 3 + [False] * 7
 
     def test_partial_x_at_least_n_trees_logs_everywhere(self):
-        _, ens = build_variant(
-            PartialInteraction(99),
-            self._ds(),
-            None,
-            self._params(n_trees=4),
-            WrapperConfig(seed=0, epsilon=5e-3),
-        )
+        ds = self._ds()
+        ens = train(ds, None, self._params(n_trees=4), self._partial(ds, 99))
         assert all(p is not None for p in ens.constraint_log)
 
     def test_full_with_single_group_matches_baseline(self):
         ds = self._ds()
         single = ConstraintPartition(((0, 1, 2),))
-        _, constrained = build_variant(
-            FullInteraction(), ds, None, self._params(), WrapperConfig(seed=0), base_partition=single
-        )
-        _, free = build_variant(Baseline(), ds, None, self._params(), WrapperConfig(seed=0))
+        constrained = train(ds, None, self._params(), FixedPartition(single))
+        free = train(ds, None, self._params(), NoConstraints())
         for a, b in zip(constrained.trees, free.trees):
             assert a.nodes == b.nodes
-        from interboost.boosting import predict
-
         np.testing.assert_array_equal(predict(constrained, ds, None), predict(free, ds, None))
-
-    def test_random_variant_uses_seeded_partition(self):
-        schedule, _ = build_variant(
-            RandomInteraction(2, seed=77), self._ds(), None, self._params(), WrapperConfig(seed=0)
-        )
-        assert isinstance(schedule, FixedPartition)
-        assert schedule.partition.groups == random_partition(3, 2, seed=77).groups
 
 
 class TestPercentChange:
@@ -228,6 +202,12 @@ class TestBenchmark:
         seeds = [r.seed for r in random.runs]
         assert seeds == report.seeds["random_seeds"]
 
+    def test_random_runs_use_seeded_partitions(self, report):
+        n_features = paired_products_dataset(240, seed=1).n_features
+        groups = _tiny_benchmark_config().random_groups
+        for run in report.variants[-1].runs:
+            assert run.groups == random_partition(n_features, groups, run.seed).groups
+
     def test_report_serializations(self, report):
         obj = report_to_json_obj(report)
         text = json.dumps(obj, indent=2)
@@ -280,5 +260,8 @@ class TestConfigValidation:
             BenchmarkConfig(partial_x_list=(1.5,))
 
     def test_partial_interaction_requires_positive_x(self):
+        partition = ConstraintPartition(((0,),))
         with pytest.raises(ValueError):
-            PartialInteraction(0)
+            PerResidual(0, WrapperConfig(), partition)
+        with pytest.raises(TypeError):
+            PerResidual(1.5, WrapperConfig(), partition)
