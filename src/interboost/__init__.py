@@ -13,11 +13,9 @@ from .boosting import (
     FixedPartition,
     GradHess,
     NoConstraints,
-    Node,
     PerResidual,
     TrainParams,
     Tree,
-    best_split,
     grad_hess,
     grow_tree,
     leaf_weight,
@@ -71,7 +69,6 @@ __all__ = [
     "FoldPlan",
     "GradHess",
     "NoConstraints",
-    "Node",
     "PerResidual",
     "RowIndexSet",
     "Task",
@@ -80,7 +77,6 @@ __all__ = [
     "TuningGrid",
     "WrapperConfig",
     "benchmark",
-    "best_split",
     "cv_score",
     "discover_constraints",
     "discover_constraints_for_residuals",

@@ -67,44 +67,34 @@ class TrainParams:
         return dataclasses.asdict(self)
 
 
-@dataclass(frozen=True)
-class Node:
-    """Internal node (feature >= 0) or leaf (feature == -1, weight set)."""
-
-    feature: int
-    threshold: float
-    left: int
-    right: int
-    weight: float
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-    @classmethod
-    def make_leaf(cls, weight: float) -> "Node":
-        return cls(-1, 0.0, -1, -1, float(weight))
-
-    @classmethod
-    def make_internal(cls, feature: int, threshold: float, left: int, right: int) -> "Node":
-        return cls(int(feature), float(threshold), int(left), int(right), 0.0)
+NODE = np.dtype(
+    [
+        ("feature", np.int64),
+        ("threshold", np.float64),
+        ("left", np.int64),
+        ("right", np.int64),
+        ("weight", np.float64),
+    ]
+)
 
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """Binary regression tree addressed by node id; node 0 is the root."""
+    """Binary regression tree addressed by node id; node 0 is the root.
 
-    nodes: tuple[Node, ...]
+    `nodes` is a NODE structured array with one record per node id. A leaf
+    has feature -1, children -1, threshold 0.0 and its weight; an internal
+    node has feature >= 0, its threshold and child ids, and weight 0.0.
+    """
+
+    nodes: np.ndarray
     root: int = 0
     used_group: int | None = None
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
         """Leaf weight reached by each row of X (vectorized level-walk)."""
-        feature = np.array([n.feature for n in self.nodes], dtype=np.int64)
-        threshold = np.array([n.threshold for n in self.nodes])
-        left = np.array([n.left for n in self.nodes], dtype=np.int64)
-        right = np.array([n.right for n in self.nodes], dtype=np.int64)
-        weight = np.array([n.weight for n in self.nodes])
+        feature, threshold = self.nodes["feature"], self.nodes["threshold"]
+        left, right = self.nodes["left"], self.nodes["right"]
         at = np.full(X.shape[0], self.root, dtype=np.int64)
         while True:
             active = np.nonzero(feature[at] >= 0)[0]
@@ -113,7 +103,7 @@ class Tree:
             node_ids = at[active]
             goes_left = X[active, feature[node_ids]] < threshold[node_ids]
             at[active] = np.where(goes_left, left[node_ids], right[node_ids])
-        return weight[at]
+        return self.nodes["weight"][at]
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,15 +231,6 @@ def _scan_feature(x, g, h, params: TrainParams):
     return float(gains[best]), float(threshold)
 
 
-@dataclass(frozen=True, eq=False)
-class Split:
-    feature: int
-    threshold: float
-    gain: float
-    left_rows: RowIndexSet
-    right_rows: RowIndexSet
-
-
 def _find_split(X, pos, g, h, allowed, params: TrainParams):
     """(gain, threshold, feature) of the best split of rows `pos` of X over
     the `allowed` features in ascending order, or None; `g` and `h` are
@@ -261,39 +242,6 @@ def _find_split(X, pos, g, h, allowed, params: TrainParams):
         if found is not None and (best is None or found[0] > best[0]):
             best = (found[0], found[1], f)
     return best
-
-
-def best_split(
-    rows: RowIndexSet,
-    allowed,
-    gh: GradHess,
-    ds: Dataset,
-    params: TrainParams,
-) -> Split | None:
-    """Exact greedy best split over the allowed features, or None.
-
-    `gh` is aligned with `rows` (entry i belongs to rows.indices[i]).
-    """
-    rows = resolve_rows(ds, rows)
-    if len(rows) == 0:
-        raise ValueError("best_split requires a nonempty row set")
-    allowed = sorted(set(allowed))
-    if not allowed:
-        raise ValueError("best_split requires a nonempty allowed set")
-    if gh.g.shape != (len(rows),) or gh.h.shape != (len(rows),):
-        raise ValueError("gradient vectors must align with the row set")
-    best = _find_split(ds.features, rows.indices, gh.g, gh.h, allowed, params)
-    if best is None:
-        return None
-    gain, threshold, feature = best
-    mask = ds.features[rows.indices, feature] < threshold
-    return Split(
-        feature=feature,
-        threshold=threshold,
-        gain=gain,
-        left_rows=RowIndexSet(rows.indices[mask]),
-        right_rows=RowIndexSet(rows.indices[~mask]),
-    )
 
 
 def _grow(
@@ -309,7 +257,7 @@ def _grow(
     if g.shape != (len(rows),) or h.shape != (len(rows),):
         raise ValueError("gradient vectors must align with the row set")
     all_features = tuple(range(ds.n_features))
-    nodes: list[Node | None] = []
+    nodes: list[tuple | None] = []
     train_values = np.empty(len(rows))
     used_group: list[int | None] = [None]
 
@@ -319,7 +267,7 @@ def _grow(
             found = _find_split(Xsub, pos, g[pos], h[pos], allowed, params)
         if found is None:
             weight = leaf_weight(float(g[pos].sum()), float(h[pos].sum()), params.reg_lambda)
-            nodes.append(Node.make_leaf(weight))
+            nodes.append((-1, 0.0, -1, -1, weight))
             train_values[pos] = weight
             return len(nodes) - 1
         _, threshold, feature = found
@@ -335,11 +283,14 @@ def _grow(
         goes_left = Xsub[pos, feature] < threshold
         left_id = build(pos[goes_left], depth + 1, child_allowed)
         right_id = build(pos[~goes_left], depth + 1, child_allowed)
-        nodes[node_id] = Node.make_internal(feature, threshold, left_id, right_id)
+        nodes[node_id] = (feature, threshold, left_id, right_id, 0.0)
         return node_id
 
     root = build(np.arange(len(rows)), 0, all_features)
-    return Tree(tuple(nodes), root, used_group[0]), train_values
+    # `build` refers to itself through its closure; emptying that cell breaks
+    # the cycle, so Xsub is freed now rather than at the next cyclic GC.
+    del build
+    return Tree(np.array(nodes, dtype=NODE), root, used_group[0]), train_values
 
 
 def grow_tree(
@@ -460,20 +411,16 @@ def predict(ens: Ensemble, ds: Dataset, rows: RowIndexSet | None = None) -> np.n
 # --- JSON serialization (schema documented in the README) -------------------
 
 
-def _node_to_obj(node: Node) -> dict:
-    if node.is_leaf:
-        return {"leaf": node.weight}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": node.left,
-        "right": node.right,
-    }
+def _node_to_obj(node: tuple) -> dict:
+    feature, threshold, left, right, weight = node
+    if feature < 0:
+        return {"leaf": weight}
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
 
 
-def _node_from_obj(obj: dict, n_nodes: int, n_features: int) -> Node:
+def _node_from_obj(obj: dict, n_nodes: int, n_features: int) -> tuple:
     if "leaf" in obj:
-        return Node.make_leaf(checked_real("leaf weight", obj["leaf"]))
+        return (-1, 0.0, -1, -1, checked_real("leaf weight", obj["leaf"]))
     feature = checked_int("feature", obj["feature"])
     if not 0 <= feature < n_features:
         raise DataError(f"feature {feature} out of range for {n_features} features")
@@ -483,15 +430,22 @@ def _node_from_obj(obj: dict, n_nodes: int, n_features: int) -> Node:
         if not 0 <= child < n_nodes:
             raise DataError(f"{key} child {child} out of range for {n_nodes} nodes")
         children.append(child)
-    return Node.make_internal(feature, checked_real("threshold", obj["threshold"]), *children)
+    return (feature, checked_real("threshold", obj["threshold"]), *children, 0.0)
 
 
-def _tree_from_obj(obj: dict, n_features: int) -> Tree:
+def _list(obj: dict, key: str) -> list:
+    if not isinstance(obj[key], list):
+        raise DataError(f"{key} must be a list, got {type(obj[key]).__name__}")
+    return obj[key]
+
+
+def _tree_from_obj(obj: dict, n_features: int, partition: ConstraintPartition | None) -> Tree:
     """Parse one tree, checking each node once: children in range, features
     in [0, n_features), finite thresholds and leaf weights, and no node
-    reached twice from the root (so prediction cannot cycle)."""
-    n_nodes = len(obj["nodes"])
-    nodes = tuple(_node_from_obj(n, n_nodes, n_features) for n in obj["nodes"])
+    reached twice from the root (so prediction cannot cycle). `used_group`
+    must be null or index the tree's constraint-log `partition`."""
+    n_nodes = len(_list(obj, "nodes"))
+    nodes = [_node_from_obj(n, n_nodes, n_features) for n in obj["nodes"]]
     root = checked_int("root", obj["root"])
     if not 0 <= root < n_nodes:
         raise DataError(f"root {root} out of range for {n_nodes} nodes")
@@ -502,9 +456,15 @@ def _tree_from_obj(obj: dict, n_features: int) -> Tree:
         if reached[node_id]:
             raise DataError(f"node {node_id} is reached twice from the root")
         reached[node_id] = True
-        if not nodes[node_id].is_leaf:
-            stack += (nodes[node_id].left, nodes[node_id].right)
-    return Tree(nodes=nodes, root=root, used_group=obj["used_group"])
+        feature, _, left, right, _ = nodes[node_id]
+        if feature >= 0:
+            stack += (left, right)
+    used_group = obj["used_group"]
+    if used_group is not None and (
+        partition is None or not 0 <= checked_int("used_group", used_group) < len(partition.groups)
+    ):
+        raise DataError(f"used_group {used_group} does not index the tree's constraint partition")
+    return Tree(nodes=np.array(nodes, dtype=NODE), root=root, used_group=used_group)
 
 
 def ensemble_to_json_obj(ens: Ensemble) -> dict:
@@ -516,7 +476,7 @@ def ensemble_to_json_obj(ens: Ensemble) -> dict:
         "feature_names": list(ens.feature_names),
         "trees": [
             {
-                "nodes": [_node_to_obj(n) for n in tree.nodes],
+                "nodes": [_node_to_obj(n) for n in tree.nodes.tolist()],
                 "root": tree.root,
                 "used_group": tree.used_group,
             }
@@ -533,10 +493,20 @@ def ensemble_from_json_obj(obj: dict) -> Ensemble:
     try:
         params = TrainParams(**obj["params"])
         n_features = checked_int("n_features", obj["n_features"])
+        names = _list(obj, "feature_names")
+        if not all(isinstance(n, str) for n in names) or not len(set(names)) == len(names) == n_features:
+            raise DataError(f"feature_names must be {n_features} distinct strings")
+        log = tuple(
+            None if p is None else ConstraintPartition.from_json_obj(p, n_features)
+            for p in _list(obj, "constraint_log")
+        )
+        tree_objs = _list(obj, "trees")
+        if len(log) != len(tree_objs):
+            raise DataError(f"constraint_log has {len(log)} entries for {len(tree_objs)} trees")
         trees = []
-        for i, t in enumerate(obj["trees"]):
+        for i, (t, partition) in enumerate(zip(tree_objs, log)):
             try:
-                trees.append(_tree_from_obj(t, n_features))
+                trees.append(_tree_from_obj(t, n_features, partition))
             except (TypeError, ValueError) as exc:
                 raise DataError(f"tree {i}: {exc}") from exc
         return Ensemble(
@@ -545,11 +515,8 @@ def ensemble_from_json_obj(obj: dict) -> Ensemble:
             task=Task.parse(obj["task"]),
             base_score=float(checked_real("base_score", obj["base_score"])),
             n_features=n_features,
-            feature_names=tuple(obj["feature_names"]),
-            constraint_log=tuple(
-                None if p is None else ConstraintPartition.from_json_obj(p)
-                for p in obj["constraint_log"]
-            ),
+            feature_names=tuple(names),
+            constraint_log=log,
         )
     except DataError as exc:
         raise DataError(f"malformed model document: {exc}") from exc

@@ -82,11 +82,11 @@ def tree_paths(tree):
 
     def walk(node_id, features):
         node = tree.nodes[node_id]
-        if node.is_leaf:
+        if node["feature"] < 0:
             paths.append(features)
             return
-        walk(node.left, features | {node.feature})
-        walk(node.right, features | {node.feature})
+        walk(node["left"], features | {node["feature"]})
+        walk(node["right"], features | {node["feature"]})
 
     walk(tree.root, frozenset())
     return paths

@@ -117,10 +117,10 @@ def test_criterion_2_stump_oracle_equivalence():
                 continue
             feature, threshold, w_left, w_right = oracle
             root = tree.nodes[tree.root]
-            assert root.feature == feature
-            assert root.threshold == threshold
-            engine_left = tree.nodes[root.left].weight
-            engine_right = tree.nodes[root.right].weight
+            assert root["feature"] == feature
+            assert root["threshold"] == threshold
+            engine_left = tree.nodes[root["left"]]["weight"]
+            engine_right = tree.nodes[root["right"]]["weight"]
             if tol is None:
                 assert engine_left == w_left and engine_right == w_right
             else:

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -6,12 +7,12 @@ from hypothesis import given, strategies as st
 
 from interboost.boosting import (
     FixedPartition,
+    NODE,
     GradHess,
-    Node,
     PerResidual,
     TrainParams,
     Tree,
-    best_split,
+    _find_split,
     default_base_score,
     ensemble_to_json_obj,
     grad_hess,
@@ -104,6 +105,11 @@ def _stump_params(reg_lambda=0.0, **kw):
     return TrainParams(**defaults)
 
 
+def _find(ds, allowed, gh, params):
+    """`_find_split` over every row of `ds`: (gain, threshold, feature) or None."""
+    return _find_split(ds.features, np.arange(ds.n_rows), gh.g, gh.h, tuple(allowed), params)
+
+
 class TestBestSplit:
     def test_known_stump(self):
         # base prediction 0.5 on y = [0,0,1,1]: g = [.5,.5,-.5,-.5], h = 1;
@@ -112,22 +118,24 @@ class TestBestSplit:
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         ds = Dataset(X, ("x0",), np.array([0.0, 0.0, 1.0, 1.0]), Task.REGRESSION)
         gh = GradHess(np.array([0.5, 0.5, -0.5, -0.5]), np.ones(4))
-        split = best_split(RowIndexSet.all_rows(4), (0,), gh, ds, _stump_params())
-        assert split.feature == 0
-        assert split.threshold == 2.5
-        assert split.gain == pytest.approx(split_gain(1.0, 2.0, -1.0, 2.0, 0.0, 0.0))
-        assert split.gain == pytest.approx(0.5)
-        assert split.left_rows.indices.tolist() == [0, 1]
-        assert split.right_rows.indices.tolist() == [2, 3]
+        gain, threshold, feature = _find(ds, (0,), gh, _stump_params())
+        assert feature == 0
+        assert threshold == 2.5
+        assert gain == pytest.approx(split_gain(1.0, 2.0, -1.0, 2.0, 0.0, 0.0))
+        assert gain == pytest.approx(0.5)
+        root = grow_tree(RowIndexSet.all_rows(4), gh, ds, _stump_params()).nodes[0]
+        goes_left = X[:, root["feature"]] < root["threshold"]
+        assert np.nonzero(goes_left)[0].tolist() == [0, 1]
+        assert np.nonzero(~goes_left)[0].tolist() == [2, 3]
         # exhaustive oracle agrees
         oracle = brute_force_stump(X, gh.g, gh.h, reg_lambda=0.0)
-        assert (oracle[0], oracle[1]) == (split.feature, split.threshold)
+        assert (oracle[0], oracle[1]) == (feature, threshold)
 
     def test_constant_feature_gives_none(self):
         X = np.full((5, 1), 2.0)
         ds = Dataset(X, ("x0",), np.arange(5.0), Task.REGRESSION)
         gh = grad_hess(Task.REGRESSION, ds.target, np.zeros(5))
-        assert best_split(RowIndexSet.all_rows(5), (0,), gh, ds, _stump_params()) is None
+        assert _find(ds, (0,), gh, _stump_params()) is None
 
     def test_excluded_feature_never_chosen(self):
         rng = np.random.default_rng(0)
@@ -135,8 +143,8 @@ class TestBestSplit:
         y = (X[:, 0] > 0.5).astype(float) * 4.0
         ds = Dataset(X, ("a", "b"), y, Task.REGRESSION)
         gh = grad_hess(Task.REGRESSION, y, np.zeros(40))
-        split = best_split(RowIndexSet.all_rows(40), (1,), gh, ds, _stump_params())
-        assert split is None or split.feature == 1
+        split = _find(ds, (1,), gh, _stump_params())
+        assert split is None or split[2] == 1
 
     def test_restriction_monotonicity(self):
         # gain over a subset of features can never beat gain over all of them
@@ -147,21 +155,19 @@ class TestBestSplit:
             y = rng.normal(size=n)
             ds = Dataset(X, ("a", "b", "c", "d"), y, Task.REGRESSION)
             gh = grad_hess(Task.REGRESSION, y, np.full(n, y.mean()))
-            full = best_split(RowIndexSet.all_rows(n), range(4), gh, ds, _stump_params())
-            sub = best_split(RowIndexSet.all_rows(n), (1, 2), gh, ds, _stump_params())
+            full = _find(ds, range(4), gh, _stump_params())
+            sub = _find(ds, (1, 2), gh, _stump_params())
             if sub is not None:
                 assert full is not None
-                assert sub.gain <= full.gain + 1e-12
+                assert sub[0] <= full[0] + 1e-12
 
     def test_min_child_samples_respected(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         ds = Dataset(X, ("x0",), np.array([0.0, 0.0, 0.0, 10.0]), Task.REGRESSION)
         gh = grad_hess(Task.REGRESSION, ds.target, np.zeros(4))
-        split = best_split(
-            RowIndexSet.all_rows(4), (0,), gh, ds, _stump_params(min_child_samples=2)
-        )
+        split = _find(ds, (0,), gh, _stump_params(min_child_samples=2))
         assert split is not None
-        assert split.threshold == 2.5  # the 3.5 boundary would leave one row
+        assert split[1] == 2.5  # the 3.5 boundary would leave one row
 
 
 class TestGrowTree:
@@ -186,7 +192,7 @@ class TestGrowTree:
         rows = RowIndexSet.all_rows(150)
         free = grow_tree(rows, gh, ds, params)
         vacuous = grow_tree(rows, gh, ds, params, ConstraintPartition(((0, 1, 2),)))
-        assert free.nodes == vacuous.nodes  # bookkeeping (used_group) may differ
+        assert np.array_equal(free.nodes, vacuous.nodes)  # bookkeeping (used_group) may differ
         assert free.used_group is None
         assert vacuous.used_group == 0
 
@@ -204,9 +210,9 @@ class TestGrowTree:
                 assert len(tree.nodes) == 1
                 continue
             root = tree.nodes[tree.root]
-            assert (root.feature, root.threshold) == (oracle[0], oracle[1])
-            assert tree.nodes[root.left].weight == oracle[2]
-            assert tree.nodes[root.right].weight == oracle[3]
+            assert (root["feature"], root["threshold"]) == (oracle[0], oracle[1])
+            assert tree.nodes[root["left"]]["weight"] == oracle[2]
+            assert tree.nodes[root["right"]]["weight"] == oracle[3]
 
 
 class TestTrain:
@@ -257,6 +263,20 @@ class TestTrain:
         b = ensemble_to_json_obj(train(ds, None, params))
         assert json.dumps(a) == json.dumps(b)
 
+    def test_training_leaves_no_reference_cycles(self):
+        # a cycle would keep each tree's copy of the training rows alive
+        # until the cyclic collector happens to run
+        ds = make_regression(200, 3, seed=5, target_fn=lambda X: X[:, 0] * X[:, 1])
+        partition = ConstraintPartition(((0, 1), (2,)))
+        gc.collect()
+        gc.disable()
+        try:
+            train(ds, None, TrainParams(5, 3, 0.3))
+            train(ds, None, TrainParams(5, 3, 0.3), FixedPartition(partition))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_constraint_log_matches_schedule(self):
         ds = make_regression(100, 3, seed=9, target_fn=lambda X: X[:, 0] * X[:, 1], noise_sd=0.1)
         partition = ConstraintPartition(((0, 1), (2,)))
@@ -289,10 +309,9 @@ class TestTrain:
 class TestPredict:
     def test_boundary_value_routes_right(self):
         # routing is strict "<": x == threshold goes right
-        nodes = (
-            Node.make_internal(0, 2.0, 1, 2),
-            Node.make_leaf(-1.0),
-            Node.make_leaf(+1.0),
+        nodes = np.array(
+            [(0, 2.0, 1, 2, 0.0), (-1, 0.0, -1, -1, -1.0), (-1, 0.0, -1, -1, +1.0)],
+            dtype=NODE,
         )
         tree = Tree(nodes)
         values = tree.leaf_values(np.array([[1.9], [2.0], [2.1]]))
@@ -345,6 +364,15 @@ class TestSerialization:
         back = load_model(tmp_path / "m.json")
         assert back.constraint_log[0].groups == ((0, 1), (2,))
         assert back.trees[0].used_group == ens.trees[0].used_group
+
+    @pytest.mark.parametrize("used_group", [2, -1, "0", True, 0.0])
+    def test_used_group_must_index_its_partition(self, tmp_path, used_group):
+        _, ens = self._trained()
+        model = ensemble_to_json_obj(ens)
+        model["trees"][0]["used_group"] = used_group
+        (tmp_path / "m.json").write_text(json.dumps(model))
+        with pytest.raises(DataError, match="tree 0: .*used_group"):
+            load_model(tmp_path / "m.json")
 
     def test_malformed_model_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -197,8 +197,22 @@ class TestTrainPredictCommands:
             (lambda m: m["trees"][0]["nodes"][0].update(right=10**6), "right child 1000000 out of range"),
             (lambda m: m["params"].update(learning_rate=5), "learning_rate"),
             (lambda m: m["trees"][1]["nodes"][0].update(threshold=float("nan")), "threshold nan is not finite"),
+            (lambda m: m["feature_names"].__setitem__(1, m["feature_names"][0]), "distinct strings"),
+            (lambda m: m.update(feature_names={n: i for i, n in enumerate(reversed(m["feature_names"]))}),
+             "feature_names must be a list, got dict"),
+            (lambda m: m.update(trees={}), "trees must be a list, got dict"),
+            (lambda m: m.update(trees=""), "trees must be a list, got str"),
+            (lambda m: m["trees"][0].update(nodes={}), "nodes must be a list, got dict"),
+            (lambda m: m.update(constraint_log={}), "constraint_log must be a list, got dict"),
+            (lambda m: m["constraint_log"].pop(), "constraint_log has 1 entries for 2 trees"),
+            (lambda m: m["trees"][0].update(used_group="zz"), "used_group zz does not index"),
+            (lambda m: m["trees"][1].update(used_group=0), "tree 1: used_group 0 does not index"),
+            (lambda m: m["constraint_log"].__setitem__(0, [[0]]), "constraint groups must cover features"),
         ],
-        ids=["root-cycle", "feature-range", "negative-feature", "child-range", "learning-rate", "nan-threshold"],
+        ids=["root-cycle", "feature-range", "negative-feature", "child-range", "learning-rate", "nan-threshold",
+             "repeated-feature-name", "feature-names-dict", "trees-dict", "trees-string", "nodes-dict",
+             "constraint-log-dict", "constraint-log-short", "used-group-string", "used-group-unconstrained",
+             "constraint-log-partial"],
     )
     def test_corrupt_model_is_data_error(self, tmp_path, data_csv, capsys, mutate, message):
         out = tmp_path / "out"

@@ -136,7 +136,7 @@ class TestVariantSchedules:
         constrained = train(ds, None, self._params(), FixedPartition(single))
         free = train(ds, None, self._params(), NoConstraints())
         for a, b in zip(constrained.trees, free.trees):
-            assert a.nodes == b.nodes
+            assert np.array_equal(a.nodes, b.nodes)
         np.testing.assert_array_equal(predict(constrained, ds, None), predict(free, ds, None))
 
 
