@@ -11,94 +11,44 @@ from .boosting import (
     ConstraintSchedule,
     Ensemble,
     FixedPartition,
-    GradHess,
     NoConstraints,
     PerResidual,
     TrainParams,
-    Tree,
-    grad_hess,
-    grow_tree,
-    leaf_weight,
     load_model,
     predict,
-    predict_raw,
     save_model,
-    split_gain,
     train,
 )
-from .data import (
-    DataError,
-    Dataset,
-    FoldPlan,
-    RowIndexSet,
-    Task,
-    kfold,
-    load_csv,
-    save_csv,
-    take_rows,
-    train_test_split,
-)
-from .discovery import (
-    ConstraintPartition,
-    WrapperConfig,
-    discover_constraints,
-    discover_constraints_for_residuals,
-    discover_constraints_traced,
-)
-from .experiment import (
-    BenchmarkConfig,
-    BenchmarkReport,
-    TuningGrid,
-    benchmark,
-    random_partition,
-    tune,
-)
-from .linear import cv_score, expand_pairwise, fit_logistic, fit_ols, materialize
+from .data import DataError, Dataset, RowIndexSet, Task, load_csv, save_csv
+from .discovery import ConstraintPartition, WrapperConfig, discover_constraints
+from .experiment import BenchmarkConfig, TuningGrid, benchmark, tune
 
 __version__ = "0.1.0"
 
+# What the CLI, the scripts and the README's library example use; engine
+# internals are imported from their own modules.
 __all__ = [
     "BenchmarkConfig",
-    "BenchmarkReport",
     "ConstraintPartition",
     "ConstraintSchedule",
     "DataError",
     "Dataset",
     "Ensemble",
     "FixedPartition",
-    "FoldPlan",
-    "GradHess",
     "NoConstraints",
     "PerResidual",
     "RowIndexSet",
     "Task",
     "TrainParams",
-    "Tree",
     "TuningGrid",
     "WrapperConfig",
     "benchmark",
-    "cv_score",
     "discover_constraints",
-    "discover_constraints_for_residuals",
-    "discover_constraints_traced",
-    "expand_pairwise",
-    "fit_logistic",
-    "fit_ols",
-    "grad_hess",
-    "grow_tree",
-    "kfold",
-    "leaf_weight",
     "load_csv",
     "load_model",
-    "materialize",
     "predict",
-    "predict_raw",
-    "random_partition",
     "save_csv",
     "save_model",
-    "split_gain",
-    "take_rows",
     "train",
-    "train_test_split",
     "tune",
 ]

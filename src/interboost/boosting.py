@@ -17,15 +17,12 @@ current negative gradients for each of the first x trees.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
-from .data import DataError, Dataset, RowIndexSet, Task, resolve_rows, write_atomic
-from .data import checked_int, checked_real, read_json
+from .data import DataError, Dataset, RowIndexSet, Task, resolve_rows
+from .data import checked_int, checked_real, read_json, write_json
 from .discovery import (
     ConstraintPartition,
     WrapperConfig,
@@ -106,14 +103,6 @@ class Tree:
         return self.nodes["weight"][at]
 
 
-@dataclass(frozen=True, eq=False)
-class GradHess:
-    """Per-row first and second derivatives of the loss at current predictions."""
-
-    g: np.ndarray
-    h: np.ndarray
-
-
 @dataclass(frozen=True)
 class NoConstraints:
     pass
@@ -152,16 +141,18 @@ class Ensemble:
     constraint_log: tuple[ConstraintPartition | None, ...]
 
 
-def grad_hess(task: Task, y: np.ndarray, raw_pred: np.ndarray) -> GradHess:
-    """Squared loss: g = raw - y, h = 1. Logistic: g = p - y, h = p(1-p)."""
+def grad_hess(task: Task, y: np.ndarray, raw_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row first and second derivatives (g, h) of the loss at the raw
+    predictions. Squared loss: g = raw - y, h = 1. Logistic: g = p - y,
+    h = p(1-p)."""
     y = np.asarray(y, dtype=np.float64)
     raw_pred = np.asarray(raw_pred, dtype=np.float64)
     if y.shape != raw_pred.shape:
         raise ValueError("target and prediction lengths differ")
     if task is Task.REGRESSION:
-        return GradHess(raw_pred - y, np.ones_like(y))
+        return raw_pred - y, np.ones_like(y)
     p = np.clip(sigmoid(raw_pred), 1e-15, 1.0 - 1e-15)
-    return GradHess(p - y, p * (1.0 - p))
+    return p - y, p * (1.0 - p)
 
 
 def leaf_weight(grad_sum: float, hess_sum: float, reg_lambda: float) -> float:
@@ -246,14 +237,16 @@ def _find_split(X, pos, g, h, allowed, params: TrainParams):
 
 def _grow(
     rows: RowIndexSet,
-    gh: GradHess,
+    g: np.ndarray,
+    h: np.ndarray,
     ds: Dataset,
     params: TrainParams,
     partition: ConstraintPartition | None,
 ) -> tuple[Tree, np.ndarray]:
-    """Grow one tree; also returns each training row's leaf weight."""
+    """Depth-first exact greedy growth of one tree on the gradients `g` and
+    hessians `h` of `rows` (see module doc for constraint rules); also
+    returns each training row's leaf weight."""
     Xsub = ds.features[rows.indices, :]
-    g, h = gh.g, gh.h
     if g.shape != (len(rows),) or h.shape != (len(rows),):
         raise ValueError("gradient vectors must align with the row set")
     all_features = tuple(range(ds.n_features))
@@ -293,20 +286,6 @@ def _grow(
     return Tree(np.array(nodes, dtype=NODE), root, used_group[0]), train_values
 
 
-def grow_tree(
-    rows: RowIndexSet,
-    gh: GradHess,
-    ds: Dataset,
-    params: TrainParams,
-    partition: ConstraintPartition | None = None,
-) -> Tree:
-    """Depth-first exact greedy tree growth; see module doc for constraint rules."""
-    rows = resolve_rows(ds, rows)
-    if partition is not None:
-        partition.validate_for(ds.n_features)
-    return _grow(rows, gh, ds, params, partition)[0]
-
-
 def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
@@ -323,7 +302,7 @@ def _partition_for_round(
     tree_number: int,
     ds: Dataset,
     rows: RowIndexSet,
-    gh: GradHess,
+    g: np.ndarray,
 ) -> ConstraintPartition | None:
     if isinstance(schedule, NoConstraints):
         return None
@@ -332,7 +311,7 @@ def _partition_for_round(
     if tree_number == 1:
         return schedule.first_tree_partition
     if tree_number <= schedule.first_x:
-        return discover_constraints_for_residuals(ds, rows, -gh.g, schedule.wrapper_cfg)
+        return discover_constraints_for_residuals(ds, rows, -g, schedule.wrapper_cfg)
     return None
 
 
@@ -361,9 +340,9 @@ def train(
     trees: list[Tree] = []
     log: list[ConstraintPartition | None] = []
     for tree_number in range(1, params.n_trees + 1):
-        gh = grad_hess(ds.task, y, raw)
-        partition = _partition_for_round(schedule, tree_number, ds, rows, gh)
-        tree, contribution = _grow(rows, gh, ds, params, partition)
+        g, h = grad_hess(ds.task, y, raw)
+        partition = _partition_for_round(schedule, tree_number, ds, rows, g)
+        tree, contribution = _grow(rows, g, h, ds, params, partition)
         raw = raw + params.learning_rate * contribution
         trees.append(tree)
         log.append(partition)
@@ -395,11 +374,6 @@ def predict_matrix(ens: Ensemble, X: np.ndarray) -> np.ndarray:
     if ens.task is Task.REGRESSION:
         return raw
     return sigmoid(raw)
-
-
-def predict_raw(ens: Ensemble, ds: Dataset, rows: RowIndexSet | None = None) -> np.ndarray:
-    rows = resolve_rows(ds, rows)
-    return predict_raw_matrix(ens, ds.features[rows.indices, :])
 
 
 def predict(ens: Ensemble, ds: Dataset, rows: RowIndexSet | None = None) -> np.ndarray:
@@ -525,7 +499,7 @@ def ensemble_from_json_obj(obj: dict) -> Ensemble:
 
 
 def save_model(ens: Ensemble, path) -> None:
-    write_atomic(Path(path), json.dumps(ensemble_to_json_obj(ens), indent=2) + "\n")
+    write_json(path, ensemble_to_json_obj(ens))
 
 
 def load_model(path) -> Ensemble:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .boosting import (
     train,
 )
 from .data import DataError, Task, format_real, load_csv, write_atomic
-from .data import checked_int, read_csv, read_json
+from .data import checked_int, read_csv, read_json, write_json
 from .discovery import ConstraintPartition, WrapperConfig, discover_constraints, discover_constraints_traced
 from .experiment import BenchmarkConfig, TuningGrid, benchmark, report_to_csv, report_to_json_obj, tune
 
@@ -37,10 +36,6 @@ class ConfigError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we map usage errors to 1
         raise ConfigError(message)
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def _load_config(path) -> dict:
@@ -143,17 +138,15 @@ def cmd_discover(args) -> int:
     cfg = _wrapper_config(args, config)
     partition, steps = discover_constraints_traced(ds, None, cfg)
     out = _out_dir(args, config)
-    write_atomic(out / "partition.json", _dump_json(partition.to_json_obj()))
-    write_atomic(
+    write_json(out / "partition.json", partition.to_json_obj())
+    write_json(
         out / "discovery_log.json",
-        _dump_json(
-            {
-                "seed": cfg.seed,
-                "k_folds": cfg.k_folds,
-                "epsilon": cfg.epsilon,
-                "steps": [s.to_json_obj() for s in steps],
-            }
-        ),
+        {
+            "seed": cfg.seed,
+            "k_folds": cfg.k_folds,
+            "epsilon": cfg.epsilon,
+            "steps": [s.to_json_obj() for s in steps],
+        },
     )
     print(f"partition: {partition.to_json_obj()}")
     print(f"wrote {out / 'partition.json'} and {out / 'discovery_log.json'}")
@@ -205,7 +198,7 @@ def cmd_benchmark(args) -> int:
     data_path = _effective(args.data, config, "data", "dataset")
     report = benchmark(ds, cfg, dataset_name=Path(str(data_path)).stem)
     out = _out_dir(args, config)
-    write_atomic(out / "report.json", _dump_json(report_to_json_obj(report)))
+    write_json(out / "report.json", report_to_json_obj(report))
     write_atomic(out / "report.csv", report_to_csv(report))
     for v in report.variants:
         change = (
@@ -225,18 +218,8 @@ def cmd_tune(args) -> int:
     seed = _effective(args.seed, config, "seed", 0)
     params = tune(ds, None, cfg.grid, cfg.k, seed)
     out = _out_dir(args, config)
-    write_atomic(
-        out / "tuned_params.json",
-        _dump_json(
-            {
-                "n_trees": params.n_trees,
-                "max_depth": params.max_depth,
-                "learning_rate": params.learning_rate,
-                "k": cfg.k,
-                "seed": seed,
-            }
-        ),
-    )
+    # `seed` is the tuning-fold seed, kept apart from TrainParams.seed
+    write_json(out / "tuned_params.json", {"params": params.to_json_obj(), "k": cfg.k, "seed": seed})
     print(
         f"tuned: n_trees={params.n_trees} max_depth={params.max_depth} "
         f"learning_rate={params.learning_rate}; wrote {out / 'tuned_params.json'}"

@@ -109,15 +109,6 @@ class RowIndexSet:
         return cls(np.asarray(sorted(positions), dtype=np.int64))
 
 
-@dataclass(frozen=True, eq=False)
-class FoldPlan:
-    """Cross-validation folds: (train, validation) index pairs covering all rows."""
-
-    folds: tuple[tuple[RowIndexSet, RowIndexSet], ...]
-    k: int
-    seed: int
-
-
 def resolve_rows(ds: Dataset, rows: RowIndexSet | None) -> RowIndexSet:
     """None means all rows; otherwise validate the indices fit the dataset."""
     if rows is None:
@@ -128,7 +119,8 @@ def resolve_rows(ds: Dataset, rows: RowIndexSet | None) -> RowIndexSet:
 
 
 def read_csv(path, columns=None) -> tuple[tuple[str, ...], np.ndarray]:
-    """Parse a numeric CSV (header row, UTF-8, decimal-point reals).
+    """Parse a numeric CSV (header row, UTF-8 with or without a byte-order
+    mark, decimal-point reals).
 
     Returns the header names and a float64 matrix of the named `columns`
     in that order, or of every column when `columns` is None. Only those
@@ -137,7 +129,7 @@ def read_csv(path, columns=None) -> tuple[tuple[str, ...], np.ndarray]:
     distinct. Blank lines are skipped.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -200,15 +192,20 @@ def load_csv(path, target_column: str, task: Task) -> Dataset:
 
 
 def read_json(path, error: type[Exception]):
-    """Parse the UTF-8 JSON file at `path`; a file that is not valid JSON
-    raises `error`. ValueError covers JSONDecodeError, UnicodeDecodeError and
-    integers over the interpreter's digit limit; RecursionError is nesting
-    too deep for the parser."""
-    with open(path, encoding="utf-8") as fh:
+    """Parse the UTF-8 JSON file at `path` (a leading byte-order mark is
+    skipped); a file that is not valid JSON raises `error`. ValueError covers
+    JSONDecodeError, UnicodeDecodeError and integers over the interpreter's
+    digit limit; RecursionError is nesting too deep for the parser."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise error(f"{path}: not valid JSON: {type(exc).__name__}: {exc}") from exc
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` to `path` atomically as 2-space indented JSON plus a newline."""
+    write_atomic(Path(path), json.dumps(obj, indent=2) + "\n")
 
 
 def checked_int(name: str, value):
@@ -297,8 +294,9 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
     return take_rows(ds, train_idx), take_rows(ds, test_idx)
 
 
-def kfold(n_rows: int, k: int, seed: int) -> FoldPlan:
-    """Seeded k-fold plan; validation sets partition the rows, sizes differ by <= 1.
+def kfold(n_rows: int, k: int, seed: int) -> tuple[tuple[RowIndexSet, RowIndexSet], ...]:
+    """Seeded k-fold plan as (train, validation) pairs; validation sets
+    partition the rows, sizes differ by <= 1.
 
     The seeded permutation is dealt round-robin: fold j's validation rows
     are permutation positions j, j+k, j+2k, ...
@@ -313,4 +311,4 @@ def kfold(n_rows: int, k: int, seed: int) -> FoldPlan:
         mask[validation] = False
         train = np.nonzero(mask)[0].astype(np.int64)
         folds.append((RowIndexSet(train), RowIndexSet(validation)))
-    return FoldPlan(tuple(folds), k, seed)
+    return tuple(folds)

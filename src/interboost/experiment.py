@@ -67,13 +67,12 @@ def tune(
     """Pick (n_trees, max_depth, learning_rate) by k-fold CV of unconstrained
     boosting; ties break toward fewer trees, then shallower, then lower rate."""
     train_rows = resolve_rows(ds, train_rows)
-    plan = kfold(len(train_rows), k, seed)
     fold_rows = [
         (
             RowIndexSet(train_rows.indices[tr.indices]),
             RowIndexSet(train_rows.indices[va.indices]),
         )
-        for tr, va in plan.folds
+        for tr, va in kfold(len(train_rows), k, seed)
     ]
     best_score = -np.inf
     best_params = None

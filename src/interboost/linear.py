@@ -45,25 +45,11 @@ class ModelKind(enum.Enum):
     LOGISTIC = "logistic"
 
 
-class ScoreMetric(enum.Enum):
-    R_SQUARED = "r_squared"
-    ACCURACY = "accuracy"
-
-
 def pairwise_terms(features, interaction_scope) -> tuple[Term, ...]:
     """Bases for `features` in the given order, then every unordered pair of
     `interaction_scope` as a product term in lexicographic index order."""
     products = itertools.combinations(sorted(interaction_scope), 2)
     return tuple([Base(i) for i in features] + [Product(a, b) for a, b in products])
-
-
-def expand_pairwise(feature_subset, with_interactions: bool) -> tuple[Term, ...]:
-    """Column spec for a feature subset: its bases, then, when requested,
-    the products of all its pairs (see `pairwise_terms`)."""
-    subset = list(feature_subset)
-    if len(set(subset)) != len(subset):
-        raise ValueError(f"duplicate feature indices in subset {subset}")
-    return pairwise_terms(subset, subset if with_interactions else ())
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,24 +100,10 @@ class LinearModel:
     fit_info: FitInfo | None = None
 
 
-def fit_standardization(
-    ds: Dataset, rows: RowIndexSet | None, terms
-) -> dict[int, tuple[float, float]]:
-    """Per-base-feature (mean, sample stddev) over the given rows.
-
-    A degenerate stddev (constant column, or a single row) is clamped to 1
-    so the standardized column is all zeros rather than NaN.
-    """
-    rows = resolve_rows(ds, rows)
-    stats: dict[int, tuple[float, float]] = {}
-    for t in terms:
-        if isinstance(t, Base) and t.index not in stats:
-            stats[t.index] = _column_stats(ds.features[rows.indices, t.index])
-    return stats
-
-
 def _column_stats(col: np.ndarray) -> tuple[float, float]:
-    """(mean, sample stddev) of one column, the stddev clamped to 1 when degenerate."""
+    """(mean, sample stddev) of one column. A degenerate stddev (constant
+    column, or a single row) is clamped to 1 so the standardized column is
+    all zeros rather than NaN."""
     mean = float(col.mean())
     sd = float(col.std(ddof=1)) if col.size > 1 else 0.0
     if not np.isfinite(sd) or sd <= 0.0:
@@ -155,15 +127,22 @@ def materialize(
 ) -> DesignMatrix:
     """Build the model matrix for `terms` over `rows`.
 
-    With `standardization=None` the statistics are fitted on these rows;
-    otherwise the supplied (train-fitted) statistics are applied.
+    With `standardization=None` each base feature's (mean, sample stddev)
+    is fitted on these rows; otherwise the supplied (train-fitted)
+    statistics are applied.
     """
     rows = resolve_rows(ds, rows)
     if len(rows) == 0:
         raise ValueError("cannot materialize a design over an empty row set")
     terms = tuple(terms)
     _check_feature_indices(ds, terms)
-    stats = standardization if standardization is not None else fit_standardization(ds, rows, terms)
+    stats = standardization
+    if stats is None:
+        stats = {
+            t.index: _column_stats(ds.features[rows.indices, t.index])
+            for t in terms
+            if isinstance(t, Base)
+        }
     std_cols: dict[int, np.ndarray] = {}
     for t in terms:
         if isinstance(t, Base):
@@ -350,13 +329,9 @@ def accuracy(y_true: np.ndarray, prob: np.ndarray) -> float:
     return float(np.mean(labels == np.asarray(y_true, dtype=np.float64)))
 
 
-def metric_for_task(task: Task) -> ScoreMetric:
-    """R-squared scores regression models, accuracy scores classifiers."""
-    return ScoreMetric.R_SQUARED if task is Task.REGRESSION else ScoreMetric.ACCURACY
-
-
 def score_for_task(task: Task, y_true: np.ndarray, prediction: np.ndarray) -> float:
-    if metric_for_task(task) is ScoreMetric.R_SQUARED:
+    """R-squared scores regression models, accuracy scores classifiers."""
+    if task is Task.REGRESSION:
         return r_squared(y_true, prediction)
     return accuracy(y_true, prediction)
 
@@ -382,7 +357,7 @@ class FoldScorer:
         self._ds = ds
         self._folds = tuple(
             (rows.indices[fold_train.indices], rows.indices[fold_val.indices])
-            for fold_train, fold_val in kfold(len(rows), k, seed).folds
+            for fold_train, fold_val in kfold(len(rows), k, seed)
         )
         # Per fold, feature -> (mean, sd) and standardized train / validation columns.
         self._stats: list[dict[int, tuple[float, float]]] = [{} for _ in self._folds]
@@ -434,22 +409,3 @@ def cv_score_terms(
     training part only."""
     return FoldScorer(ds, rows, k, seed).score(terms)
 
-
-def cv_score(
-    ds: Dataset,
-    rows: RowIndexSet | None,
-    feature_subset,
-    with_interactions: bool,
-    k: int = 3,
-    seed: int = 0,
-) -> float:
-    """Mean k-fold validation score for a feature subset, with or without
-    all pairwise product terms.
-
-    Regression scores R-squared with an OLS fit; classification scores
-    accuracy with a logistic fit.
-    """
-    subset = tuple(feature_subset)
-    if not subset:
-        raise ValueError("feature subset must be nonempty")
-    return cv_score_terms(ds, rows, expand_pairwise(subset, with_interactions), k, seed)

@@ -30,11 +30,11 @@ from interboost.experiment import TuningGrid, random_partition, tune
 from interboost.linear import (
     _with_intercept,
     accuracy,
-    expand_pairwise,
     fit_ols,
     logistic_grad,
     logistic_loglik,
     materialize,
+    pairwise_terms,
 )
 from interboost.synth import paired_products_dataset, shifted_products_dataset
 from oracles import (
@@ -154,7 +154,8 @@ def test_criterion_3_linear_model_oracles():
         X = rng.normal(size=(n, p))
         y = rng.integers(0, 2, size=n).astype(float)
         ds = Dataset(X, tuple(f"x{i}" for i in range(p)), y, Task.BINARY_CLASSIFICATION)
-        design = materialize(ds, None, expand_pairwise(tuple(range(p)), p >= 2))
+        features = tuple(range(p))
+        design = materialize(ds, None, pairwise_terms(features, features if p >= 2 else ()))
         A = _with_intercept(design)
         for _ in range(10):
             theta = rng.normal(scale=0.7, size=A.shape[1])

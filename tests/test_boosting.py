@@ -8,19 +8,18 @@ from hypothesis import given, strategies as st
 from interboost.boosting import (
     FixedPartition,
     NODE,
-    GradHess,
     PerResidual,
     TrainParams,
     Tree,
     _find_split,
+    _grow,
     default_base_score,
     ensemble_to_json_obj,
     grad_hess,
-    grow_tree,
     leaf_weight,
     load_model,
     predict,
-    predict_raw,
+    predict_raw_matrix,
     save_model,
     split_gain,
     train,
@@ -35,20 +34,20 @@ from conftest import make_classification, make_regression
 
 class TestGradHess:
     def test_regression_zero_residual(self):
-        gh = grad_hess(Task.REGRESSION, np.array([3.0]), np.array([3.0]))
-        assert gh.g[0] == 0.0
-        assert gh.h[0] == 1.0
+        g, h = grad_hess(Task.REGRESSION, np.array([3.0]), np.array([3.0]))
+        assert g[0] == 0.0
+        assert h[0] == 1.0
 
     def test_classification_at_raw_zero(self):
-        gh = grad_hess(Task.BINARY_CLASSIFICATION, np.array([1.0, 0.0]), np.zeros(2))
-        np.testing.assert_allclose(gh.g, [-0.5, 0.5])
-        np.testing.assert_allclose(gh.h, [0.25, 0.25])
+        g, h = grad_hess(Task.BINARY_CLASSIFICATION, np.array([1.0, 0.0]), np.zeros(2))
+        np.testing.assert_allclose(g, [-0.5, 0.5])
+        np.testing.assert_allclose(h, [0.25, 0.25])
 
     def test_classification_hessian_range(self):
         raw = np.linspace(-30, 30, 101)
-        gh = grad_hess(Task.BINARY_CLASSIFICATION, np.zeros(101), raw)
-        assert np.all(gh.h > 0.0)
-        assert np.all(gh.h <= 0.25)
+        _, h = grad_hess(Task.BINARY_CLASSIFICATION, np.zeros(101), raw)
+        assert np.all(h > 0.0)
+        assert np.all(h <= 0.25)
 
 
 class TestLeafWeight:
@@ -106,8 +105,9 @@ def _stump_params(reg_lambda=0.0, **kw):
 
 
 def _find(ds, allowed, gh, params):
-    """`_find_split` over every row of `ds`: (gain, threshold, feature) or None."""
-    return _find_split(ds.features, np.arange(ds.n_rows), gh.g, gh.h, tuple(allowed), params)
+    """`_find_split` over every row of `ds` with the gradient and hessian
+    pair `gh`: (gain, threshold, feature) or None."""
+    return _find_split(ds.features, np.arange(ds.n_rows), *gh, tuple(allowed), params)
 
 
 class TestBestSplit:
@@ -117,18 +117,18 @@ class TestBestSplit:
         # 0.5*(1/2 + 1/2 - 0/4) = 0.5
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         ds = Dataset(X, ("x0",), np.array([0.0, 0.0, 1.0, 1.0]), Task.REGRESSION)
-        gh = GradHess(np.array([0.5, 0.5, -0.5, -0.5]), np.ones(4))
+        gh = (np.array([0.5, 0.5, -0.5, -0.5]), np.ones(4))
         gain, threshold, feature = _find(ds, (0,), gh, _stump_params())
         assert feature == 0
         assert threshold == 2.5
         assert gain == pytest.approx(split_gain(1.0, 2.0, -1.0, 2.0, 0.0, 0.0))
         assert gain == pytest.approx(0.5)
-        root = grow_tree(RowIndexSet.all_rows(4), gh, ds, _stump_params()).nodes[0]
+        root = _grow(RowIndexSet.all_rows(4), *gh, ds, _stump_params(), None)[0].nodes[0]
         goes_left = X[:, root["feature"]] < root["threshold"]
         assert np.nonzero(goes_left)[0].tolist() == [0, 1]
         assert np.nonzero(~goes_left)[0].tolist() == [2, 3]
         # exhaustive oracle agrees
-        oracle = brute_force_stump(X, gh.g, gh.h, reg_lambda=0.0)
+        oracle = brute_force_stump(X, *gh, reg_lambda=0.0)
         assert (oracle[0], oracle[1]) == (feature, threshold)
 
     def test_constant_feature_gives_none(self):
@@ -178,9 +178,9 @@ class TestGrowTree:
         ds = Dataset(X, ("a", "b"), y, Task.REGRESSION)
         gh = grad_hess(Task.REGRESSION, y, np.full(200, y.mean()))
         partition = ConstraintPartition(((0,), (1,)))
-        tree = grow_tree(
-            RowIndexSet.all_rows(200), gh, ds, _stump_params(max_depth=4), partition
-        )
+        tree = _grow(
+            RowIndexSet.all_rows(200), *gh, ds, _stump_params(max_depth=4), partition
+        )[0]
         for features in tree_paths(tree):
             assert features <= {0} or features <= {1}
         assert tree.used_group == 1  # x1 dominates the first split
@@ -190,8 +190,8 @@ class TestGrowTree:
         gh = grad_hess(Task.REGRESSION, ds.target, np.full(150, float(ds.target.mean())))
         params = _stump_params(max_depth=4, reg_lambda=1.0)
         rows = RowIndexSet.all_rows(150)
-        free = grow_tree(rows, gh, ds, params)
-        vacuous = grow_tree(rows, gh, ds, params, ConstraintPartition(((0, 1, 2),)))
+        free = _grow(rows, *gh, ds, params, None)[0]
+        vacuous = _grow(rows, *gh, ds, params, ConstraintPartition(((0, 1, 2),)))[0]
         assert np.array_equal(free.nodes, vacuous.nodes)  # bookkeeping (used_group) may differ
         assert free.used_group is None
         assert vacuous.used_group == 0
@@ -204,8 +204,8 @@ class TestGrowTree:
             y = rng.normal(size=n)
             ds = Dataset(X, ("a", "b", "c"), y, Task.REGRESSION)
             gh = grad_hess(Task.REGRESSION, y, np.full(n, y.mean()))
-            tree = grow_tree(RowIndexSet.all_rows(n), gh, ds, _stump_params())
-            oracle = brute_force_stump(X, gh.g, gh.h, reg_lambda=0.0)
+            tree = _grow(RowIndexSet.all_rows(n), *gh, ds, _stump_params(), None)[0]
+            oracle = brute_force_stump(X, *gh, reg_lambda=0.0)
             if oracle is None:
                 assert len(tree.nodes) == 1
                 continue
@@ -335,7 +335,7 @@ class TestPredict:
         ds = make_regression(80, 3, seed=2, target_fn=lambda X: X[:, 0] - X[:, 2], noise_sd=0.1)
         params = TrainParams(7, 3, 0.31)
         ens = train(ds, None, params)
-        raw = predict_raw(ens, ds, None)
+        raw = predict_raw_matrix(ens, ds.features)
         manual = np.full(80, ens.base_score)
         for tree in ens.trees:
             manual = manual + params.learning_rate * tree.leaf_values(ds.features)

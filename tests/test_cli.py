@@ -11,6 +11,7 @@ import interboost
 from interboost.boosting import load_model, predict_matrix, train, TrainParams
 from interboost.cli import main
 from interboost.data import Task, load_csv, save_csv
+from interboost.experiment import TuningGrid, tune
 from interboost.synth import paired_products_dataset
 
 
@@ -85,6 +86,21 @@ class TestTrainPredictCommands:
         assert lines[0] == "prediction"
         got = np.array([float(v) for v in lines[1:]])
         np.testing.assert_array_equal(got, expected)
+
+    def test_byte_order_mark_is_not_part_of_a_name(self, tmp_path, data_csv):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        with_bom = tmp_path / "bom.csv"
+        with_bom.write_bytes(b"\xef\xbb\xbf" + data_csv.read_bytes())
+        out = tmp_path / "out"
+        assert run("train", "--data", with_bom, "--target", "y", "--task", "regression",
+                   "--n-trees", 3, "--out-dir", out) == 0
+        assert load_model(out / "model.json").feature_names == load_csv(
+            data_csv, "y", Task.REGRESSION
+        ).feature_names
+        assert run("predict", "--model", out / "model.json", "--data", data_csv,
+                   "--out-dir", out) == 0
+        assert run("train", "--data", with_bom, "--target", "x0", "--task", "regression",
+                   "--n-trees", 3, "--out-dir", out / "x0") == 0
 
     def test_predict_parses_only_the_model_columns(self, tmp_path, data_csv):
         out = tmp_path / "out"
@@ -289,9 +305,12 @@ class TestTuneCommand:
         }))
         assert run("tune", "--data", data_csv, "--target", "y", "--task", "regression",
                    "--config", config, "--seed", 2, "--out-dir", out) == 0
-        params = json.loads((out / "tuned_params.json").read_text())
-        assert params["n_trees"] in (5, 9)
-        assert params["seed"] == 2
+        obj = json.loads((out / "tuned_params.json").read_text())
+        assert obj["params"]["n_trees"] in (5, 9)
+        assert obj["seed"] == 2
+        ds = load_csv(data_csv, "y", Task.REGRESSION)
+        expected = tune(ds, None, TuningGrid((5, 9), (2,), (0.3,)), obj["k"], 2)
+        assert TrainParams(**obj["params"]) == expected
 
 
 class TestUsageErrors:

@@ -9,6 +9,8 @@ from interboost.data import (
     Task,
     kfold,
     load_csv,
+    read_csv,
+    read_json,
     save_csv,
     take_rows,
     train_test_split,
@@ -54,6 +56,18 @@ class TestLoadCsv:
         path.write_bytes("x0,y\n1,caf\u00e9\n".encode("latin-1"))
         with pytest.raises(DataError, match="utf-8"):
             load_csv(path, "y", Task.REGRESSION)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b,c,y\n1,2,3,4\n")
+        names, matrix = read_csv(path)
+        assert names == ("a", "b", "c", "y")
+        np.testing.assert_array_equal(matrix, [[1.0, 2.0, 3.0, 4.0]])
+
+    def test_json_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b'\xef\xbb\xbf[[0, 1], [2]]\n')
+        assert read_json(path, DataError) == [[0, 1], [2]]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -147,11 +161,11 @@ class TestTrainTestSplit:
 class TestKFold:
     def test_even_sizes(self):
         plan = kfold(10, 5, seed=0)
-        assert [len(v) for _, v in plan.folds] == [2, 2, 2, 2, 2]
+        assert [len(v) for _, v in plan] == [2, 2, 2, 2, 2]
 
     def test_uneven_sizes(self):
         plan = kfold(7, 3, seed=0)
-        assert sorted(len(v) for _, v in plan.folds) == [2, 2, 3]
+        assert sorted(len(v) for _, v in plan) == [2, 2, 3]
 
     def test_k_out_of_range(self):
         with pytest.raises(DataError):
@@ -169,18 +183,18 @@ class TestKFold:
         if k > n:
             return
         plan = kfold(n, k, seed)
-        all_val = np.concatenate([v.indices for _, v in plan.folds])
+        all_val = np.concatenate([v.indices for _, v in plan])
         assert sorted(all_val.tolist()) == list(range(n))
-        sizes = [len(v) for _, v in plan.folds]
+        sizes = [len(v) for _, v in plan]
         assert max(sizes) - min(sizes) <= 1
-        for train, val in plan.folds:
+        for train, val in plan:
             merged = np.concatenate([train.indices, val.indices])
             assert sorted(merged.tolist()) == list(range(n))
 
     def test_deterministic(self):
         a = kfold(25, 4, seed=3)
         b = kfold(25, 4, seed=3)
-        for (_, va), (_, vb) in zip(a.folds, b.folds):
+        for (_, va), (_, vb) in zip(a, b):
             np.testing.assert_array_equal(va.indices, vb.indices)
 
 

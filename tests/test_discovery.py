@@ -9,9 +9,13 @@ from interboost.discovery import (
     discover_constraints_for_residuals,
     discover_constraints_traced,
 )
-from interboost.linear import cv_score
+from interboost.linear import cv_score_terms, pairwise_terms
 
 from conftest import make_regression
+
+# features 0 and 1 with and without their product column
+PLAIN_TERMS = pairwise_terms((0, 1), ())
+PRODUCT_TERMS = pairwise_terms((0, 1), (0, 1))
 
 # CV R-squared differences from a few pure-noise product columns fluctuate
 # around +-1e-3 at n=2000, so statistical recovery tests set epsilon above
@@ -75,8 +79,8 @@ class TestDiscovery:
             y = X[:, 0] * X[:, 1] + rng.normal(0.0, 0.1, size=2000)
             ds = Dataset(X, ("a", "b", "c", "d"), y, Task.REGRESSION)
 
-            gap = cv_score(ds, None, (0, 1), True, 3, seed) - cv_score(
-                ds, None, (0, 1), False, 3, seed
+            gap = cv_score_terms(ds, None, PRODUCT_TERMS, 3, seed) - cv_score_terms(
+                ds, None, PLAIN_TERMS, 3, seed
             )
             assert gap > 10 * EPS
 
@@ -98,8 +102,8 @@ class TestDiscovery:
             y = X[:, 0] + X[:, 1] + rng.normal(0.0, 0.1, size=2000)
             ds = Dataset(X, ("a", "b", "c", "d"), y, Task.REGRESSION)
 
-            gap = cv_score(ds, None, (0, 1), True, 3, seed) - cv_score(
-                ds, None, (0, 1), False, 3, seed
+            gap = cv_score_terms(ds, None, PRODUCT_TERMS, 3, seed) - cv_score_terms(
+                ds, None, PLAIN_TERMS, 3, seed
             )
             assert gap <= 10 * EPS
 

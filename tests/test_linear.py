@@ -13,16 +13,14 @@ from interboost.linear import (
     Product,
     _with_intercept,
     accuracy,
-    cv_score,
     cv_score_terms,
-    expand_pairwise,
     fit_for_task,
     fit_logistic,
     fit_ols,
-    fit_standardization,
     logistic_grad,
     logistic_loglik,
     materialize,
+    pairwise_terms,
     predict,
     r_squared,
     score_for_task,
@@ -35,7 +33,7 @@ from conftest import make_classification, make_regression
 
 class TestExpandPairwise:
     def test_three_features_with_interactions(self):
-        terms = expand_pairwise((0, 1, 2), True)
+        terms = pairwise_terms((0, 1, 2), (0, 1, 2))
         assert terms == (
             Base(0),
             Base(1),
@@ -46,24 +44,27 @@ class TestExpandPairwise:
         )
 
     def test_single_feature_has_no_products(self):
-        assert expand_pairwise((5,), True) == (Base(5),)
+        assert pairwise_terms((5,), (5,)) == (Base(5),)
 
     def test_without_interactions(self):
-        assert expand_pairwise((0, 1), False) == (Base(0), Base(1))
+        assert pairwise_terms((0, 1), ()) == (Base(0), Base(1))
 
     def test_subset_order_kept_products_lexicographic(self):
-        terms = expand_pairwise((2, 0), True)
+        terms = pairwise_terms((2, 0), (2, 0))
         assert terms == (Base(2), Base(0), Product(0, 2))
 
     def test_duplicate_rejected(self):
+        ds = make_regression(10, 2, seed=0)
         with pytest.raises(ValueError):
-            expand_pairwise((1, 1), True)
+            FoldScorer(ds, None, 3, 0).score(pairwise_terms((1, 1), ()))
+        with pytest.raises(ValueError):
+            materialize(ds, None, pairwise_terms((1, 1), ()))
 
     @given(st.integers(min_value=1, max_value=20))
     def test_term_count(self, size):
         subset = tuple(range(size))
-        assert len(expand_pairwise(subset, True)) == size + size * (size - 1) // 2
-        assert len(expand_pairwise(subset, False)) == size
+        assert len(pairwise_terms(subset, subset)) == size + size * (size - 1) // 2
+        assert len(pairwise_terms(subset, ())) == size
 
 
 class TestMaterialize:
@@ -85,12 +86,12 @@ class TestMaterialize:
 
     def test_product_of_standardized_bases(self):
         ds = self._ds([np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0])])
-        design = materialize(ds, None, expand_pairwise((0, 1), True))
+        design = materialize(ds, None, pairwise_terms((0, 1), (0, 1)))
         np.testing.assert_allclose(design.values[:, 2], [-1.0, 0.0, -1.0])
 
     def test_fitted_stats_reused(self):
         ds = self._ds([np.array([1.0, 2.0, 3.0, 10.0])])
-        stats = fit_standardization(ds, RowIndexSet(np.array([0, 1, 2])), (Base(0),))
+        stats = materialize(ds, RowIndexSet(np.array([0, 1, 2])), (Base(0),)).standardization
         design = materialize(ds, RowIndexSet(np.array([3])), (Base(0),), stats)
         np.testing.assert_allclose(design.values[:, 0], [(10.0 - 2.0) / 1.0])
 
@@ -120,7 +121,7 @@ class TestFitOls:
 
     def test_constant_target(self):
         ds = make_regression(20, 3, seed=1, target_fn=lambda X: np.full(X.shape[0], 7.5))
-        design = materialize(ds, None, expand_pairwise((0, 1, 2), True))
+        design = materialize(ds, None, pairwise_terms((0, 1, 2), (0, 1, 2)))
         model = fit_ols(design, ds.target)
         assert np.all(np.abs(model.coefficients) < 1e-8)
         assert abs(model.intercept - 7.5) < 1e-8
@@ -145,7 +146,7 @@ class TestFitOls:
         # normal equations at the solution: X'(y - yhat) = ridge * beta
         for seed in range(10):
             ds = make_regression(40, 3, seed=seed, target_fn=lambda X: X @ [1.0, -2.0, 0.5], noise_sd=0.3)
-            design = materialize(ds, None, expand_pairwise((0, 1, 2), True))
+            design = materialize(ds, None, pairwise_terms((0, 1, 2), (0, 1, 2)))
             ridge = 1e-8
             model = fit_ols(design, ds.target, ridge=ridge)
             fitted = design.values @ model.coefficients + model.intercept
@@ -167,7 +168,7 @@ def _logistic_oracle_instance():
     z_true = 1.5 * X[:, 0] - 1.0 * X[:, 1] + 0.3
     y = (rng.uniform(size=20) < sigmoid(z_true)).astype(float)
     ds = Dataset(X, ("a", "b"), y, Task.BINARY_CLASSIFICATION)
-    design = materialize(ds, None, expand_pairwise((0, 1), True))
+    design = materialize(ds, None, pairwise_terms((0, 1), (0, 1)))
     return design, y
 
 
@@ -200,7 +201,7 @@ class TestFitLogistic:
     def test_all_ones_target(self):
         ds = make_classification(25, 2, seed=3)
         y = np.ones(25)
-        design = materialize(ds, None, expand_pairwise((0, 1), False))
+        design = materialize(ds, None, pairwise_terms((0, 1), ()))
         model = fit_logistic(design, y)
         probs = sigmoid(design.values @ model.coefficients + model.intercept)
         assert np.all(probs > 0.5)
@@ -221,7 +222,7 @@ class TestFitLogistic:
     def test_loglik_path_monotone(self):
         for seed in range(5):
             ds = make_classification(40, 3, seed=seed, logit_fn=lambda X: X[:, 0] - X[:, 1])
-            design = materialize(ds, None, expand_pairwise((0, 1, 2), True))
+            design = materialize(ds, None, pairwise_terms((0, 1, 2), (0, 1, 2)))
             model = fit_logistic(design, ds.target)
             path = np.array(model.fit_info.loglik_path)
             assert np.all(np.diff(path) >= 0.0)
@@ -257,10 +258,10 @@ class TestPredict:
 
 class TestScores:
     def test_metric_choice_follows_task(self):
-        from interboost.linear import ScoreMetric, metric_for_task
-
-        assert metric_for_task(Task.REGRESSION) is ScoreMetric.R_SQUARED
-        assert metric_for_task(Task.BINARY_CLASSIFICATION) is ScoreMetric.ACCURACY
+        y, prob = np.array([0.0, 1.0, 1.0]), np.array([0.2, 0.9, 0.4])
+        assert score_for_task(Task.REGRESSION, y, prob) == r_squared(y, prob)
+        assert score_for_task(Task.BINARY_CLASSIFICATION, y, prob) == accuracy(y, prob)
+        assert r_squared(y, prob) != accuracy(y, prob)
 
     def test_perfect_predictor(self):
         y = np.array([1.0, 2.0, 3.0])
@@ -280,17 +281,17 @@ class TestScores:
 class TestCvScore:
     def test_noiseless_linear_target(self):
         ds = make_regression(60, 2, seed=4, target_fn=lambda X: X[:, 0])
-        assert cv_score(ds, None, (0,), False, k=3, seed=0) > 0.999
+        assert cv_score_terms(ds, None, pairwise_terms((0,), ()), k=3, seed=0) > 0.999
 
     def test_pure_noise_scores_low(self):
         # Monte-Carlo: independent target should never look predictive
         for seed in range(10):
             ds = make_regression(500, 2, seed=100 + seed)
-            assert cv_score(ds, None, (0,), False, k=3, seed=seed) <= 0.1
+            assert cv_score_terms(ds, None, pairwise_terms((0,), ()), k=3, seed=seed) <= 0.1
 
     def test_interaction_gap_on_product_target(self):
         # independent check: direct holdout fits with and without the
-        # product column, then the cv_score gap must agree in direction
+        # product column, then the cv_score_terms gap must agree in direction
         rng = np.random.default_rng(9)
         X = rng.normal(size=(1000, 2))
         y = X[:, 0] * X[:, 1]
@@ -300,7 +301,7 @@ class TestCvScore:
         train_idx, val_idx = np.arange(half), np.arange(half, 1000)
         gaps = []
         for with_products in (False, True):
-            terms = expand_pairwise((0, 1), with_products)
+            terms = pairwise_terms((0, 1), (0, 1) if with_products else ())
             design = materialize(ds, RowIndexSet(train_idx), terms)
             model = fit_ols(design, y[train_idx])
             pred = predict(model, ds, RowIndexSet(val_idx))
@@ -308,19 +309,21 @@ class TestCvScore:
         oracle_gap = gaps[1] - gaps[0]
         assert oracle_gap > 0.3
 
-        cv_gap = cv_score(ds, None, (0, 1), True, 3, 0) - cv_score(ds, None, (0, 1), False, 3, 0)
+        product_score = cv_score_terms(ds, None, pairwise_terms((0, 1), (0, 1)), 3, 0)
+        cv_gap = product_score - cv_score_terms(ds, None, pairwise_terms((0, 1), ()), 3, 0)
         assert cv_gap > 0.3
 
     def test_deterministic_in_seed(self):
         ds = make_regression(90, 3, seed=2, target_fn=lambda X: X[:, 0] + X[:, 1] ** 2)
-        a = cv_score(ds, None, (0, 1), True, 3, 5)
-        assert a == cv_score(ds, None, (0, 1), True, 3, 5)
-        assert a != cv_score(ds, None, (0, 1), True, 3, 6)
+        terms = pairwise_terms((0, 1), (0, 1))
+        a = cv_score_terms(ds, None, terms, 3, 5)
+        assert a == cv_score_terms(ds, None, terms, 3, 5)
+        assert a != cv_score_terms(ds, None, terms, 3, 6)
 
     def test_empty_subset_rejected(self):
         ds = make_regression(10, 2, seed=0)
         with pytest.raises(ValueError):
-            cv_score(ds, None, (), False, 3, 0)
+            cv_score_terms(ds, None, pairwise_terms((), ()), 3, 0)
 
 
 def reference_cv_score(ds, rows, terms, k, seed):
@@ -328,7 +331,7 @@ def reference_cv_score(ds, rows, terms, k, seed):
     validation designs materialized from scratch."""
     rows = RowIndexSet.all_rows(ds.n_rows) if rows is None else rows
     scores = []
-    for fold_train, fold_val in kfold(len(rows), k, seed).folds:
+    for fold_train, fold_val in kfold(len(rows), k, seed):
         train_rows = RowIndexSet(rows.indices[fold_train.indices])
         val_rows = RowIndexSet(rows.indices[fold_val.indices])
         model = fit_for_task(ds.task, materialize(ds, train_rows, terms), ds.target[train_rows.indices])
