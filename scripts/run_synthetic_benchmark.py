@@ -10,9 +10,9 @@ Usage: python scripts/run_synthetic_benchmark.py [--rows 2000] [--seed 0]
 """
 
 import argparse
-import json
 from pathlib import Path
 
+from interboost.data import write_atomic, write_json
 from interboost.discovery import WrapperConfig
 from interboost.experiment import BenchmarkConfig, TuningGrid, benchmark, report_to_csv, report_to_json_obj
 from interboost.synth import paired_products_dataset
@@ -27,28 +27,14 @@ def main():
     args = parser.parse_args()
 
     ds = paired_products_dataset(args.rows, seed=args.seed)
-    if args.fast:
-        grid = TuningGrid((50, 100), (3, 4), (0.1,))
-        partial_x = (5, 10)
-    else:
-        grid = TuningGrid((50, 100, 200, 300), (3, 4, 6), (0.05, 0.1, 0.3))
-        partial_x = (1, 5, 10, 20, 30)
-    cfg = BenchmarkConfig(
-        test_fraction=0.25,
-        split_seed=args.seed,
-        grid=grid,
-        k=3,
-        wrapper_cfg=WrapperConfig(seed=args.seed, epsilon=5e-3),
-        partial_x_list=partial_x,
-        random_runs=5,
-        random_groups=2,
-    )
+    # the full run takes the default grid, folds, partial-x list and random runs
+    fast = dict(grid=TuningGrid((50, 100), (3, 4), (0.1,)), partial_x_list=(5, 10)) if args.fast else {}
+    cfg = BenchmarkConfig(split_seed=args.seed, wrapper_cfg=WrapperConfig(seed=args.seed, epsilon=5e-3), **fast)
     report = benchmark(ds, cfg, dataset_name="synthetic_paired")
 
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(report_to_json_obj(report), indent=2) + "\n")
-    (out / "report.csv").write_text(report_to_csv(report))
+    write_json(out / "report.json", report_to_json_obj(report))
+    write_atomic(out / "report.csv", report_to_csv(report))
 
     params = report.tuned_params
     print(

@@ -179,122 +179,81 @@ def split_gain(
     ) - gamma
 
 
-def _scan_feature(x, g, h, params: TrainParams):
-    """Best boundary for one feature over one node's rows.
-
-    Returns (gain, threshold) for the best valid positive-gain boundary, or
-    None. Candidates with non-finite gain (possible when both reg_lambda and
-    min_child_hessian are zero) are treated as invalid.
-    """
-    m = x.size
-    if m < 2 * params.min_child_samples:
-        return None
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    if xs[0] == xs[-1]:
-        return None
-    cg = np.cumsum(g[order])
-    ch = np.cumsum(h[order])
-    boundary = np.nonzero(xs[:-1] < xs[1:])[0]
-    left_count = boundary + 1
-    GL = cg[boundary]
-    HL = ch[boundary]
-    G = cg[-1]
-    H = ch[-1]
-    GR = G - GL
-    HR = H - HL
-    valid = (
-        (left_count >= params.min_child_samples)
-        & (m - left_count >= params.min_child_samples)
-        & (HL >= params.min_child_hessian)
-        & (HR >= params.min_child_hessian)
-    )
-    if not valid.any():
-        return None
-    lam = params.reg_lambda
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - G * G / (H + lam)) - params.gamma
-    gains[~valid | ~np.isfinite(gains)] = -np.inf
-    best = int(np.argmax(gains))  # first max: lowest threshold wins ties
-    if not gains[best] > 0.0:
-        return None
-    threshold = (xs[boundary[best]] + xs[boundary[best] + 1]) / 2.0
-    return float(gains[best]), float(threshold)
-
-
 def _find_split(X, pos, g, h, allowed, params: TrainParams):
     """(gain, threshold, feature) of the best split of rows `pos` of X over
     the `allowed` features in ascending order, or None; `g` and `h` are
-    aligned with `pos`. The first maximum wins, so ties go to the lower
-    feature index. Only the allowed columns of the rows are copied."""
+    aligned with `pos`. Each feature's m-1 positions between stably sorted
+    rows are scored; one between equal values, leaving a child below
+    min_child_samples or min_child_hessian, or with a non-finite gain
+    (possible when reg_lambda and min_child_hessian are both zero) scores
+    -inf. The first maximum wins, so ties go to the lower feature index,
+    then the lower threshold; a best gain that is not positive gives None."""
+    m = pos.size
+    min_rows, lam, min_hess = params.min_child_samples, params.reg_lambda, params.min_child_hessian
+    if m < 2 * min_rows:
+        return None
     best = None
     for f in allowed:
-        found = _scan_feature(X[pos, f], g, h, params)
-        if found is not None and (best is None or found[0] > best[0]):
-            best = (found[0], found[1], f)
+        x = X[pos, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        cg = np.cumsum(g[order])
+        ch = np.cumsum(h[order])
+        GL, HL, G, H = cg[:-1], ch[:-1], cg[-1], ch[-1]
+        GR = G - GL
+        HR = H - HL
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - G * G / (H + lam)) - params.gamma
+        gains[~(xs[:-1] < xs[1:]) | (HL < min_hess) | (HR < min_hess) | ~np.isfinite(gains)] = -np.inf
+        gains[: min_rows - 1] = gains[m - min_rows :] = -np.inf  # a child below min_child_samples
+        i = int(np.argmax(gains))
+        if gains[i] > 0.0 and (best is None or gains[i] > best[0]):
+            best = (float(gains[i]), float((xs[i] + xs[i + 1]) / 2.0), f)
     return best
 
 
-def _grow(
-    rows: RowIndexSet,
-    g: np.ndarray,
-    h: np.ndarray,
-    ds: Dataset,
-    params: TrainParams,
-    partition: ConstraintPartition | None,
-) -> tuple[Tree, np.ndarray]:
-    """Depth-first exact greedy growth of one tree on the gradients `g` and
-    hessians `h` of `rows` (see module doc for constraint rules); also
-    returns each training row's leaf weight."""
-    Xsub = ds.features[rows.indices, :]
-    if g.shape != (len(rows),) or h.shape != (len(rows),):
-        raise ValueError("gradient vectors must align with the row set")
-    all_features = tuple(range(ds.n_features))
-    nodes: list[tuple | None] = []
-    train_values = np.empty(len(rows))
-    used_group: list[int | None] = [None]
-
-    def build(pos: np.ndarray, depth: int, allowed) -> int:
+def _grow(X, g, h, params: TrainParams, partition: ConstraintPartition | None) -> tuple[Tree, np.ndarray]:
+    """Exact greedy growth of one tree on the gradients `g` and hessians `h`
+    of the rows of X (see module doc for constraint rules); also returns
+    each row's leaf weight. Node ids are in depth-first preorder: the stack
+    pushes a node's right child before its left one, and each popped child
+    writes its id into its parent's record."""
+    records: list[list] = []
+    values = np.empty(X.shape[0])
+    used_group = None
+    # (rows, depth, allowed features, parent id, parent's field for this child: 2 left, 3 right)
+    stack = [(np.arange(X.shape[0]), 0, tuple(range(X.shape[1])), -1, 0)]
+    while stack:
+        pos, depth, allowed, parent, side = stack.pop()
+        node_id = len(records)
+        if parent >= 0:
+            records[parent][side] = node_id
         found = None
         if depth < params.max_depth:
-            found = _find_split(Xsub, pos, g[pos], h[pos], allowed, params)
+            found = _find_split(X, pos, g[pos], h[pos], allowed, params)
         if found is None:
             weight = leaf_weight(float(g[pos].sum()), float(h[pos].sum()), params.reg_lambda)
-            nodes.append((-1, 0.0, -1, -1, weight))
-            train_values[pos] = weight
-            return len(nodes) - 1
+            records.append([-1, 0.0, -1, -1, weight])
+            values[pos] = weight
+            continue
         _, threshold, feature = found
         if partition is not None and depth == 0:
-            group_index = partition.group_index_of(feature)
-            used_group[0] = group_index
+            used_group = partition.group_index_of(feature)
             # ascending order keeps the lower-feature-index tie-break exact
-            child_allowed = tuple(sorted(partition.groups[group_index]))
-        else:
-            child_allowed = allowed
-        node_id = len(nodes)
-        nodes.append(None)
-        goes_left = Xsub[pos, feature] < threshold
-        left_id = build(pos[goes_left], depth + 1, child_allowed)
-        right_id = build(pos[~goes_left], depth + 1, child_allowed)
-        nodes[node_id] = (feature, threshold, left_id, right_id, 0.0)
-        return node_id
-
-    root = build(np.arange(len(rows)), 0, all_features)
-    # `build` refers to itself through its closure; emptying that cell breaks
-    # the cycle, so Xsub is freed now rather than at the next cyclic GC.
-    del build
-    return Tree(np.array(nodes, dtype=NODE), root, used_group[0]), train_values
-
-
-def _logit(p: float) -> float:
-    return math.log(p / (1.0 - p))
+            allowed = tuple(sorted(partition.groups[used_group]))
+        records.append([feature, threshold, -1, -1, 0.0])
+        goes_left = X[pos, feature] < threshold
+        stack.append((pos[~goes_left], depth + 1, allowed, node_id, 3))
+        stack.append((pos[goes_left], depth + 1, allowed, node_id, 2))
+    return Tree(np.array([tuple(r) for r in records], dtype=NODE), 0, used_group), values
 
 
 def default_base_score(task: Task, y: np.ndarray) -> float:
     """Mean target for regression; log-odds of the clamped target mean otherwise."""
     if task is Task.REGRESSION:
         return float(np.mean(y))
-    return _logit(min(max(float(np.mean(y)), 1e-6), 1.0 - 1e-6))
+    p = min(max(float(np.mean(y)), 1e-6), 1.0 - 1e-6)
+    return math.log(p / (1.0 - p))
 
 
 def _partition_for_round(
@@ -334,6 +293,7 @@ def train(
         schedule.partition.validate_for(ds.n_features)
     elif isinstance(schedule, PerResidual):
         schedule.first_tree_partition.validate_for(ds.n_features)
+    X = ds.features[rows.indices]
     y = ds.target[rows.indices]
     base = params.base_score if params.base_score is not None else default_base_score(ds.task, y)
     raw = np.full(len(rows), base)
@@ -342,7 +302,7 @@ def train(
     for tree_number in range(1, params.n_trees + 1):
         g, h = grad_hess(ds.task, y, raw)
         partition = _partition_for_round(schedule, tree_number, ds, rows, g)
-        tree, contribution = _grow(rows, g, h, ds, params, partition)
+        tree, contribution = _grow(X, g, h, params, partition)
         raw = raw + params.learning_rate * contribution
         trees.append(tree)
         log.append(partition)

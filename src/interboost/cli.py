@@ -216,7 +216,7 @@ def cmd_tune(args) -> int:
     ds = _load_dataset(args, config)
     cfg = _benchmark_config(args, config)
     seed = _effective(args.seed, config, "seed", 0)
-    params = tune(ds, None, cfg.grid, cfg.k, seed)
+    params = tune(ds, cfg.grid, cfg.k, seed)
     out = _out_dir(args, config)
     # `seed` is the tuning-fold seed, kept apart from TrainParams.seed
     write_json(out / "tuned_params.json", {"params": params.to_json_obj(), "k": cfg.k, "seed": seed})

@@ -13,6 +13,7 @@ schedule is the only thing that differs between them:
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ from .boosting import (
     predict,
     train,
 )
-from .data import DataError, Dataset, RowIndexSet, Task, kfold, resolve_rows, train_test_split
+from .data import DataError, Dataset, Task, kfold, train_test_split
 from .data import checked_int, checked_real
 from .discovery import ConstraintPartition, WrapperConfig, discover_constraints
 from .linear import score_for_task
@@ -57,23 +58,11 @@ class TuningGrid:
             TrainParams(self.n_trees[0], self.max_depth[0], learning_rate)
 
 
-def tune(
-    ds: Dataset,
-    train_rows: RowIndexSet | None,
-    grid: TuningGrid,
-    k: int,
-    seed: int,
-) -> TrainParams:
+def tune(ds: Dataset, grid: TuningGrid, k: int, seed: int) -> TrainParams:
     """Pick (n_trees, max_depth, learning_rate) by k-fold CV of unconstrained
-    boosting; ties break toward fewer trees, then shallower, then lower rate."""
-    train_rows = resolve_rows(ds, train_rows)
-    fold_rows = [
-        (
-            RowIndexSet(train_rows.indices[tr.indices]),
-            RowIndexSet(train_rows.indices[va.indices]),
-        )
-        for tr, va in kfold(len(train_rows), k, seed)
-    ]
+    boosting over all rows of `ds`; ties break toward fewer trees, then
+    shallower, then lower rate."""
+    fold_rows = kfold(ds.n_rows, k, seed)
     best_score = -np.inf
     best_params = None
     for n_trees in grid.n_trees:
@@ -180,13 +169,12 @@ def benchmark(ds: Dataset, cfg: BenchmarkConfig, dataset_name: str = "dataset") 
     if cfg.random_groups > ds.n_features:  # checked before the long tuning run
         raise DataError(f"random_groups {cfg.random_groups} exceeds the {ds.n_features} features")
     train_ds, test_ds = train_test_split(ds, cfg.test_fraction, cfg.split_seed)
-    all_train = RowIndexSet.all_rows(train_ds.n_rows)
     tune_seed = mix_seed(cfg.split_seed, 1)
-    params = tune(train_ds, all_train, cfg.grid, cfg.k, tune_seed)
-    base_partition = discover_constraints(train_ds, all_train, cfg.wrapper_cfg)
+    params = tune(train_ds, cfg.grid, cfg.k, tune_seed)
+    base_partition = discover_constraints(train_ds, None, cfg.wrapper_cfg)
 
     def score(schedule: ConstraintSchedule) -> float:
-        return _test_score(train(train_ds, all_train, params, schedule), test_ds)
+        return _test_score(train(train_ds, None, params, schedule), test_ds)
 
     baseline_score = score(NoConstraints())
     full_score = score(FixedPartition(base_partition))
@@ -276,10 +264,9 @@ def report_to_json_obj(report: BenchmarkReport) -> dict:
 def report_to_csv(report: BenchmarkReport) -> str:
     """Flat one-row-per-variant CSV for external plotting."""
     buf = io.StringIO()
-    buf.write("dataset,task,variant,test_score,percent_change_from_baseline\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["dataset", "task", "variant", "test_score", "percent_change_from_baseline"])
     for v in report.variants:
         change = "" if v.percent_change_from_baseline is None else repr(v.percent_change_from_baseline)
-        buf.write(
-            f"{report.dataset_name},{report.task.value},{v.variant_id},{v.test_score!r},{change}\n"
-        )
+        writer.writerow([report.dataset_name, report.task.value, v.variant_id, repr(v.test_score), change])
     return buf.getvalue()

@@ -54,20 +54,15 @@ def pairwise_terms(features, interaction_scope) -> tuple[Term, ...]:
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """Materialized model columns plus the spec and statistics that built them.
-
-    When `includes_intercept` is set the last column is all ones.
-    """
+    """Materialized model columns plus the spec and statistics that built them."""
 
     values: np.ndarray
     terms: tuple[Term, ...]
     standardization: dict[int, tuple[float, float]]
-    includes_intercept: bool = False
 
     def __post_init__(self):
         _check_term_spec(self.terms)
-        expected = len(self.terms) + (1 if self.includes_intercept else 0)
-        if self.values.ndim != 2 or self.values.shape[1] != expected:
+        if self.values.ndim != 2 or self.values.shape[1] != len(self.terms):
             raise ValueError(
                 f"design has {self.values.shape} values for {len(self.terms)} terms"
             )
@@ -123,7 +118,6 @@ def materialize(
     rows: RowIndexSet | None,
     terms,
     standardization: dict[int, tuple[float, float]] | None = None,
-    include_intercept: bool = False,
 ) -> DesignMatrix:
     """Build the model matrix for `terms` over `rows`.
 
@@ -151,10 +145,8 @@ def materialize(
             mean, sd = stats[t.index]
             std_cols[t.index] = (ds.features[rows.indices, t.index] - mean) / sd
     columns = _design_columns(terms, std_cols)
-    if include_intercept:
-        columns.append(np.ones(len(rows)))
     values = np.column_stack(columns) if columns else np.empty((len(rows), 0))
-    return DesignMatrix(values, terms, stats, include_intercept)
+    return DesignMatrix(values, terms, stats)
 
 
 def _design_columns(terms, std_cols: dict[int, np.ndarray]) -> list[np.ndarray]:
@@ -166,8 +158,6 @@ def _design_columns(terms, std_cols: dict[int, np.ndarray]) -> list[np.ndarray]:
 
 
 def _with_intercept(X: DesignMatrix) -> np.ndarray:
-    if X.includes_intercept:
-        return X.values
     return np.column_stack([X.values, np.ones(X.values.shape[0])])
 
 

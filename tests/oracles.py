@@ -12,13 +12,28 @@ import numpy as np
 
 
 def brute_force_stump(X, g, h, reg_lambda, gamma=0.0, min_child_samples=1, min_child_hessian=0.0):
+    """(feature, threshold, w_left, w_right) of `brute_force_best_split`, or None."""
+    best = brute_force_best_split(X, g, h, reg_lambda, gamma, min_child_samples, min_child_hessian)
+    return None if best is None else best[1:]
+
+
+def direct_split_gain(x, g, h, threshold, reg_lambda, gamma=0.0):
+    """Gain of routing rows with x < threshold left, from direct masked sums."""
+    mask = x < threshold
+    GL, HL = float(np.sum(g[mask])), float(np.sum(h[mask]))
+    GR, HR = float(np.sum(g[~mask])), float(np.sum(h[~mask]))
+    G, H = float(np.sum(g)), float(np.sum(h))
+    return 0.5 * (GL**2 / (HL + reg_lambda) + GR**2 / (HR + reg_lambda) - G**2 / (H + reg_lambda)) - gamma
+
+
+def brute_force_best_split(X, g, h, reg_lambda, gamma=0.0, min_child_samples=1, min_child_hessian=0.0):
     """Exhaustive best depth-1 split.
 
     Tries every feature and every midpoint between adjacent distinct values,
     computing child sums directly over boolean masks (row order). Returns
-    (feature, threshold, w_left, w_right) or None when no candidate has
-    strictly positive gain. Tie-break: lower feature, then lower threshold,
-    via strict-improvement scanning in ascending order.
+    (gain, feature, threshold, w_left, w_right) or None when no candidate
+    has strictly positive gain. Tie-break: lower feature, then lower
+    threshold, via strict-improvement scanning in ascending order.
     """
     n, n_features = X.shape
     G = float(np.sum(g))
@@ -51,10 +66,7 @@ def brute_force_stump(X, g, h, reg_lambda, gamma=0.0, min_child_samples=1, min_c
                 w_left = -GL / (HL + reg_lambda)
                 w_right = -GR / (HR + reg_lambda)
                 best = (gain, f, threshold, w_left, w_right)
-    if best is None:
-        return None
-    _, f, threshold, w_left, w_right = best
-    return f, threshold, w_left, w_right
+    return best
 
 
 def pinv_least_squares(A, y, tol=1e-10):

@@ -201,7 +201,7 @@ def test_criterion_5_constraint_benefit():
     for seed in range(10):
         ds = paired_products_dataset(2000, seed=seed)
         train_ds, test_ds = train_test_split(ds, 0.25, seed)
-        params = tune(train_ds, None, grid, k=3, seed=seed)
+        params = tune(train_ds, grid, k=3, seed=seed)
         discovered = discover_constraints(train_ds, None, WrapperConfig(seed=seed, epsilon=EPS))
 
         full = train(train_ds, None, params, FixedPartition(discovered))
@@ -276,7 +276,7 @@ def test_criterion_7_cleve_qualitative_anchor():
     random_beats_baseline = False
     for split_seed in (0, 1, 2):
         train_ds, test_ds = train_test_split(ds, 0.25, split_seed)
-        params = tune(train_ds, None, grid, k=3, seed=split_seed)
+        params = tune(train_ds, grid, k=3, seed=split_seed)
         baseline = train(train_ds, None, params, NoConstraints())
         base_acc = accuracy(test_ds.target, predict(baseline, test_ds, None))
         baseline_scores.append(base_acc)

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from interboost.boosting import (
     FixedPartition,
@@ -24,10 +24,16 @@ from interboost.boosting import (
     split_gain,
     train,
 )
-from interboost.data import DataError, Dataset, RowIndexSet, Task
+from interboost.data import DataError, Dataset, Task
 from interboost.discovery import ConstraintPartition, WrapperConfig
 from interboost.linear import sigmoid
-from oracles import assert_paths_respect_partition, brute_force_stump, tree_paths
+from oracles import (
+    assert_paths_respect_partition,
+    brute_force_best_split,
+    brute_force_stump,
+    direct_split_gain,
+    tree_paths,
+)
 
 from conftest import make_classification, make_regression
 
@@ -123,7 +129,7 @@ class TestBestSplit:
         assert threshold == 2.5
         assert gain == pytest.approx(split_gain(1.0, 2.0, -1.0, 2.0, 0.0, 0.0))
         assert gain == pytest.approx(0.5)
-        root = _grow(RowIndexSet.all_rows(4), *gh, ds, _stump_params(), None)[0].nodes[0]
+        root = _grow(X, *gh, _stump_params(), None)[0].nodes[0]
         goes_left = X[:, root["feature"]] < root["threshold"]
         assert np.nonzero(goes_left)[0].tolist() == [0, 1]
         assert np.nonzero(~goes_left)[0].tolist() == [2, 3]
@@ -175,12 +181,9 @@ class TestGrowTree:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(200, 2))
         y = X[:, 0] + 3.0 * X[:, 1]
-        ds = Dataset(X, ("a", "b"), y, Task.REGRESSION)
         gh = grad_hess(Task.REGRESSION, y, np.full(200, y.mean()))
         partition = ConstraintPartition(((0,), (1,)))
-        tree = _grow(
-            RowIndexSet.all_rows(200), *gh, ds, _stump_params(max_depth=4), partition
-        )[0]
+        tree = _grow(X, *gh, _stump_params(max_depth=4), partition)[0]
         for features in tree_paths(tree):
             assert features <= {0} or features <= {1}
         assert tree.used_group == 1  # x1 dominates the first split
@@ -189,9 +192,8 @@ class TestGrowTree:
         ds = make_regression(150, 3, seed=5, target_fn=lambda X: X[:, 0] * X[:, 1] + X[:, 2])
         gh = grad_hess(Task.REGRESSION, ds.target, np.full(150, float(ds.target.mean())))
         params = _stump_params(max_depth=4, reg_lambda=1.0)
-        rows = RowIndexSet.all_rows(150)
-        free = _grow(rows, *gh, ds, params, None)[0]
-        vacuous = _grow(rows, *gh, ds, params, ConstraintPartition(((0, 1, 2),)))[0]
+        free = _grow(ds.features, *gh, params, None)[0]
+        vacuous = _grow(ds.features, *gh, params, ConstraintPartition(((0, 1, 2),)))[0]
         assert np.array_equal(free.nodes, vacuous.nodes)  # bookkeeping (used_group) may differ
         assert free.used_group is None
         assert vacuous.used_group == 0
@@ -202,9 +204,8 @@ class TestGrowTree:
             n = int(rng.integers(10, 50))
             X = rng.normal(size=(n, 3))
             y = rng.normal(size=n)
-            ds = Dataset(X, ("a", "b", "c"), y, Task.REGRESSION)
             gh = grad_hess(Task.REGRESSION, y, np.full(n, y.mean()))
-            tree = _grow(RowIndexSet.all_rows(n), *gh, ds, _stump_params(), None)[0]
+            tree = _grow(X, *gh, _stump_params(), None)[0]
             oracle = brute_force_stump(X, *gh, reg_lambda=0.0)
             if oracle is None:
                 assert len(tree.nodes) == 1
@@ -213,6 +214,57 @@ class TestGrowTree:
             assert (root["feature"], root["threshold"]) == (oracle[0], oracle[1])
             assert tree.nodes[root["left"]]["weight"] == oracle[2]
             assert tree.nodes[root["right"]]["weight"] == oracle[3]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(8, 40),
+        n_features=st.integers(2, 4),
+        max_depth=st.integers(2, 5),
+        min_child_samples=st.integers(1, 3),
+        reg_lambda=st.sampled_from([0.0, 1.0]),
+        grouped=st.booleans(),
+        integer_valued=st.booleans(),
+    )
+    def test_every_node_of_a_deep_tree_is_greedy(
+        self, seed, n_rows, n_features, max_depth, min_child_samples, reg_lambda, grouped, integer_valued
+    ):
+        # Only gains are compared with the oracle: in small nodes several
+        # features often cut the rows into the same two sets, and rounding
+        # decides which of those equal gains wins.
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n_rows, n_features))
+        if integer_valued:
+            X = np.round(2.0 * X)
+        y = X[:, 0] * X[:, 1] + rng.normal(size=n_rows)
+        g, h = grad_hess(Task.REGRESSION, y, np.full(n_rows, y.mean()))
+        half = n_features // 2
+        partition = (
+            ConstraintPartition((tuple(range(half)), tuple(range(half, n_features)))) if grouped else None
+        )
+        params = _stump_params(reg_lambda, max_depth=max_depth, min_child_samples=min_child_samples)
+        tree = _grow(X, g, h, params, partition)[0]
+        stack = [(tree.root, np.arange(n_rows), 0, tuple(range(n_features)))]
+        while stack:
+            node_id, R, depth, allowed = stack.pop()
+            node = tree.nodes[node_id]
+            best = brute_force_best_split(
+                X[np.ix_(R, allowed)], g[R], h[R], reg_lambda, min_child_samples=min_child_samples
+            )
+            if node["feature"] < 0:
+                assert depth == max_depth or best is None or best[0] <= 1e-9 * max(1.0, abs(best[0]))
+                assert node["weight"] == -np.sum(g[R]) / (np.sum(h[R]) + reg_lambda)
+                continue
+            feature, threshold = int(node["feature"]), node["threshold"]
+            assert feature in allowed
+            gain = direct_split_gain(X[R, feature], g[R], h[R], threshold, reg_lambda)
+            assert best is not None
+            assert abs(gain - best[0]) <= 1e-9 * max(1.0, abs(best[0]))
+            if partition is not None and depth == 0:
+                allowed = next(group for group in partition.groups if feature in group)
+            goes_left = X[R, feature] < threshold
+            stack.append((node["left"], R[goes_left], depth + 1, allowed))
+            stack.append((node["right"], R[~goes_left], depth + 1, allowed))
 
 
 class TestTrain:

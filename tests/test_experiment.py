@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 
 import numpy as np
@@ -25,7 +28,7 @@ class TestTune:
     def test_single_cell_grid(self):
         ds = make_regression(60, 2, seed=0, target_fn=lambda X: X[:, 0])
         grid = TuningGrid((7,), (2,), (0.3,))
-        params = tune(ds, None, grid, k=3, seed=1)
+        params = tune(ds, grid, k=3, seed=1)
         assert (params.n_trees, params.max_depth, params.learning_rate) == (7, 2, 0.3)
 
     def test_noise_target_prefers_fewer_trees(self):
@@ -34,7 +37,7 @@ class TestTune:
         wins = 0
         for seed in range(10):
             ds = make_regression(150, 3, seed=400 + seed)
-            params = tune(ds, None, grid, k=3, seed=seed)
+            params = tune(ds, grid, k=3, seed=seed)
             wins += params.n_trees == 10
         assert wins >= 7
 
@@ -44,7 +47,7 @@ class TestTune:
 
         ds = make_regression(1000, 2, seed=5, target_fn=lambda X: X[:, 0], noise_sd=0.05)
         grid = TuningGrid((30, 60), (2, 3), (0.1, 0.3))
-        params = tune(ds, None, grid, k=3, seed=2)
+        params = tune(ds, grid, k=3, seed=2)
         # sanity oracle: a holdout fit with the chosen cell is strongly predictive
         from interboost.data import train_test_split
 
@@ -57,7 +60,7 @@ class TestTune:
         # in (n_trees, max_depth, learning_rate) order must win
         ds = make_regression(30, 2, seed=1, target_fn=lambda X: np.full(X.shape[0], 2.0))
         grid = TuningGrid((5, 10), (2, 3), (0.1, 0.3))
-        params = tune(ds, None, grid, k=3, seed=0)
+        params = tune(ds, grid, k=3, seed=0)
         assert (params.n_trees, params.max_depth, params.learning_rate) == (5, 2, 0.1)
 
 
@@ -220,6 +223,12 @@ class TestBenchmark:
         for line, v in zip(lines[1:], report.variants):
             cells = line.split(",")
             assert float(cells[3]) == v.test_score
+
+    def test_csv_quotes_a_dataset_name_with_a_comma(self, report):
+        text = report_to_csv(dataclasses.replace(report, dataset_name="a,b"))
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [len(row) for row in rows] == [5] * (1 + len(report.variants))
+        assert {row[0] for row in rows[1:]} == {"a,b"}
 
     def test_deterministic(self, report):
         ds = paired_products_dataset(240, seed=1)

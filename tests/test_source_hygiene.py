@@ -1,13 +1,16 @@
 """Every name a package module imports is used there, exported through
 `__all__`, or imported on a line marked `# noqa` (kept for another reader,
-such as the benchmark's tracer)."""
+such as the benchmark's tracer); every package name a script imports exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "interboost").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "interboost").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -44,3 +47,17 @@ def test_check_finds_an_unused_import():
     assert unused_imports("import json\nimport os\n\nos.sep\n") == ["line 1: json"]
     assert unused_imports("import json  # noqa\n") == []
     assert unused_imports("from .data import Task\n__all__ = ['Task']\n") == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.name for p in SCRIPTS])
+def test_script_imports_resolve(path):
+    # read from the source rather than running the script, which takes seconds
+    names = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "interboost"
+        for alias in node.names
+    ]
+    assert names, "no interboost imports found"
+    missing = [f"{m}.{n}" for m, n in names if not hasattr(importlib.import_module(m), n)]
+    assert missing == []
