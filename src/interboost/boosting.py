@@ -1,11 +1,15 @@
 """Second-order gradient boosted trees with interaction-constraint partitions.
 
-Trees are grown by exact greedy search: for every allowed feature the rows
-are sorted and every boundary between distinct values is scored with the
+Trees are grown by exact greedy search: in every node, each boundary
+between distinct values of every allowed feature is scored with the
 second-order gain
     0.5 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - (GL+GR)^2/(HL+HR+lambda)) - gamma.
+`train` sorts each feature once (`presort`) and every tree reuses that
+order: a child's sorted block is a stable filter of its parent's, and one
+2-D prefix-sum pass scores all allowed features of a node.
 Routing is strictly "go left iff x[feature] < threshold" with thresholds at
-midpoints of adjacent distinct values; ties on gain break toward the lower
+midpoints of adjacent distinct values (or the upper value, when the
+midpoint would not separate them); ties on gain break toward the lower
 feature index, then the lower threshold, so training is bit-reproducible.
 
 Constraint semantics: the root may split on any feature; once the root
@@ -179,58 +183,89 @@ def split_gain(
     ) - gamma
 
 
-def _find_split(X, pos, g, h, allowed, params: TrainParams):
-    """(gain, threshold, feature) of the best split of rows `pos` of X over
-    the `allowed` features in ascending order, or None; `g` and `h` are
-    aligned with `pos`. Each feature's m-1 positions between stably sorted
-    rows are scored; one between equal values, leaving a child below
-    min_child_samples or min_child_hessian, or with a non-finite gain
-    (possible when reg_lambda and min_child_hessian are both zero) scores
-    -inf. The first maximum wins, so ties go to the lower feature index,
-    then the lower threshold; a best gain that is not positive gives None."""
-    m = pos.size
+def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feature-major `(rows, xs)` of X, both shaped (features, rows): rows[f]
+    lists the row ids in stable ascending order of feature f, and xs[f] the
+    values of feature f in that order."""
+    rows = np.argsort(X.T, axis=1, kind="stable")
+    return rows, np.take_along_axis(X.T, rows, axis=1)
+
+
+def _split_threshold(a: float, b: float) -> float:
+    """A threshold t with a < t <= b, so "x < t" sends a left and b right:
+    the midpoint, halved before adding when the sum overflows, or b when
+    the midpoint rounds down to a (adjacent floats)."""
+    t = (a + b) / 2.0
+    if not math.isfinite(t):
+        t = a / 2.0 + b / 2.0
+    return t if t > a else b
+
+
+def _find_split(xs, rows, g, h, allowed, params: TrainParams):
+    """(gain, threshold, feature) of the best split of one node, or None.
+
+    `rows` and `xs` are the node's presorted block: row k holds the node's
+    row ids and values of feature allowed[k] (ascending), in stable
+    ascending order of that feature. All features are scored in one 2-D
+    pass; each feature's m-1 positions between adjacent rows get the gain
+    from prefix sums of g and h in that feature's order. A position between
+    equal values, leaving a child below min_child_samples or
+    min_child_hessian, or with a non-finite gain (possible when reg_lambda
+    and min_child_hessian are both zero) scores -inf. The first maximum in
+    row-major order wins, so ties go to the lower feature index, then the
+    lower threshold; a best gain that is not positive gives None."""
+    m = xs.shape[1]
     min_rows, lam, min_hess = params.min_child_samples, params.reg_lambda, params.min_child_hessian
     if m < 2 * min_rows:
         return None
-    best = None
-    for f in allowed:
-        x = X[pos, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        cg = np.cumsum(g[order])
-        ch = np.cumsum(h[order])
-        GL, HL, G, H = cg[:-1], ch[:-1], cg[-1], ch[-1]
-        GR = G - GL
-        HR = H - HL
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - G * G / (H + lam)) - params.gamma
-        gains[~(xs[:-1] < xs[1:]) | (HL < min_hess) | (HR < min_hess) | ~np.isfinite(gains)] = -np.inf
-        gains[: min_rows - 1] = gains[m - min_rows :] = -np.inf  # a child below min_child_samples
-        i = int(np.argmax(gains))
-        if gains[i] > 0.0 and (best is None or gains[i] > best[0]):
-            best = (float(gains[i]), float((xs[i] + xs[i + 1]) / 2.0), f)
-    return best
+    cg = np.cumsum(g[rows], axis=1)
+    ch = np.cumsum(h[rows], axis=1)
+    GL, HL, G, H = cg[:, :-1], ch[:, :-1], cg[:, -1:], ch[:, -1:]
+    invalid = ~(xs[:, :-1] < xs[:, 1:]) | (HL < min_hess) | (H - HL < min_hess)
+    # The gain expression of the module doc, term by term in its order of
+    # operations; in place, so that few (features, rows) arrays are alive.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        right = G - GL
+        right *= right
+        right /= H - HL + lam
+        gains = GL * GL / (HL + lam)
+        gains += right
+        gains = 0.5 * (gains - G * G / (H + lam)) - params.gamma
+    gains[invalid | ~np.isfinite(gains)] = -np.inf
+    gains[:, : min_rows - 1] = gains[:, m - min_rows :] = -np.inf  # a child below min_child_samples
+    k, i = divmod(int(np.argmax(gains)), m - 1)
+    if not gains[k, i] > 0.0:
+        return None
+    return float(gains[k, i]), _split_threshold(float(xs[k, i]), float(xs[k, i + 1])), allowed[k]
 
 
-def _grow(X, g, h, params: TrainParams, partition: ConstraintPartition | None) -> tuple[Tree, np.ndarray]:
+def _grow(
+    X, g, h, presorted: tuple[np.ndarray, np.ndarray], params: TrainParams, partition: ConstraintPartition | None
+) -> tuple[Tree, np.ndarray]:
     """Exact greedy growth of one tree on the gradients `g` and hessians `h`
     of the rows of X (see module doc for constraint rules); also returns
-    each row's leaf weight. Node ids are in depth-first preorder: the stack
-    pushes a node's right child before its left one, and each popped child
-    writes its id into its parent's record."""
+    each row's leaf weight. `presorted` is `presort(X)`, the root's block.
+    A child's block is a stable boolean filter of its parent's, which keeps
+    each feature sorted with ties in row order, so no node sorts. Node ids
+    are in depth-first preorder: the stack pushes a node's right child
+    before its left one, and each popped child writes its id into its
+    parent's record."""
+    n = X.shape[0]
     records: list[list] = []
-    values = np.empty(X.shape[0])
+    values = np.empty(n)
+    in_left = np.zeros(n, dtype=bool)  # valid on the rows of the node being split
     used_group = None
-    # (rows, depth, allowed features, parent id, parent's field for this child: 2 left, 3 right)
-    stack = [(np.arange(X.shape[0]), 0, tuple(range(X.shape[1])), -1, 0)]
+    # (row ids ascending, block rows, block values, depth, allowed features,
+    #  parent id, parent's field for this child: 2 left, 3 right)
+    stack = [(np.arange(n), *presorted, 0, tuple(range(X.shape[1])), -1, 0)]
     while stack:
-        pos, depth, allowed, parent, side = stack.pop()
+        pos, rows, xs, depth, allowed, parent, side = stack.pop()
         node_id = len(records)
         if parent >= 0:
             records[parent][side] = node_id
         found = None
         if depth < params.max_depth:
-            found = _find_split(X, pos, g[pos], h[pos], allowed, params)
+            found = _find_split(xs, rows, g, h, allowed, params)
         if found is None:
             weight = leaf_weight(float(g[pos].sum()), float(h[pos].sum()), params.reg_lambda)
             records.append([-1, 0.0, -1, -1, weight])
@@ -241,10 +276,16 @@ def _grow(X, g, h, params: TrainParams, partition: ConstraintPartition | None) -
             used_group = partition.group_index_of(feature)
             # ascending order keeps the lower-feature-index tie-break exact
             allowed = tuple(sorted(partition.groups[used_group]))
+            rows, xs = rows[list(allowed)], xs[list(allowed)]
         records.append([feature, threshold, -1, -1, 0.0])
         goes_left = X[pos, feature] < threshold
-        stack.append((pos[~goes_left], depth + 1, allowed, node_id, 3))
-        stack.append((pos[goes_left], depth + 1, allowed, node_id, 2))
+        in_left[pos] = goes_left
+        block_left = in_left[rows].ravel()
+        k = rows.shape[0]
+        for side, picked, in_block in ((3, ~goes_left, ~block_left), (2, goes_left, block_left)):
+            at = np.flatnonzero(in_block)  # a stable filter: every block row stays sorted
+            child_rows, child_xs = rows.take(at).reshape(k, -1), xs.take(at).reshape(k, -1)
+            stack.append((pos[picked], child_rows, child_xs, depth + 1, allowed, node_id, side))
     return Tree(np.array([tuple(r) for r in records], dtype=NODE), 0, used_group), values
 
 
@@ -296,13 +337,18 @@ def train(
     X = ds.features[rows.indices]
     y = ds.target[rows.indices]
     base = params.base_score if params.base_score is not None else default_base_score(ds.task, y)
+    if not math.isfinite(base):
+        raise DataError(f"base score {base} is not finite: the targets are too large")
     raw = np.full(len(rows), base)
+    presorted = presort(X)
     trees: list[Tree] = []
     log: list[ConstraintPartition | None] = []
     for tree_number in range(1, params.n_trees + 1):
         g, h = grad_hess(ds.task, y, raw)
         partition = _partition_for_round(schedule, tree_number, ds, rows, g)
-        tree, contribution = _grow(X, g, h, params, partition)
+        tree, contribution = _grow(X, g, h, presorted, params, partition)
+        if not np.all(np.isfinite(contribution)):
+            raise DataError(f"tree {tree_number} has a leaf weight that is not finite: the targets are too large")
         raw = raw + params.learning_rate * contribution
         trees.append(tree)
         log.append(partition)

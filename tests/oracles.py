@@ -3,12 +3,17 @@
 Everything here deliberately avoids the library's own code paths: stump
 search enumerates every candidate with direct sums instead of prefix
 scans, least squares goes through an explicit SVD pseudo-inverse, and
-gradients are checked by central finite differences.
+gradients are checked by central finite differences. `reference_grow` is
+the exception: it is the simpler per-feature, sort-in-every-node grower
+that the presorted one must match bit for bit, so it shares the library's
+threshold rule and leaf weight.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from interboost.boosting import NODE, Tree, _split_threshold, leaf_weight
 
 
 def brute_force_stump(X, g, h, reg_lambda, gamma=0.0, min_child_samples=1, min_child_hessian=0.0):
@@ -67,6 +72,67 @@ def brute_force_best_split(X, g, h, reg_lambda, gamma=0.0, min_child_samples=1, 
                 w_right = -GR / (HR + reg_lambda)
                 best = (gain, f, threshold, w_left, w_right)
     return best
+
+
+def _reference_find_split(X, pos, g, h, allowed, params):
+    """(gain, threshold, feature) of the best split of rows `pos` of X, one
+    feature at a time: each allowed feature is argsorted (stably) within the
+    node and scanned with 1-D prefix sums; a later feature replaces the best
+    only on a strictly larger gain. `g` and `h` are aligned with `pos`."""
+    m = pos.size
+    min_rows, lam, min_hess = params.min_child_samples, params.reg_lambda, params.min_child_hessian
+    if m < 2 * min_rows:
+        return None
+    best = None
+    for f in allowed:
+        x = X[pos, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        cg = np.cumsum(g[order])
+        ch = np.cumsum(h[order])
+        GL, HL, G, H = cg[:-1], ch[:-1], cg[-1], ch[-1]
+        GR = G - GL
+        HR = H - HL
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - G * G / (H + lam)) - params.gamma
+        gains[~(xs[:-1] < xs[1:]) | (HL < min_hess) | (HR < min_hess) | ~np.isfinite(gains)] = -np.inf
+        gains[: min_rows - 1] = gains[m - min_rows :] = -np.inf
+        i = int(np.argmax(gains))
+        if gains[i] > 0.0 and (best is None or gains[i] > best[0]):
+            best = (float(gains[i]), _split_threshold(float(xs[i]), float(xs[i + 1])), f)
+    return best
+
+
+def reference_grow(X, g, h, params, partition):
+    """(tree, per-row leaf weights) grown like `interboost.boosting._grow`,
+    but sorting every allowed feature again in every node and scanning the
+    features one by one (`_reference_find_split`)."""
+    records = []
+    values = np.empty(X.shape[0])
+    used_group = None
+    stack = [(np.arange(X.shape[0]), 0, tuple(range(X.shape[1])), -1, 0)]
+    while stack:
+        pos, depth, allowed, parent, side = stack.pop()
+        node_id = len(records)
+        if parent >= 0:
+            records[parent][side] = node_id
+        found = None
+        if depth < params.max_depth:
+            found = _reference_find_split(X, pos, g[pos], h[pos], allowed, params)
+        if found is None:
+            weight = leaf_weight(float(g[pos].sum()), float(h[pos].sum()), params.reg_lambda)
+            records.append([-1, 0.0, -1, -1, weight])
+            values[pos] = weight
+            continue
+        _, threshold, feature = found
+        if partition is not None and depth == 0:
+            used_group = partition.group_index_of(feature)
+            allowed = tuple(sorted(partition.groups[used_group]))
+        records.append([feature, threshold, -1, -1, 0.0])
+        goes_left = X[pos, feature] < threshold
+        stack.append((pos[~goes_left], depth + 1, allowed, node_id, 3))
+        stack.append((pos[goes_left], depth + 1, allowed, node_id, 2))
+    return Tree(np.array([tuple(r) for r in records], dtype=NODE), 0, used_group), values
 
 
 def pinv_least_squares(A, y, tol=1e-10):

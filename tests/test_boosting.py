@@ -14,6 +14,7 @@ from interboost.boosting import (
     _find_split,
     _grow,
     default_base_score,
+    presort,
     ensemble_to_json_obj,
     grad_hess,
     leaf_weight,
@@ -32,6 +33,7 @@ from oracles import (
     brute_force_best_split,
     brute_force_stump,
     direct_split_gain,
+    reference_grow,
     tree_paths,
 )
 
@@ -113,7 +115,9 @@ def _stump_params(reg_lambda=0.0, **kw):
 def _find(ds, allowed, gh, params):
     """`_find_split` over every row of `ds` with the gradient and hessian
     pair `gh`: (gain, threshold, feature) or None."""
-    return _find_split(ds.features, np.arange(ds.n_rows), *gh, tuple(allowed), params)
+    rows, xs = presort(ds.features)
+    allowed = list(allowed)
+    return _find_split(xs[allowed], rows[allowed], *gh, tuple(allowed), params)
 
 
 class TestBestSplit:
@@ -129,7 +133,7 @@ class TestBestSplit:
         assert threshold == 2.5
         assert gain == pytest.approx(split_gain(1.0, 2.0, -1.0, 2.0, 0.0, 0.0))
         assert gain == pytest.approx(0.5)
-        root = _grow(X, *gh, _stump_params(), None)[0].nodes[0]
+        root = _grow(X, *gh, presort(X), _stump_params(), None)[0].nodes[0]
         goes_left = X[:, root["feature"]] < root["threshold"]
         assert np.nonzero(goes_left)[0].tolist() == [0, 1]
         assert np.nonzero(~goes_left)[0].tolist() == [2, 3]
@@ -183,7 +187,7 @@ class TestGrowTree:
         y = X[:, 0] + 3.0 * X[:, 1]
         gh = grad_hess(Task.REGRESSION, y, np.full(200, y.mean()))
         partition = ConstraintPartition(((0,), (1,)))
-        tree = _grow(X, *gh, _stump_params(max_depth=4), partition)[0]
+        tree = _grow(X, *gh, presort(X), _stump_params(max_depth=4), partition)[0]
         for features in tree_paths(tree):
             assert features <= {0} or features <= {1}
         assert tree.used_group == 1  # x1 dominates the first split
@@ -192,8 +196,8 @@ class TestGrowTree:
         ds = make_regression(150, 3, seed=5, target_fn=lambda X: X[:, 0] * X[:, 1] + X[:, 2])
         gh = grad_hess(Task.REGRESSION, ds.target, np.full(150, float(ds.target.mean())))
         params = _stump_params(max_depth=4, reg_lambda=1.0)
-        free = _grow(ds.features, *gh, params, None)[0]
-        vacuous = _grow(ds.features, *gh, params, ConstraintPartition(((0, 1, 2),)))[0]
+        free = _grow(ds.features, *gh, presort(ds.features), params, None)[0]
+        vacuous = _grow(ds.features, *gh, presort(ds.features), params, ConstraintPartition(((0, 1, 2),)))[0]
         assert np.array_equal(free.nodes, vacuous.nodes)  # bookkeeping (used_group) may differ
         assert free.used_group is None
         assert vacuous.used_group == 0
@@ -205,7 +209,7 @@ class TestGrowTree:
             X = rng.normal(size=(n, 3))
             y = rng.normal(size=n)
             gh = grad_hess(Task.REGRESSION, y, np.full(n, y.mean()))
-            tree = _grow(X, *gh, _stump_params(), None)[0]
+            tree = _grow(X, *gh, presort(X), _stump_params(), None)[0]
             oracle = brute_force_stump(X, *gh, reg_lambda=0.0)
             if oracle is None:
                 assert len(tree.nodes) == 1
@@ -243,7 +247,7 @@ class TestGrowTree:
             ConstraintPartition((tuple(range(half)), tuple(range(half, n_features)))) if grouped else None
         )
         params = _stump_params(reg_lambda, max_depth=max_depth, min_child_samples=min_child_samples)
-        tree = _grow(X, g, h, params, partition)[0]
+        tree = _grow(X, g, h, presort(X), params, partition)[0]
         stack = [(tree.root, np.arange(n_rows), 0, tuple(range(n_features)))]
         while stack:
             node_id, R, depth, allowed = stack.pop()
@@ -265,6 +269,60 @@ class TestGrowTree:
             goes_left = X[R, feature] < threshold
             stack.append((node["left"], R[goes_left], depth + 1, allowed))
             stack.append((node["right"], R[~goes_left], depth + 1, allowed))
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 40),
+        columns=st.lists(
+            st.sampled_from(["normal", "integer", "constant", "copy", "adjacent", "huge"]), min_size=1, max_size=5
+        ),
+        max_depth=st.integers(1, 5),
+        min_child_samples=st.integers(1, 3),
+        reg_lambda=st.sampled_from([0.0, 1.0]),
+        grouped=st.booleans(),
+        classification=st.booleans(),
+    )
+    def test_presorted_grower_matches_reference(
+        self, seed, n_rows, columns, max_depth, min_child_samples, reg_lambda, grouped, classification
+    ):
+        # "copy" repeats the previous column, so equal gains on different
+        # features must go to the lower one; "adjacent" and "huge" put the
+        # threshold rule at the edges of float64.
+        rng = np.random.default_rng(seed)
+        X = np.empty((n_rows, len(columns)))
+        for f, kind in enumerate(columns):
+            if kind == "copy" and f > 0:
+                X[:, f] = X[:, f - 1]
+            elif kind == "constant":
+                X[:, f] = 2.0
+            elif kind == "adjacent":
+                X[:, f] = rng.choice([1.0, np.nextafter(1.0, 2.0)], size=n_rows)
+            elif kind == "huge":
+                X[:, f] = rng.choice([-1.7e308, 1.0e308, 1.7e308], size=n_rows)
+            elif kind == "normal":
+                X[:, f] = rng.normal(size=n_rows)
+            else:
+                X[:, f] = rng.integers(-2, 3, size=n_rows)
+        if classification:  # hessians that differ from row to row
+            y = rng.integers(0, 2, size=n_rows).astype(float)
+            g, h = grad_hess(Task.BINARY_CLASSIFICATION, y, rng.normal(size=n_rows))
+        else:  # integer targets, so equal gains are common
+            y = rng.integers(-2, 3, size=n_rows).astype(float)
+            g, h = grad_hess(Task.REGRESSION, y, np.full(n_rows, y.mean()))
+        half = len(columns) // 2
+        partition = (
+            ConstraintPartition((tuple(range(half)), tuple(range(half, len(columns)))))
+            if grouped and half > 0
+            else None
+        )
+        params = _stump_params(reg_lambda, max_depth=max_depth, min_child_samples=min_child_samples)
+        tree, values = _grow(X, g, h, presort(X), params, partition)
+        expected, expected_values = reference_grow(X, g, h, params, partition)
+        assert tree.nodes.tobytes() == expected.nodes.tobytes()
+        assert tree.used_group == expected.used_group
+        assert values.tobytes() == expected_values.tobytes()
 
 
 class TestTrain:
@@ -314,6 +372,20 @@ class TestTrain:
         a = ensemble_to_json_obj(train(ds, None, params))
         b = ensemble_to_json_obj(train(ds, None, params))
         assert json.dumps(a) == json.dumps(b)
+
+    def test_features_are_sorted_once_per_train(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+
+        def counting_argsort(*args, **kwargs):
+            calls.append(1)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        ds = make_regression(60, 3, seed=4, target_fn=lambda X: X[:, 0] * X[:, 1] + X[:, 2])
+        ens = train(ds, None, TrainParams(5, 3, 0.3))
+        assert sum(len(tree.nodes) for tree in ens.trees) > 5  # the trees did split
+        assert len(calls) == 1
 
     def test_training_leaves_no_reference_cycles(self):
         # a cycle would keep each tree's copy of the training rows alive

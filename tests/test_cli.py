@@ -246,6 +246,43 @@ class TestTrainPredictCommands:
         assert not (out / "predictions.csv").exists()
 
 
+class TestExtremeValues:
+    """Every CSV cell only has to be a finite real, so values at the edges
+    of float64 must still give a model that routes rows as it scored them,
+    or a data error at `train`."""
+
+    def _stump(self, tmp_path, tmp_csv, x_values, y_values):
+        text = "x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(x_values, y_values))
+        data, out = tmp_csv(text), tmp_path / "out"
+        code = run("train", "--data", data, "--target", "y", "--task", "regression",
+                   "--n-trees", 1, "--max-depth", 1, "--out-dir", out)
+        return data, out, code
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [(1.0, float(np.nextafter(1.0, 2.0))), (1.0e308, 1.7e308)],
+        ids=["adjacent-floats", "midpoint-overflow"],
+    )
+    def test_split_routes_rows_as_scored(self, tmp_path, tmp_csv, low, high):
+        x = np.array([low] * 5 + [high] * 5)
+        y = np.array([0.0] * 5 + [10.0] * 5)
+        data, out, code = self._stump(tmp_path, tmp_csv, x.tolist(), y.tolist())
+        assert code == 0
+        assert run("predict", "--model", out / "model.json", "--data", data, "--out-dir", out) == 0
+        root = load_model(out / "model.json").trees[0].nodes[0]
+        assert root["feature"] == 0
+        goes_left = x < root["threshold"]
+        assert goes_left.tolist() == (y == 0.0).tolist()  # five rows in each leaf
+        predictions = np.loadtxt(out / "predictions.csv", skiprows=1)
+        assert predictions[:5].max() < predictions[5:].min()
+
+    def test_huge_targets_are_data_error(self, tmp_path, tmp_csv, capsys):
+        _, out, code = self._stump(tmp_path, tmp_csv, [1.0, 2.0], [1.2e308, 1.5e308])
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+
 class TestBenchmarkCommand:
     def _config(self, tmp_path, data_csv, out_name="bench"):
         config = {
