@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .data import DataError, Dataset, RowIndexSet, Task, resolve_rows
+from .data import DataError, Dataset, RowIndexSet, Task, resolve_rows, take_rows
 from .data import checked_int, checked_real, read_json, write_json
 from .discovery import (
     ConstraintPartition,
@@ -166,23 +166,6 @@ def leaf_weight(grad_sum: float, hess_sum: float, reg_lambda: float) -> float:
     return -grad_sum / denom
 
 
-def split_gain(
-    left_grad: float,
-    left_hess: float,
-    right_grad: float,
-    right_hess: float,
-    reg_lambda: float,
-    gamma: float,
-) -> float:
-    total_grad = left_grad + right_grad
-    total_hess = left_hess + right_hess
-    return 0.5 * (
-        left_grad**2 / (left_hess + reg_lambda)
-        + right_grad**2 / (right_hess + reg_lambda)
-        - total_grad**2 / (total_hess + reg_lambda)
-    ) - gamma
-
-
 def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Feature-major `(rows, xs)` of X, both shaped (features, rows): rows[f]
     lists the row ids in stable ascending order of feature f, and xs[f] the
@@ -255,8 +238,8 @@ def _grow(
     values = np.empty(n)
     in_left = np.zeros(n, dtype=bool)  # valid on the rows of the node being split
     used_group = None
-    # (row ids ascending, block rows, block values, depth, allowed features,
-    #  parent id, parent's field for this child: 2 left, 3 right)
+    # (row ids ascending, block rows, block values (None at max_depth), depth,
+    #  allowed features, parent id, parent's field for this child: 2 left, 3 right)
     stack = [(np.arange(n), *presorted, 0, tuple(range(X.shape[1])), -1, 0)]
     while stack:
         pos, rows, xs, depth, allowed, parent, side = stack.pop()
@@ -279,21 +262,27 @@ def _grow(
             rows, xs = rows[list(allowed)], xs[list(allowed)]
         records.append([feature, threshold, -1, -1, 0.0])
         goes_left = X[pos, feature] < threshold
-        in_left[pos] = goes_left
-        block_left = in_left[rows].ravel()
-        k = rows.shape[0]
-        for side, picked, in_block in ((3, ~goes_left, ~block_left), (2, goes_left, block_left)):
-            at = np.flatnonzero(in_block)  # a stable filter: every block row stays sorted
-            child_rows, child_xs = rows.take(at).reshape(k, -1), xs.take(at).reshape(k, -1)
-            stack.append((pos[picked], child_rows, child_xs, depth + 1, allowed, node_id, side))
+        blocks = [(None, None), (None, None)]  # children at max_depth become leaves: no block
+        if depth + 1 < params.max_depth:
+            in_left[pos] = goes_left
+            block_left = in_left[rows].ravel()
+            k = rows.shape[0]
+            blocks = [  # a stable filter: every block row stays sorted
+                (rows.take(at).reshape(k, -1), xs.take(at).reshape(k, -1))
+                for at in (np.flatnonzero(~block_left), np.flatnonzero(block_left))
+            ]
+        for (side, picked), block in zip(((3, ~goes_left), (2, goes_left)), blocks):
+            stack.append((pos[picked], *block, depth + 1, allowed, node_id, side))
     return Tree(np.array([tuple(r) for r in records], dtype=NODE), 0, used_group), values
 
 
 def default_base_score(task: Task, y: np.ndarray) -> float:
     """Mean target for regression; log-odds of the clamped target mean otherwise."""
+    with np.errstate(over="ignore"):  # an overflowed mean is rejected by `train`
+        mean = float(np.mean(y))
     if task is Task.REGRESSION:
-        return float(np.mean(y))
-    p = min(max(float(np.mean(y)), 1e-6), 1.0 - 1e-6)
+        return mean
+    p = min(max(mean, 1e-6), 1.0 - 1e-6)
     return math.log(p / (1.0 - p))
 
 
@@ -311,7 +300,8 @@ def _partition_for_round(
     if tree_number == 1:
         return schedule.first_tree_partition
     if tree_number <= schedule.first_x:
-        return discover_constraints_for_residuals(ds, rows, -g, schedule.wrapper_cfg)
+        sub = take_rows(ds, rows.indices)
+        return discover_constraints_for_residuals(sub, -g, schedule.wrapper_cfg)
     return None
 
 

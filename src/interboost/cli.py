@@ -136,7 +136,7 @@ def cmd_discover(args) -> int:
     config = _load_config(args.config) if args.config else {}
     ds = _load_dataset(args, config)
     cfg = _wrapper_config(args, config)
-    partition, steps = discover_constraints_traced(ds, None, cfg)
+    partition, steps = discover_constraints_traced(ds, cfg)
     out = _out_dir(args, config)
     write_json(out / "partition.json", partition.to_json_obj())
     write_json(
@@ -166,7 +166,7 @@ def cmd_train(args) -> int:
         schedule = FixedPartition(ConstraintPartition.from_json_obj(partition, ds.n_features))
     elif args.partial_x is not None:
         wrapper_cfg = _wrapper_config(args, config)
-        first = discover_constraints(ds, None, wrapper_cfg)
+        first = discover_constraints(ds, wrapper_cfg)
         schedule = PerResidual(args.partial_x, wrapper_cfg, first)
     else:
         schedule = NoConstraints()

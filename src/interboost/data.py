@@ -205,7 +205,7 @@ def read_json(path, error: type[Exception]):
 
 def write_json(path, obj) -> None:
     """Write `obj` to `path` atomically as 2-space indented JSON plus a newline."""
-    write_atomic(Path(path), json.dumps(obj, indent=2) + "\n")
+    write_atomic(Path(path), json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def checked_int(name: str, value):
@@ -266,8 +266,8 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def take_rows(ds: Dataset, rows: RowIndexSet | np.ndarray) -> Dataset:
-    idx = rows.indices if isinstance(rows, RowIndexSet) else np.asarray(rows, dtype=np.int64)
+def take_rows(ds: Dataset, idx: np.ndarray) -> Dataset:
+    """The rows of `ds` at the index array `idx`, in that order."""
     return Dataset(ds.features[idx, :], ds.feature_names, ds.target[idx], ds.task)
 
 

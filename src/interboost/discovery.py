@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DataError, RowIndexSet, Task, replace_target, resolve_rows, take_rows
+from .data import Dataset, DataError, Task, replace_target
 from .data import checked_int, checked_real
 from .linear import FoldScorer, pairwise_terms
 from .linear import cv_score_terms  # noqa: F401  (perfbench/tracer.py wraps this name here)
@@ -132,10 +132,13 @@ class DiscoveryStep:
         }
 
 
-def _discover(sub: Dataset, cfg: WrapperConfig) -> tuple[ConstraintPartition, tuple[DiscoveryStep, ...]]:
-    score = FoldScorer(sub, None, cfg.k_folds, cfg.seed).score
+def discover_constraints_traced(
+    ds: Dataset, cfg: WrapperConfig
+) -> tuple[ConstraintPartition, tuple[DiscoveryStep, ...]]:
+    """Like discover_constraints but also returns the per-step score log."""
+    score = FoldScorer(ds, cfg.k_folds, cfg.seed).score
 
-    remaining = list(range(sub.n_features))
+    remaining = list(range(ds.n_features))
     groups: list[list[int]] = []
     subset: list[int] = []
     steps: list[DiscoveryStep] = []
@@ -181,43 +184,28 @@ def _discover(sub: Dataset, cfg: WrapperConfig) -> tuple[ConstraintPartition, tu
     if subset:
         groups.append(subset)
         steps.append(DiscoveryStep("close", None, None, None, tuple(subset), ()))
-    partition = ConstraintPartition(tuple(tuple(g) for g in groups)).validate_for(sub.n_features)
+    partition = ConstraintPartition(tuple(tuple(g) for g in groups)).validate_for(ds.n_features)
     return partition, tuple(steps)
 
 
-def discover_constraints_traced(
-    ds: Dataset, rows: RowIndexSet | None, cfg: WrapperConfig
-) -> tuple[ConstraintPartition, tuple[DiscoveryStep, ...]]:
-    """Like discover_constraints but also returns the per-step score log."""
-    rows = resolve_rows(ds, rows)
-    if len(rows) == 0:
-        raise ValueError("discovery requires a nonempty row set")
-    return _discover(take_rows(ds, rows), cfg)
-
-
-def discover_constraints(
-    ds: Dataset, rows: RowIndexSet | None, cfg: WrapperConfig
-) -> ConstraintPartition:
-    """Partition the feature set by iterative wrapper selection (see module doc)."""
-    return discover_constraints_traced(ds, rows, cfg)[0]
+def discover_constraints(ds: Dataset, cfg: WrapperConfig) -> ConstraintPartition:
+    """Partition the feature set of `ds` by iterative wrapper selection over
+    all its rows (see module doc)."""
+    return discover_constraints_traced(ds, cfg)[0]
 
 
 def discover_constraints_for_residuals(
-    ds: Dataset,
-    rows: RowIndexSet | None,
-    residual_target: np.ndarray,
-    cfg: WrapperConfig,
+    ds: Dataset, residual_target: np.ndarray, cfg: WrapperConfig
 ) -> ConstraintPartition:
-    """Discovery against a residual vector instead of the original target.
+    """Discovery against a residual vector, one entry per row of `ds`,
+    instead of the original target.
 
     Residuals are continuous even for classification tasks, so scoring
     always takes the regression (least squares / R-squared) path.
     """
-    rows = resolve_rows(ds, rows)
     residual_target = np.asarray(residual_target, dtype=np.float64)
-    if residual_target.shape != (len(rows),):
+    if residual_target.shape != (ds.n_rows,):
         raise ValueError(
-            f"residual target length {residual_target.shape} does not match {len(rows)} rows"
+            f"residual target length {residual_target.shape} does not match {ds.n_rows} rows"
         )
-    sub = replace_target(take_rows(ds, rows), residual_target, Task.REGRESSION)
-    return _discover(sub, cfg)[0]
+    return discover_constraints(replace_target(ds, residual_target, Task.REGRESSION), cfg)

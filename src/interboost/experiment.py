@@ -171,7 +171,7 @@ def benchmark(ds: Dataset, cfg: BenchmarkConfig, dataset_name: str = "dataset") 
     train_ds, test_ds = train_test_split(ds, cfg.test_fraction, cfg.split_seed)
     tune_seed = mix_seed(cfg.split_seed, 1)
     params = tune(train_ds, cfg.grid, cfg.k, tune_seed)
-    base_partition = discover_constraints(train_ds, None, cfg.wrapper_cfg)
+    base_partition = discover_constraints(train_ds, cfg.wrapper_cfg)
 
     def score(schedule: ConstraintSchedule) -> float:
         return _test_score(train(train_ds, None, params, schedule), test_ds)

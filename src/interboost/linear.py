@@ -9,13 +9,12 @@ standardized bases, which keeps the normal equations well conditioned.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, RowIndexSet, Task, kfold, resolve_rows
+from .data import DataError, Dataset, RowIndexSet, Task, kfold, take_rows
 
 
 @dataclass(frozen=True)
@@ -40,11 +39,6 @@ class Product:
 Term = Base | Product
 
 
-class ModelKind(enum.Enum):
-    OLS = "ols"
-    LOGISTIC = "logistic"
-
-
 def pairwise_terms(features, interaction_scope) -> tuple[Term, ...]:
     """Bases for `features` in the given order, then every unordered pair of
     `interaction_scope` as a product term in lexicographic index order."""
@@ -52,24 +46,13 @@ def pairwise_terms(features, interaction_scope) -> tuple[Term, ...]:
     return tuple([Base(i) for i in features] + [Product(a, b) for a, b in products])
 
 
-@dataclass(frozen=True, eq=False)
-class DesignMatrix:
-    """Materialized model columns plus the spec and statistics that built them."""
-
-    values: np.ndarray
-    terms: tuple[Term, ...]
-    standardization: dict[int, tuple[float, float]]
-
-    def __post_init__(self):
-        _check_term_spec(self.terms)
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.terms):
-            raise ValueError(
-                f"design has {self.values.shape} values for {len(self.terms)} terms"
-            )
-
-
-def _check_term_spec(terms: tuple[Term, ...]) -> None:
-    """No duplicate terms, and every product's features have base columns."""
+def _check_terms(ds: Dataset, terms: tuple[Term, ...]) -> None:
+    """Every term's features index `ds`, no term repeats, and every
+    product's features have base columns."""
+    for t in terms:
+        for idx in (t.index,) if isinstance(t, Base) else (t.a, t.b):
+            if not 0 <= idx < ds.n_features:
+                raise ValueError(f"feature index {idx} out of range for {ds.n_features} features")
     if len(set(terms)) != len(terms):
         raise ValueError("duplicate terms in design")
     base_set = {t.index for t in terms if isinstance(t, Base)}
@@ -87,11 +70,8 @@ class FitInfo:
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    coefficients: np.ndarray  # aligned with terms
+    coefficients: np.ndarray  # aligned with the design's columns
     intercept: float
-    kind: ModelKind
-    terms: tuple[Term, ...]
-    standardization: dict[int, tuple[float, float]]
     fit_info: FitInfo | None = None
 
 
@@ -106,36 +86,29 @@ def _column_stats(col: np.ndarray) -> tuple[float, float]:
     return mean, sd
 
 
-def _check_feature_indices(ds: Dataset, terms) -> None:
-    for t in terms:
-        for idx in (t.index,) if isinstance(t, Base) else (t.a, t.b):
-            if not 0 <= idx < ds.n_features:
-                raise ValueError(f"feature index {idx} out of range for {ds.n_features} features")
-
-
 def materialize(
     ds: Dataset,
-    rows: RowIndexSet | None,
+    rows: np.ndarray | None,
     terms,
     standardization: dict[int, tuple[float, float]] | None = None,
-) -> DesignMatrix:
-    """Build the model matrix for `terms` over `rows`.
+) -> tuple[np.ndarray, dict[int, tuple[float, float]]]:
+    """The design values for `terms` over the row indices `rows` (None: all
+    rows), and the standardization statistics that built them.
 
     With `standardization=None` each base feature's (mean, sample stddev)
     is fitted on these rows; otherwise the supplied (train-fitted)
-    statistics are applied.
+    statistics are applied. Discovery scores with `FoldScorer`, which
+    builds the same columns; this per-call path is the reference for it.
     """
-    rows = resolve_rows(ds, rows)
-    if len(rows) == 0:
+    idx = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
+    if idx.size == 0:
         raise ValueError("cannot materialize a design over an empty row set")
     terms = tuple(terms)
-    _check_feature_indices(ds, terms)
+    _check_terms(ds, terms)
     stats = standardization
     if stats is None:
         stats = {
-            t.index: _column_stats(ds.features[rows.indices, t.index])
-            for t in terms
-            if isinstance(t, Base)
+            t.index: _column_stats(ds.features[idx, t.index]) for t in terms if isinstance(t, Base)
         }
     std_cols: dict[int, np.ndarray] = {}
     for t in terms:
@@ -143,10 +116,10 @@ def materialize(
             if t.index not in stats:
                 raise ValueError(f"no standardization statistics for feature {t.index}")
             mean, sd = stats[t.index]
-            std_cols[t.index] = (ds.features[rows.indices, t.index] - mean) / sd
+            std_cols[t.index] = (ds.features[idx, t.index] - mean) / sd
     columns = _design_columns(terms, std_cols)
-    values = np.column_stack(columns) if columns else np.empty((len(rows), 0))
-    return DesignMatrix(values, terms, stats)
+    values = np.column_stack(columns) if columns else np.empty((idx.size, 0))
+    return values, stats
 
 
 def _design_columns(terms, std_cols: dict[int, np.ndarray]) -> list[np.ndarray]:
@@ -157,11 +130,11 @@ def _design_columns(terms, std_cols: dict[int, np.ndarray]) -> list[np.ndarray]:
     ]
 
 
-def _with_intercept(X: DesignMatrix) -> np.ndarray:
-    return np.column_stack([X.values, np.ones(X.values.shape[0])])
+def _with_intercept(values: np.ndarray) -> np.ndarray:
+    return np.column_stack([values, np.ones(values.shape[0])])
 
 
-def fit_ols(X: DesignMatrix, y: np.ndarray, ridge: float = 1e-8) -> LinearModel:
+def fit_ols(values: np.ndarray, y: np.ndarray, ridge: float = 1e-8) -> LinearModel:
     """Ridge-stabilized least squares via the normal equations.
 
     Minimizes ||y - A theta||^2 + ridge * ||coefficients||^2 with the
@@ -170,7 +143,7 @@ def fit_ols(X: DesignMatrix, y: np.ndarray, ridge: float = 1e-8) -> LinearModel:
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    A = _with_intercept(X)
+    A = _with_intercept(values)
     y = np.asarray(y, dtype=np.float64)
     n_coef = A.shape[1] - 1
     M = A.T @ A
@@ -181,13 +154,7 @@ def fit_ols(X: DesignMatrix, y: np.ndarray, ridge: float = 1e-8) -> LinearModel:
         theta = np.linalg.solve(M, b)
     except np.linalg.LinAlgError:
         theta = np.linalg.lstsq(M, b, rcond=None)[0]
-    return LinearModel(
-        coefficients=theta[:-1].copy(),
-        intercept=float(theta[-1]),
-        kind=ModelKind.OLS,
-        terms=X.terms,
-        standardization=dict(X.standardization),
-    )
+    return LinearModel(theta[:-1].copy(), float(theta[-1]))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -216,7 +183,7 @@ def logistic_grad(A: np.ndarray, y: np.ndarray, theta: np.ndarray, ridge: float)
 
 
 def fit_logistic(
-    X: DesignMatrix,
+    values: np.ndarray,
     y: np.ndarray,
     ridge: float = 1e-6,
     max_iter: int = 100,
@@ -231,7 +198,7 @@ def fit_logistic(
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    A = _with_intercept(X)
+    A = _with_intercept(values)
     y = np.asarray(y, dtype=np.float64)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("logistic regression requires a 0/1 target")
@@ -275,31 +242,20 @@ def fit_logistic(
             break
         path.append(ll)
         iterations += 1
-    return LinearModel(
-        coefficients=theta[:-1].copy(),
-        intercept=float(theta[-1]),
-        kind=ModelKind.LOGISTIC,
-        terms=X.terms,
-        standardization=dict(X.standardization),
-        fit_info=FitInfo(converged, iterations, tuple(path)),
-    )
+    fit_info = FitInfo(converged, iterations, tuple(path))
+    return LinearModel(theta[:-1].copy(), float(theta[-1]), fit_info)
 
 
 # Probabilities are nudged off exact 0/1 so downstream log/odds stay finite.
 _P_EPS = 1e-15
 
 
-def predict(model: LinearModel, ds: Dataset, rows: RowIndexSet | None = None) -> np.ndarray:
-    """Model outputs over rows: linear response for OLS, probability for logistic."""
-    X = materialize(ds, rows, model.terms, model.standardization)
-    return _response(model, X.values)
-
-
-def _response(model: LinearModel, values: np.ndarray) -> np.ndarray:
-    """Model output for design values (no intercept column) built with the
-    model's own standardization."""
+def predict(task: Task, model: LinearModel, values: np.ndarray) -> np.ndarray:
+    """Output of the task's model on design values (no intercept column)
+    built with the fit's standardization: the linear response of an OLS fit
+    for regression, the probability of a logistic fit for classification."""
     z = values @ model.coefficients + model.intercept
-    if model.kind is ModelKind.OLS:
+    if task is Task.REGRESSION:
         return z
     return np.clip(sigmoid(z), _P_EPS, 1.0 - _P_EPS)
 
@@ -326,14 +282,14 @@ def score_for_task(task: Task, y_true: np.ndarray, prediction: np.ndarray) -> fl
     return accuracy(y_true, prediction)
 
 
-def fit_for_task(task: Task, X: DesignMatrix, y: np.ndarray) -> LinearModel:
+def fit_for_task(task: Task, values: np.ndarray, y: np.ndarray) -> LinearModel:
     if task is Task.REGRESSION:
-        return fit_ols(X, y)
-    return fit_logistic(X, y)
+        return fit_ols(values, y)
+    return fit_logistic(values, y)
 
 
 class FoldScorer:
-    """k-fold validation scores of term lists over one fixed set of rows.
+    """k-fold validation scores of term lists over all rows of a dataset.
 
     The fold plan is built once. Each base feature is standardized once per
     fold, on first use, with statistics from that fold's training rows, and
@@ -342,49 +298,47 @@ class FoldScorer:
     as materializing every fold's design afresh.
     """
 
-    def __init__(self, ds: Dataset, rows: RowIndexSet | None, k: int = 3, seed: int = 0):
-        rows = resolve_rows(ds, rows)
+    def __init__(self, ds: Dataset, k: int = 3, seed: int = 0):
         self._ds = ds
-        self._folds = tuple(
-            (rows.indices[fold_train.indices], rows.indices[fold_val.indices])
-            for fold_train, fold_val in kfold(len(rows), k, seed)
-        )
-        # Per fold, feature -> (mean, sd) and standardized train / validation columns.
-        self._stats: list[dict[int, tuple[float, float]]] = [{} for _ in self._folds]
+        self._folds = tuple((tr.indices, va.indices) for tr, va in kfold(ds.n_rows, k, seed))
+        # Per fold, feature -> standardized train / validation column.
         self._train: list[dict[int, np.ndarray]] = [{} for _ in self._folds]
         self._val: list[dict[int, np.ndarray]] = [{} for _ in self._folds]
 
     def _standardize(self, feature: int) -> None:
-        if feature in self._stats[0]:
+        if feature in self._train[0]:
             return
         x = self._ds.features
         for fold, (train_idx, val_idx) in enumerate(self._folds):
             mean, sd = _column_stats(x[train_idx, feature])
-            self._stats[fold][feature] = (mean, sd)
             self._train[fold][feature] = (x[train_idx, feature] - mean) / sd
             self._val[fold][feature] = (x[val_idx, feature] - mean) / sd
 
     def score(self, terms) -> float:
         """Mean validation score of the task-appropriate linear model over
         `terms`: R-squared of an OLS fit for regression, accuracy of a
-        logistic fit for classification."""
+        logistic fit for classification. A mean that is not finite (features
+        too large to standardize) is a DataError."""
         terms = tuple(terms)
         if not terms:
             raise ValueError("term list must be nonempty")
-        _check_feature_indices(self._ds, terms)
-        _check_term_spec(terms)
-        bases = [t.index for t in terms if isinstance(t, Base)]
-        for f in bases:
-            self._standardize(f)
+        _check_terms(self._ds, terms)
+        for t in terms:
+            if isinstance(t, Base):
+                self._standardize(t.index)
         task, y = self._ds.task, self._ds.target
         scores = []
         for fold, (train_idx, val_idx) in enumerate(self._folds):
             train_values = np.column_stack(_design_columns(terms, self._train[fold]))
-            stats = {f: self._stats[fold][f] for f in bases}
-            model = fit_for_task(task, DesignMatrix(train_values, terms, stats), y[train_idx])
+            model = fit_for_task(task, train_values, y[train_idx])
             val_values = np.column_stack(_design_columns(terms, self._val[fold]))
-            scores.append(score_for_task(task, y[val_idx], _response(model, val_values)))
-        return float(np.mean(scores))
+            scores.append(score_for_task(task, y[val_idx], predict(task, model, val_values)))
+        mean = float(np.mean(scores))
+        if not np.isfinite(mean):
+            raise DataError(
+                f"validation score {mean} is not finite: a feature or the target is too large"
+            )
+        return mean
 
 
 def cv_score_terms(
@@ -395,7 +349,6 @@ def cv_score_terms(
     seed: int = 0,
 ) -> float:
     """Mean k-fold validation score of the task-appropriate linear model over
-    an explicit term list. Standardization statistics come from each fold's
-    training part only."""
-    return FoldScorer(ds, rows, k, seed).score(terms)
-
+    an explicit term list and the given rows (None: all rows).
+    Standardization statistics come from each fold's training part only."""
+    return FoldScorer(ds if rows is None else take_rows(ds, rows.indices), k, seed).score(terms)

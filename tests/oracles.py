@@ -22,6 +22,18 @@ def brute_force_stump(X, g, h, reg_lambda, gamma=0.0, min_child_samples=1, min_c
     return None if best is None else best[1:]
 
 
+def split_gain(left_grad, left_hess, right_grad, right_hess, reg_lambda, gamma):
+    """Second-order gain of one split (the formula in `interboost.boosting`'s
+    module doc) from its children's gradient and hessian sums."""
+    total_grad = left_grad + right_grad
+    total_hess = left_hess + right_hess
+    return 0.5 * (
+        left_grad**2 / (left_hess + reg_lambda)
+        + right_grad**2 / (right_hess + reg_lambda)
+        - total_grad**2 / (total_hess + reg_lambda)
+    ) - gamma
+
+
 def direct_split_gain(x, g, h, threshold, reg_lambda, gamma=0.0):
     """Gain of routing rows with x < threshold left, from direct masked sums."""
     mask = x < threshold

@@ -139,10 +139,7 @@ def test_criterion_3_linear_model_oracles():
         if trial % 3 == 0 and p >= 2:
             A[:, -1] = A[:, 0]  # exact collinearity
         y = rng.normal(size=n)
-        from interboost.linear import Base, DesignMatrix
-
-        design = DesignMatrix(A, tuple(Base(i) for i in range(p)), {})
-        model = fit_ols(design, y, ridge=1e-8)
+        model = fit_ols(A, y, ridge=1e-8)
         engine_fit = A @ model.coefficients + model.intercept
         with_ones = np.column_stack([A, np.ones(n)])
         oracle_fit = with_ones @ pinv_least_squares(with_ones, y)
@@ -155,8 +152,8 @@ def test_criterion_3_linear_model_oracles():
         y = rng.integers(0, 2, size=n).astype(float)
         ds = Dataset(X, tuple(f"x{i}" for i in range(p)), y, Task.BINARY_CLASSIFICATION)
         features = tuple(range(p))
-        design = materialize(ds, None, pairwise_terms(features, features if p >= 2 else ()))
-        A = _with_intercept(design)
+        values, _ = materialize(ds, None, pairwise_terms(features, features if p >= 2 else ()))
+        A = _with_intercept(values)
         for _ in range(10):
             theta = rng.normal(scale=0.7, size=A.shape[1])
             analytic = logistic_grad(A, y, theta, 1e-6)
@@ -173,7 +170,7 @@ def test_criterion_4_wrapper_recovery():
     partitions = []
     for seed in range(10):
         ds = paired_products_dataset(2000, seed=seed)
-        partition = discover_constraints(ds, None, WrapperConfig(seed=seed, epsilon=EPS))
+        partition = discover_constraints(ds, WrapperConfig(seed=seed, epsilon=EPS))
         groups = {f: gi for gi, g in enumerate(partition.groups) for f in g}
         ok = groups[0] == groups[1] and groups[2] == groups[3] and groups[0] != groups[2]
         hits += ok
@@ -202,7 +199,7 @@ def test_criterion_5_constraint_benefit():
         ds = paired_products_dataset(2000, seed=seed)
         train_ds, test_ds = train_test_split(ds, 0.25, seed)
         params = tune(train_ds, grid, k=3, seed=seed)
-        discovered = discover_constraints(train_ds, None, WrapperConfig(seed=seed, epsilon=EPS))
+        discovered = discover_constraints(train_ds, WrapperConfig(seed=seed, epsilon=EPS))
 
         full = train(train_ds, None, params, FixedPartition(discovered))
         bad = train(train_ds, None, params, FixedPartition(misspecified))
@@ -227,7 +224,7 @@ def test_criterion_6_partial_vs_full_soft_check():
         ds = shifted_products_dataset(2000, seed=seed)
         train_ds, test_ds = train_test_split(ds, 0.25, seed)
         cfg = WrapperConfig(seed=seed, epsilon=EPS)
-        base_partition = discover_constraints(train_ds, None, cfg)
+        base_partition = discover_constraints(train_ds, cfg)
 
         full = train(train_ds, None, params, FixedPartition(base_partition))
         rmse_full = _rmse(predict(full, test_ds, None), test_ds.target)

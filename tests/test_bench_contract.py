@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from interboost.boosting import TrainParams, ensemble_to_json_obj
+from interboost.discovery import WrapperConfig
 from conftest import make_regression
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -45,3 +46,14 @@ def test_traced_train_counts_every_node():
     assert span.attrs["trees"] == len(model["trees"]) == 4
     assert span.attrs["nodes"] == sum(len(tree["nodes"]) for tree in model["trees"])
     assert span.attrs["nodes"] == sum(len(tree.nodes) for tree in ens.trees) > 4
+
+
+def test_traced_discovery_records_one_linear_predict_per_fit():
+    ds = make_regression(60, 3, seed=2, target_fn=lambda X: X[:, 0] * X[:, 1], noise_sd=0.1)
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        from interboost import cli
+
+        cli.discover_constraints_traced(ds, WrapperConfig(seed=1))
+    names = [s.name for s in recorder.spans]
+    assert names.count("linear.predict") == names.count("linear.fit_ols") > 0

@@ -22,7 +22,6 @@ from interboost.boosting import (
     predict,
     predict_raw_matrix,
     save_model,
-    split_gain,
     train,
 )
 from interboost.data import DataError, Dataset, Task
@@ -34,6 +33,7 @@ from oracles import (
     brute_force_stump,
     direct_split_gain,
     reference_grow,
+    split_gain,
     tree_paths,
 )
 

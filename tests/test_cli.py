@@ -10,7 +10,7 @@ import interboost
 
 from interboost.boosting import load_model, predict_matrix, train, TrainParams
 from interboost.cli import main
-from interboost.data import Task, load_csv, save_csv
+from interboost.data import Dataset, Task, load_csv, save_csv
 from interboost.experiment import TuningGrid, tune
 from interboost.synth import paired_products_dataset
 
@@ -51,6 +51,21 @@ class TestDiscoverCommand:
                    "--task", "regression", "--out-dir", tmp_path / "o")
         assert code == 2
         assert "zz" in capsys.readouterr().err
+
+    def test_feature_too_large_to_standardize_is_data_error(self, tmp_path, capsys):
+        # its standard deviation overflows, so fold scores would be NaN
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(120, 3))
+        y = X[:, 0] * X[:, 1] + X[:, 2]
+        X[:, 1] *= 1e200
+        path = tmp_path / "huge.csv"
+        save_csv(Dataset(X, ("a", "b", "c"), y, Task.REGRESSION), path, target_name="y")
+        out = tmp_path / "out"
+        code = run("discover", "--data", path, "--target", "y",
+                   "--task", "regression", "--out-dir", out)
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not (out / "discovery_log.json").exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
         code = run("discover", "--data", tmp_path / "nope.csv", "--target", "y",
@@ -276,6 +291,7 @@ class TestExtremeValues:
         predictions = np.loadtxt(out / "predictions.csv", skiprows=1)
         assert predictions[:5].max() < predictions[5:].min()
 
+    @pytest.mark.filterwarnings("error")  # the message comes without numpy's overflow warning
     def test_huge_targets_are_data_error(self, tmp_path, tmp_csv, capsys):
         _, out, code = self._stump(tmp_path, tmp_csv, [1.0, 2.0], [1.2e308, 1.5e308])
         assert code == 2

@@ -200,6 +200,6 @@ class TestKFold:
 
 def test_take_rows_gathers():
     ds = Dataset(np.arange(8, dtype=float).reshape(4, 2), ("a", "b"), np.arange(4.0), Task.REGRESSION)
-    sub = take_rows(ds, RowIndexSet(np.array([1, 3])))
+    sub = take_rows(ds, np.array([1, 3]))
     np.testing.assert_array_equal(sub.target, [1.0, 3.0])
     np.testing.assert_array_equal(sub.features[:, 0], [2.0, 6.0])

@@ -63,7 +63,7 @@ class TestConstraintPartition:
 class TestDiscovery:
     def test_single_feature(self):
         ds = make_regression(30, 1, seed=0, target_fn=lambda X: X[:, 0])
-        part = discover_constraints(ds, None, WrapperConfig(seed=0))
+        part = discover_constraints(ds, WrapperConfig(seed=0))
         assert part.to_json_obj() == [[0]]
 
     def test_recovers_product_pair(self):
@@ -84,7 +84,7 @@ class TestDiscovery:
             )
             assert gap > 10 * EPS
 
-            part = discover_constraints(ds, None, WrapperConfig(seed=seed, epsilon=EPS))
+            part = discover_constraints(ds, WrapperConfig(seed=seed, epsilon=EPS))
             g = group_map(part)
             hits += g[0] == g[1] and g[2] != g[0] and g[3] != g[0]
             sizes = {f: len(grp) for grp in part.groups for f in grp}
@@ -107,7 +107,7 @@ class TestDiscovery:
             )
             assert gap <= 10 * EPS
 
-            part = discover_constraints(ds, None, WrapperConfig(seed=seed, epsilon=EPS))
+            part = discover_constraints(ds, WrapperConfig(seed=seed, epsilon=EPS))
             g = group_map(part)
             hits += g[0] != g[1]
         assert hits >= 8
@@ -116,7 +116,7 @@ class TestDiscovery:
         # partitions over a wider table come out as a list of disjoint
         # index groups covering 0..12, whatever the grouping
         ds = make_regression(150, 13, seed=7)
-        part = discover_constraints(ds, None, WrapperConfig(seed=7))
+        part = discover_constraints(ds, WrapperConfig(seed=7))
         part.validate_for(13)
         flat = sorted(f for g in part.groups for f in g)
         assert flat == list(range(13))
@@ -125,8 +125,8 @@ class TestDiscovery:
         ds = make_regression(120, 5, seed=1, target_fn=lambda X: X[:, 0] * X[:, 1], noise_sd=0.1)
         cfg = WrapperConfig(seed=9, epsilon=EPS)
         assert (
-            discover_constraints(ds, None, cfg).groups
-            == discover_constraints(ds, None, cfg).groups
+            discover_constraints(ds, cfg).groups
+            == discover_constraints(ds, cfg).groups
         )
 
     def test_one_fold_plan_per_discovery(self, monkeypatch):
@@ -141,14 +141,14 @@ class TestDiscovery:
 
         monkeypatch.setattr(interboost.linear, "kfold", counting_kfold)
         ds = make_regression(120, 8, seed=5, target_fn=lambda X: X[:, 0] * X[:, 1], noise_sd=0.1)
-        discover_constraints(ds, None, WrapperConfig(seed=3))
+        discover_constraints(ds, WrapperConfig(seed=3))
         assert plans == [(120, 3, 3)]
 
     def test_max_group_size_cap(self):
         ds = make_regression(
             300, 4, seed=3, target_fn=lambda X: X[:, 0] * X[:, 1] * X[:, 2], noise_sd=0.05
         )
-        part = discover_constraints(ds, None, WrapperConfig(seed=0, max_group_size=2))
+        part = discover_constraints(ds, WrapperConfig(seed=0, max_group_size=2))
         assert all(len(g) <= 2 for g in part.groups)
 
 
@@ -160,7 +160,7 @@ class TestDiscoveryTrace:
             n_rows = int(rng.integers(16, 40))
             ds = make_regression(n_rows, n_features, seed=1000 + trial)
             cfg = WrapperConfig(k_folds=2, seed=trial)
-            part, steps = discover_constraints_traced(ds, None, cfg)
+            part, steps = discover_constraints_traced(ds, cfg)
             part.validate_for(n_features)
 
             candidate_evaluations = sum(
@@ -175,7 +175,7 @@ class TestDiscoveryTrace:
 
     def test_seed_step_records_single_feature_scores(self):
         ds = make_regression(40, 3, seed=5, target_fn=lambda X: X[:, 2], noise_sd=0.1)
-        _, steps = discover_constraints_traced(ds, None, WrapperConfig(seed=1))
+        _, steps = discover_constraints_traced(ds, WrapperConfig(seed=1))
         first = steps[0]
         assert first.action == "seed"
         assert first.feature == 2  # only x2 carries signal
@@ -196,7 +196,7 @@ class TestDiscoveryFuzz:
             else:
                 y = rng.integers(0, 2, size=n_rows).astype(float)
             ds = Dataset(X, tuple(f"x{i}" for i in range(n_features)), y, task)
-            part = discover_constraints(ds, None, WrapperConfig(k_folds=2, seed=trial))
+            part = discover_constraints(ds, WrapperConfig(k_folds=2, seed=trial))
             part.validate_for(n_features)
             flat = sorted(f for g in part.groups for f in g)
             assert flat == list(range(n_features))
@@ -209,13 +209,13 @@ class TestResidualDiscovery:
             400, 4, seed=11, target_fn=lambda X: X[:, 0] * X[:, 1], noise_sd=0.1
         )
         cfg = WrapperConfig(seed=4, epsilon=EPS)
-        direct = discover_constraints(ds, None, cfg)
-        via_residuals = discover_constraints_for_residuals(ds, None, ds.target, cfg)
+        direct = discover_constraints(ds, cfg)
+        via_residuals = discover_constraints_for_residuals(ds, ds.target, cfg)
         assert direct.groups == via_residuals.groups
 
     def test_zero_residuals_give_singletons(self):
         ds = make_regression(60, 4, seed=2)
-        part = discover_constraints_for_residuals(ds, None, np.zeros(60), WrapperConfig(seed=0))
+        part = discover_constraints_for_residuals(ds, np.zeros(60), WrapperConfig(seed=0))
         assert part.to_json_obj() == [[0], [1], [2], [3]]
 
     def test_residuals_of_constant_first_tree(self):
@@ -229,7 +229,7 @@ class TestResidualDiscovery:
             ds = Dataset(X, tuple(f"x{i}" for i in range(6)), y, Task.REGRESSION)
             residuals = y - y.mean()
             part = discover_constraints_for_residuals(
-                ds, None, residuals, WrapperConfig(seed=seed, epsilon=EPS)
+                ds, residuals, WrapperConfig(seed=seed, epsilon=EPS)
             )
             g = group_map(part)
             hits += g[2] == g[3]
@@ -238,7 +238,7 @@ class TestResidualDiscovery:
     def test_residual_length_checked(self):
         ds = make_regression(30, 2, seed=0)
         with pytest.raises(ValueError, match="length"):
-            discover_constraints_for_residuals(ds, None, np.zeros(29), WrapperConfig())
+            discover_constraints_for_residuals(ds, np.zeros(29), WrapperConfig())
 
     def test_classification_residuals_use_regression_path(self):
         # continuous residuals from a classification model must not trip the
@@ -248,5 +248,5 @@ class TestResidualDiscovery:
         y = (X[:, 0] > 0).astype(float)
         ds = Dataset(X, ("a", "b", "c"), y, Task.BINARY_CLASSIFICATION)
         residuals = y - 0.5
-        part = discover_constraints_for_residuals(ds, None, residuals, WrapperConfig(seed=1))
+        part = discover_constraints_for_residuals(ds, residuals, WrapperConfig(seed=1))
         part.validate_for(3)

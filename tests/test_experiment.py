@@ -116,7 +116,7 @@ class TestVariantSchedules:
 
     def _partial(self, ds, first_x):
         cfg = WrapperConfig(seed=0, epsilon=5e-3)
-        return PerResidual(first_x, cfg, discover_constraints(ds, None, cfg))
+        return PerResidual(first_x, cfg, discover_constraints(ds, cfg))
 
     def test_baseline_logs_no_constraints(self):
         ens = train(self._ds(), None, self._params(), NoConstraints())

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from interboost.data import Dataset, RowIndexSet, Task, kfold
+from interboost.data import Dataset, RowIndexSet, Task, kfold, take_rows
 from interboost.discovery import WrapperConfig, discover_constraints_traced
 from interboost.linear import (
     Base,
-    DesignMatrix,
     FoldScorer,
     Product,
     _with_intercept,
@@ -56,7 +55,7 @@ class TestExpandPairwise:
     def test_duplicate_rejected(self):
         ds = make_regression(10, 2, seed=0)
         with pytest.raises(ValueError):
-            FoldScorer(ds, None, 3, 0).score(pairwise_terms((1, 1), ()))
+            FoldScorer(ds, 3, 0).score(pairwise_terms((1, 1), ()))
         with pytest.raises(ValueError):
             materialize(ds, None, pairwise_terms((1, 1), ()))
 
@@ -75,30 +74,30 @@ class TestMaterialize:
 
     def test_standardizes_to_unit_sample_stddev(self):
         ds = self._ds([np.array([1.0, 2.0, 3.0])])
-        design = materialize(ds, None, (Base(0),))
-        np.testing.assert_allclose(design.values[:, 0], [-1.0, 0.0, 1.0])
+        values, _ = materialize(ds, None, (Base(0),))
+        np.testing.assert_allclose(values[:, 0], [-1.0, 0.0, 1.0])
 
     def test_constant_column_becomes_zeros(self):
         ds = self._ds([np.array([4.0, 4.0, 4.0])])
-        design = materialize(ds, None, (Base(0),))
-        np.testing.assert_array_equal(design.values[:, 0], [0.0, 0.0, 0.0])
-        assert design.standardization[0] == (4.0, 1.0)
+        values, stats = materialize(ds, None, (Base(0),))
+        np.testing.assert_array_equal(values[:, 0], [0.0, 0.0, 0.0])
+        assert stats[0] == (4.0, 1.0)
 
     def test_product_of_standardized_bases(self):
         ds = self._ds([np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0])])
-        design = materialize(ds, None, pairwise_terms((0, 1), (0, 1)))
-        np.testing.assert_allclose(design.values[:, 2], [-1.0, 0.0, -1.0])
+        values, _ = materialize(ds, None, pairwise_terms((0, 1), (0, 1)))
+        np.testing.assert_allclose(values[:, 2], [-1.0, 0.0, -1.0])
 
     def test_fitted_stats_reused(self):
         ds = self._ds([np.array([1.0, 2.0, 3.0, 10.0])])
-        stats = materialize(ds, RowIndexSet(np.array([0, 1, 2])), (Base(0),)).standardization
-        design = materialize(ds, RowIndexSet(np.array([3])), (Base(0),), stats)
-        np.testing.assert_allclose(design.values[:, 0], [(10.0 - 2.0) / 1.0])
+        _, stats = materialize(ds, np.array([0, 1, 2]), (Base(0),))
+        values, _ = materialize(ds, np.array([3]), (Base(0),), stats)
+        np.testing.assert_allclose(values[:, 0], [(10.0 - 2.0) / 1.0])
 
     def test_empty_rows_rejected(self):
         ds = self._ds([np.array([1.0, 2.0])])
         with pytest.raises(ValueError, match="empty"):
-            materialize(ds, RowIndexSet(np.array([], dtype=np.int64)), (Base(0),))
+            materialize(ds, np.array([], dtype=np.int64), (Base(0),))
 
     def test_out_of_range_feature(self):
         ds = self._ds([np.array([1.0, 2.0])])
@@ -106,23 +105,24 @@ class TestMaterialize:
             materialize(ds, None, (Base(3),))
 
     def test_product_without_base_rejected(self):
+        ds = self._ds([np.array([1.0, 2.0]), np.array([3.0, 5.0])])
         with pytest.raises(ValueError, match="no base column"):
-            DesignMatrix(np.ones((2, 1)), (Product(0, 1),), {})
+            materialize(ds, None, (Product(0, 1),))
 
 
 class TestFitOls:
     def test_exact_linear_data(self):
         x = np.array([-1.0, 0.0, 1.0, 2.0])
         ds = Dataset(x[:, None], ("x0",), 2.0 * x, Task.REGRESSION)
-        design = materialize(ds, None, (Base(0),), {0: (0.0, 1.0)})
-        model = fit_ols(design, ds.target)
+        values, _ = materialize(ds, None, (Base(0),), {0: (0.0, 1.0)})
+        model = fit_ols(values, ds.target)
         assert abs(model.coefficients[0] - 2.0) < 1e-8
         assert abs(model.intercept) < 1e-8
 
     def test_constant_target(self):
         ds = make_regression(20, 3, seed=1, target_fn=lambda X: np.full(X.shape[0], 7.5))
-        design = materialize(ds, None, pairwise_terms((0, 1, 2), (0, 1, 2)))
-        model = fit_ols(design, ds.target)
+        values, _ = materialize(ds, None, pairwise_terms((0, 1, 2), (0, 1, 2)))
+        model = fit_ols(values, ds.target)
         assert np.all(np.abs(model.coefficients) < 1e-8)
         assert abs(model.intercept - 7.5) < 1e-8
 
@@ -135,8 +135,7 @@ class TestFitOls:
             base = rng.normal(size=(n, 2))
             A = np.column_stack([base, base[:, 0]])  # duplicate first column
             y = rng.normal(size=n)
-            design = DesignMatrix(A, (Base(0), Base(1), Base(2)), {})
-            model = fit_ols(design, y, ridge=1e-8)
+            model = fit_ols(A, y, ridge=1e-8)
             engine_fit = A @ model.coefficients + model.intercept
             with_ones = np.column_stack([A, np.ones(n)])
             oracle_fit = with_ones @ pinv_least_squares(with_ones, y)
@@ -146,13 +145,13 @@ class TestFitOls:
         # normal equations at the solution: X'(y - yhat) = ridge * beta
         for seed in range(10):
             ds = make_regression(40, 3, seed=seed, target_fn=lambda X: X @ [1.0, -2.0, 0.5], noise_sd=0.3)
-            design = materialize(ds, None, pairwise_terms((0, 1, 2), (0, 1, 2)))
+            values, _ = materialize(ds, None, pairwise_terms((0, 1, 2), (0, 1, 2)))
             ridge = 1e-8
-            model = fit_ols(design, ds.target, ridge=ridge)
-            fitted = design.values @ model.coefficients + model.intercept
+            model = fit_ols(values, ds.target, ridge=ridge)
+            fitted = values @ model.coefficients + model.intercept
             residual = ds.target - fitted
             np.testing.assert_allclose(
-                design.values.T @ residual, ridge * model.coefficients, atol=1e-6
+                values.T @ residual, ridge * model.coefficients, atol=1e-6
             )
             assert abs(residual.sum()) < 1e-6
 
@@ -168,13 +167,13 @@ def _logistic_oracle_instance():
     z_true = 1.5 * X[:, 0] - 1.0 * X[:, 1] + 0.3
     y = (rng.uniform(size=20) < sigmoid(z_true)).astype(float)
     ds = Dataset(X, ("a", "b"), y, Task.BINARY_CLASSIFICATION)
-    design = materialize(ds, None, pairwise_terms((0, 1), (0, 1)))
-    return design, y
+    values, _ = materialize(ds, None, pairwise_terms((0, 1), (0, 1)))
+    return values, y
 
 
 def _rederive_logistic_oracle(steps=100_000, step=0.01):
-    design, y = _logistic_oracle_instance()
-    A = _with_intercept(design)
+    values, y = _logistic_oracle_instance()
+    A = _with_intercept(values)
     theta = np.zeros(A.shape[1])
     for _ in range(steps):
         theta += step * logistic_grad(A, y, theta, 1e-6)
@@ -183,33 +182,33 @@ def _rederive_logistic_oracle(steps=100_000, step=0.01):
 
 class TestFitLogistic:
     def test_matches_gradient_ascent_oracle(self):
-        design, y = _logistic_oracle_instance()
-        model = fit_logistic(design, y, ridge=1e-6)
+        values, y = _logistic_oracle_instance()
+        model = fit_logistic(values, y, ridge=1e-6)
         theta = np.append(model.coefficients, model.intercept)
-        engine_ll = logistic_loglik(_with_intercept(design), y, theta, 1e-6)
+        engine_ll = logistic_loglik(_with_intercept(values), y, theta, 1e-6)
         assert abs(engine_ll - _LOGISTIC_ORACLE_LL) <= 1e-6
 
     def test_separable_data_converges(self):
         x = np.concatenate([np.linspace(-2.0, -0.1, 10), np.linspace(0.1, 2.0, 10)])
         y = (x > 0).astype(float)
         ds = Dataset(x[:, None], ("x0",), y, Task.BINARY_CLASSIFICATION)
-        design = materialize(ds, None, (Base(0),))
-        model = fit_logistic(design, y, ridge=1e-6)
+        values, _ = materialize(ds, None, (Base(0),))
+        model = fit_logistic(values, y, ridge=1e-6)
         assert np.all(np.isfinite(model.coefficients))
-        assert accuracy(y, predict(model, ds, None)) == 1.0
+        assert accuracy(y, predict(ds.task, model, values)) == 1.0
 
     def test_all_ones_target(self):
         ds = make_classification(25, 2, seed=3)
         y = np.ones(25)
-        design = materialize(ds, None, pairwise_terms((0, 1), ()))
-        model = fit_logistic(design, y)
-        probs = sigmoid(design.values @ model.coefficients + model.intercept)
+        values, _ = materialize(ds, None, pairwise_terms((0, 1), ()))
+        model = fit_logistic(values, y)
+        probs = sigmoid(values @ model.coefficients + model.intercept)
         assert np.all(probs > 0.5)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        design, y = _logistic_oracle_instance()
-        A = _with_intercept(design)
+        values, y = _logistic_oracle_instance()
+        A = _with_intercept(values)
         for _ in range(10):
             theta = rng.normal(scale=0.8, size=A.shape[1])
             analytic = logistic_grad(A, y, theta, 1e-6)
@@ -222,38 +221,39 @@ class TestFitLogistic:
     def test_loglik_path_monotone(self):
         for seed in range(5):
             ds = make_classification(40, 3, seed=seed, logit_fn=lambda X: X[:, 0] - X[:, 1])
-            design = materialize(ds, None, pairwise_terms((0, 1, 2), (0, 1, 2)))
-            model = fit_logistic(design, ds.target)
+            values, _ = materialize(ds, None, pairwise_terms((0, 1, 2), (0, 1, 2)))
+            model = fit_logistic(values, ds.target)
             path = np.array(model.fit_info.loglik_path)
             assert np.all(np.diff(path) >= 0.0)
 
     def test_rejects_non_binary_target(self):
-        design, _ = _logistic_oracle_instance()
+        values, _ = _logistic_oracle_instance()
         with pytest.raises(ValueError):
-            fit_logistic(design, np.full(20, 0.5))
+            fit_logistic(values, np.full(20, 0.5))
 
 
 class TestPredict:
     def test_zero_model_logistic_gives_half(self):
         ds = make_classification(10, 2, seed=0)
-        model_kind = fit_logistic(
-            materialize(ds, None, (Base(0),)), ds.target, max_iter=0
-        )
-        assert model_kind.fit_info.n_iter == 0
-        np.testing.assert_array_equal(predict(model_kind, ds, None), np.full(10, 0.5))
+        values, _ = materialize(ds, None, (Base(0),))
+        model = fit_logistic(values, ds.target, max_iter=0)
+        assert model.fit_info.n_iter == 0
+        np.testing.assert_array_equal(predict(ds.task, model, values), np.full(10, 0.5))
 
     def test_zero_coefficients_ols_gives_intercept(self):
         ds = make_regression(10, 2, seed=0)
-        model = fit_ols(materialize(ds, None, (Base(0),)), np.full(10, 3.25))
-        np.testing.assert_allclose(predict(model, ds, None), np.full(10, 3.25), atol=1e-8)
+        values, _ = materialize(ds, None, (Base(0),))
+        model = fit_ols(values, np.full(10, 3.25))
+        np.testing.assert_allclose(predict(ds.task, model, values), np.full(10, 3.25), atol=1e-8)
 
     def test_linear_extrapolation(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         train = Dataset(x[:, None], ("x0",), 2.0 * x, Task.REGRESSION)
-        design = materialize(train, None, (Base(0),))
-        model = fit_ols(design, train.target)
+        values, stats = materialize(train, None, (Base(0),))
+        model = fit_ols(values, train.target)
         probe = Dataset(np.array([[5.0]]), ("x0",), np.array([0.0]), Task.REGRESSION)
-        np.testing.assert_allclose(predict(model, probe, None), [10.0], atol=1e-7)
+        probe_values, _ = materialize(probe, None, (Base(0),), stats)
+        np.testing.assert_allclose(predict(probe.task, model, probe_values), [10.0], atol=1e-7)
 
 
 class TestScores:
@@ -302,9 +302,9 @@ class TestCvScore:
         gaps = []
         for with_products in (False, True):
             terms = pairwise_terms((0, 1), (0, 1) if with_products else ())
-            design = materialize(ds, RowIndexSet(train_idx), terms)
-            model = fit_ols(design, y[train_idx])
-            pred = predict(model, ds, RowIndexSet(val_idx))
+            values, stats = materialize(ds, train_idx, terms)
+            model = fit_ols(values, y[train_idx])
+            pred = predict(ds.task, model, materialize(ds, val_idx, terms, stats)[0])
             gaps.append(r_squared(y[val_idx], pred))
         oracle_gap = gaps[1] - gaps[0]
         assert oracle_gap > 0.3
@@ -329,14 +329,14 @@ class TestCvScore:
 def reference_cv_score(ds, rows, terms, k, seed):
     """Per-call k-fold loop: a fresh fold plan, and every fold's train and
     validation designs materialized from scratch."""
-    rows = RowIndexSet.all_rows(ds.n_rows) if rows is None else rows
+    rows = np.arange(ds.n_rows) if rows is None else rows.indices
     scores = []
     for fold_train, fold_val in kfold(len(rows), k, seed):
-        train_rows = RowIndexSet(rows.indices[fold_train.indices])
-        val_rows = RowIndexSet(rows.indices[fold_val.indices])
-        model = fit_for_task(ds.task, materialize(ds, train_rows, terms), ds.target[train_rows.indices])
-        prediction = predict(model, ds, val_rows)
-        scores.append(score_for_task(ds.task, ds.target[val_rows.indices], prediction))
+        train_rows, val_rows = rows[fold_train.indices], rows[fold_val.indices]
+        values, stats = materialize(ds, train_rows, terms)
+        model = fit_for_task(ds.task, values, ds.target[train_rows])
+        prediction = predict(ds.task, model, materialize(ds, val_rows, terms, stats)[0])
+        scores.append(score_for_task(ds.task, ds.target[val_rows], prediction))
     return float(np.mean(scores))
 
 
@@ -374,7 +374,7 @@ class TestFoldScorer:
     @pytest.mark.parametrize("subset", [False, True], ids=["all-rows", "row-subset"])
     def test_equals_reference_loop(self, ds, subset):
         rows = RowIndexSet(np.arange(1, ds.n_rows, 2)) if subset else None
-        scorer = FoldScorer(ds, rows, 3, 11)
+        scorer = FoldScorer(ds if rows is None else take_rows(ds, rows.indices), 3, 11)
         # one scorer across term lists in both orders, and each list twice:
         # columns cached for one list must not leak into another's score
         for terms in TERM_LISTS + TERM_LISTS[::-1]:
@@ -383,7 +383,7 @@ class TestFoldScorer:
             assert cv_score_terms(ds, rows, terms, 3, 11) == expected
 
     def test_rejects_bad_term_lists(self):
-        scorer = FoldScorer(make_regression(30, 2, seed=0), None, 3, 0)
+        scorer = FoldScorer(make_regression(30, 2, seed=0), 3, 0)
         with pytest.raises(ValueError, match="nonempty"):
             scorer.score(())
         with pytest.raises(ValueError, match="out of range"):
@@ -405,7 +405,7 @@ class TestFoldScorer:
     )
     def test_discovery_candidate_scores_equal_reference(self, ds):
         cfg = WrapperConfig(k_folds=3, seed=4)
-        _, steps = discover_constraints_traced(ds, None, cfg)
+        _, steps = discover_constraints_traced(ds, cfg)
 
         def terms(features, scope):
             pairs = itertools.combinations(sorted(scope), 2)

@@ -1,6 +1,7 @@
 """Every name a package module imports is used there, exported through
 `__all__`, or imported on a line marked `# noqa` (kept for another reader,
-such as the benchmark's tracer); every package name a script imports exists."""
+such as the benchmark's tracer); every package name a script imports exists;
+and every module-level function and class of the package has a reader."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "interboost").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -61,3 +63,43 @@ def test_script_imports_resolve(path):
     assert names, "no interboost imports found"
     missing = [f"{m}.{n}" for m, n in names if not hasattr(importlib.import_module(m), n)]
     assert missing == []
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _readers() -> set[str]:
+    """Names the package reads (as a name or an attribute), exports through
+    `__all__`, or lets the scripts import, plus the attributes the
+    benchmark's tracer wraps (the second field of each TARGETS entry)."""
+    names = set()
+    for path in SOURCES:
+        tree = _parse(path)
+        names |= _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    for path in SCRIPTS:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("interboost"):
+                names |= {alias.name for alias in node.names}
+    for node in _parse(TRACER).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            names |= {ast.literal_eval(entry.elts[1]) for entry in node.value.elts}
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_definition_has_a_reader(path):
+    defined = [
+        node.name
+        for node in _parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    readers = _readers()
+    assert [name for name in defined if name not in readers] == []
