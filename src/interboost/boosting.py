@@ -16,12 +16,19 @@ Constraint semantics: the root may split on any feature; once the root
 splits on feature f under a partition, every split below is restricted to
 f's group. A per-residual schedule re-runs partition discovery against the
 current negative gradients for each of the first x trees.
+
+Training has no randomness, so the first t trees of a run depend only on
+the schedule's first t rounds: `train` can continue a prefix of another
+run (`prefix=`), and `staged_raw_matrix` gives the prediction after every
+number of trees from one summation loop.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 import numpy as np
 
@@ -143,6 +150,14 @@ class Ensemble:
     n_features: int
     feature_names: tuple[str, ...]
     constraint_log: tuple[ConstraintPartition | None, ...]
+
+    def __getitem__(self, index: slice) -> Ensemble:
+        """The ensemble of `trees[index]` and their constraint-log entries;
+        `ens[:t]` is the model after its first t rounds. Only slices are
+        accepted, so an Ensemble is not a sequence of Ensembles."""
+        if not isinstance(index, slice):
+            raise TypeError(f"an Ensemble takes a slice of its trees, not {index!r}")
+        return dataclasses.replace(self, trees=self.trees[index], constraint_log=self.constraint_log[index])
 
 
 def grad_hess(task: Task, y: np.ndarray, raw_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,10 +304,11 @@ def default_base_score(task: Task, y: np.ndarray) -> float:
 def _partition_for_round(
     schedule: ConstraintSchedule,
     tree_number: int,
-    ds: Dataset,
-    rows: RowIndexSet,
+    train_ds: Dataset | None,
     g: np.ndarray,
 ) -> ConstraintPartition | None:
+    """The partition of round `tree_number`; `train_ds` (the training rows,
+    needed only by `PerResidual`) is where residual discovery runs."""
     if isinstance(schedule, NoConstraints):
         return None
     if isinstance(schedule, FixedPartition):
@@ -300,9 +316,17 @@ def _partition_for_round(
     if tree_number == 1:
         return schedule.first_tree_partition
     if tree_number <= schedule.first_x:
-        sub = take_rows(ds, rows.indices)
-        return discover_constraints_for_residuals(sub, -g, schedule.wrapper_cfg)
+        return discover_constraints_for_residuals(train_ds, -g, schedule.wrapper_cfg)
     return None
+
+
+def _check_prefix(prefix: Ensemble, ds: Dataset, params: TrainParams, base: float) -> None:
+    """Raise ValueError unless `train` on `ds` with `params` can continue `prefix`."""
+    ours = (ds.task, ds.n_features, params.learning_rate, base)
+    if (prefix.task, prefix.n_features, prefix.params.learning_rate, prefix.base_score) != ours:
+        raise ValueError("prefix does not fit this training run: task, n_features, learning_rate or base score differ")
+    if len(prefix.trees) > params.n_trees:
+        raise ValueError(f"prefix has {len(prefix.trees)} trees, more than n_trees={params.n_trees}")
 
 
 def train(
@@ -310,12 +334,21 @@ def train(
     rows: RowIndexSet | None,
     params: TrainParams,
     schedule: ConstraintSchedule = NoConstraints(),
+    prefix: Ensemble | None = None,
 ) -> Ensemble:
     """Boost `params.n_trees` trees under the given constraint schedule.
 
     Each round fits a tree to the current gradients/hessians and adds
     learning_rate times its leaf outputs to the raw predictions. The
     partition applied to each tree is recorded in the constraint log.
+
+    With `prefix`, the run keeps the prefix's trees and constraint log as
+    its first rounds and boosts rounds len(prefix.trees)+1 .. n_trees under
+    `schedule`. `leaf_values` routes the training rows exactly as growing
+    them did, so the raw predictions rebuilt from the prefix equal those of
+    the run that grew it. A prefix of another task, feature count,
+    learning rate or base score, or with more than n_trees trees, is a
+    ValueError.
     """
     rows = resolve_rows(ds, rows)
     if len(rows) == 0:
@@ -329,13 +362,18 @@ def train(
     base = params.base_score if params.base_score is not None else default_base_score(ds.task, y)
     if not math.isfinite(base):
         raise DataError(f"base score {base} is not finite: the targets are too large")
-    raw = np.full(len(rows), base)
+    if prefix is None:
+        prefix = Ensemble((), params, ds.task, float(base), ds.n_features, ds.feature_names, ())
+    else:
+        _check_prefix(prefix, ds, params, float(base))
+    raw = deque(staged_raw_matrix(prefix, X), maxlen=1).pop()
+    train_ds = take_rows(ds, rows.indices) if isinstance(schedule, PerResidual) else None
     presorted = presort(X)
-    trees: list[Tree] = []
-    log: list[ConstraintPartition | None] = []
-    for tree_number in range(1, params.n_trees + 1):
+    trees = list(prefix.trees)
+    log = list(prefix.constraint_log)
+    for tree_number in range(len(trees) + 1, params.n_trees + 1):
         g, h = grad_hess(ds.task, y, raw)
-        partition = _partition_for_round(schedule, tree_number, ds, rows, g)
+        partition = _partition_for_round(schedule, tree_number, train_ds, g)
         tree, contribution = _grow(X, g, h, presorted, params, partition)
         if not np.all(np.isfinite(contribution)):
             raise DataError(f"tree {tree_number} has a leaf weight that is not finite: the targets are too large")
@@ -353,23 +391,36 @@ def train(
     )
 
 
-def predict_raw_matrix(ens: Ensemble, X: np.ndarray) -> np.ndarray:
+def staged_raw_matrix(ens: Ensemble, X: np.ndarray) -> Iterator[np.ndarray]:
+    """Raw predictions of the rows of X after 0, 1, ..., len(ens.trees)
+    trees: the base score, then each tree's learning_rate-scaled leaf
+    values added in tree order. Every raw sum in the package comes from
+    this loop, so a stage equals the prediction of `ens[:t]` bit for bit."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != ens.n_features:
         raise DataError(
             f"feature count mismatch: model expects {ens.n_features}, got {X.shape}"
         )
     raw = np.full(X.shape[0], ens.base_score)
+    yield raw
     for tree in ens.trees:
         raw = raw + ens.params.learning_rate * tree.leaf_values(X)
-    return raw
+        yield raw
+
+
+def predict_raw_matrix(ens: Ensemble, X: np.ndarray) -> np.ndarray:
+    return deque(staged_raw_matrix(ens, X), maxlen=1).pop()
+
+
+def raw_to_prediction(task: Task, raw: np.ndarray) -> np.ndarray:
+    """Prediction from raw sums: raw for regression, sigmoid(raw) otherwise."""
+    if task is Task.REGRESSION:
+        return raw
+    return sigmoid(raw)
 
 
 def predict_matrix(ens: Ensemble, X: np.ndarray) -> np.ndarray:
-    raw = predict_raw_matrix(ens, X)
-    if ens.task is Task.REGRESSION:
-        return raw
-    return sigmoid(raw)
+    return raw_to_prediction(ens.task, predict_raw_matrix(ens, X))
 
 
 def predict(ens: Ensemble, ds: Dataset, rows: RowIndexSet | None = None) -> np.ndarray:

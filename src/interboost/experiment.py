@@ -27,6 +27,8 @@ from .boosting import (
     PerResidual,
     TrainParams,
     predict,
+    raw_to_prediction,
+    staged_raw_matrix,
     train,
 )
 from .data import DataError, Dataset, Task, kfold, train_test_split
@@ -61,23 +63,37 @@ class TuningGrid:
 def tune(ds: Dataset, grid: TuningGrid, k: int, seed: int) -> TrainParams:
     """Pick (n_trees, max_depth, learning_rate) by k-fold CV of unconstrained
     boosting over all rows of `ds`; ties break toward fewer trees, then
-    shallower, then lower rate."""
+    shallower, then lower rate.
+
+    Training is deterministic, so the model of n trees is the first n trees
+    of a longer run: each (depth, rate, fold) trains once at the largest
+    grid `n_trees`, and every grid size is scored from that run's staged
+    validation predictions."""
     fold_rows = kfold(ds.n_rows, k, seed)
+    sizes = set(grid.n_trees)
+    fold_scores: dict[tuple, list[float]] = {}
+    # each distinct (depth, rate) once: a repeated axis entry must not add its
+    # fold scores to a cell twice
+    for max_depth in dict.fromkeys(grid.max_depth):
+        for learning_rate in dict.fromkeys(grid.learning_rate):
+            params = TrainParams(max(sizes), max_depth, learning_rate)
+            for tr, va in fold_rows:
+                ens = train(ds, tr, params, NoConstraints())
+                y = ds.target[va.indices]
+                stages = staged_raw_matrix(ens, ds.features[va.indices])
+                for n_trees, raw in enumerate(stages):
+                    if n_trees in sizes:
+                        score = score_for_task(ds.task, y, raw_to_prediction(ds.task, raw))
+                        fold_scores.setdefault((n_trees, max_depth, learning_rate), []).append(score)
     best_score = -np.inf
     best_params = None
     for n_trees in grid.n_trees:
         for max_depth in grid.max_depth:
             for learning_rate in grid.learning_rate:
-                params = TrainParams(n_trees, max_depth, learning_rate)
-                scores = []
-                for tr, va in fold_rows:
-                    ens = train(ds, tr, params, NoConstraints())
-                    prediction = predict(ens, ds, va)
-                    scores.append(score_for_task(ds.task, ds.target[va.indices], prediction))
-                mean_score = float(np.mean(scores))
+                mean_score = float(np.mean(fold_scores[n_trees, max_depth, learning_rate]))
                 if mean_score > best_score:
                     best_score = mean_score
-                    best_params = params
+                    best_params = TrainParams(n_trees, max_depth, learning_rate)
     assert best_params is not None
     return best_params
 
@@ -160,6 +176,26 @@ def _test_score(ens: Ensemble, test_ds: Dataset) -> float:
     return score_for_task(test_ds.task, test_ds.target, prediction)
 
 
+def _partial_x_models(
+    train_ds: Dataset, params: TrainParams, cfg: BenchmarkConfig, base_partition: ConstraintPartition
+) -> dict[int, Ensemble]:
+    """The `PerResidual(x, ...)` model for each x of `cfg.partial_x_list`.
+
+    For x below the largest entry, PerResidual(x)'s first min(x, n_trees)
+    rounds are those of the largest entry's run, and every later round is
+    unconstrained; so the largest x is trained once and each smaller x
+    continues its first min(x, n_trees) trees under NoConstraints."""
+    if not cfg.partial_x_list:
+        return {}
+    longest_x = max(cfg.partial_x_list)
+    longest = train(train_ds, None, params, PerResidual(longest_x, cfg.wrapper_cfg, base_partition))
+    models = {longest_x: longest}
+    for x in cfg.partial_x_list:
+        if x not in models:
+            models[x] = train(train_ds, None, params, NoConstraints(), longest[: min(x, params.n_trees)])
+    return models
+
+
 def benchmark(ds: Dataset, cfg: BenchmarkConfig, dataset_name: str = "dataset") -> BenchmarkReport:
     """Run the full variant comparison on one holdout split.
 
@@ -188,8 +224,9 @@ def benchmark(ds: Dataset, cfg: BenchmarkConfig, dataset_name: str = "dataset") 
         ),
     ]
 
+    partial_models = _partial_x_models(train_ds, params, cfg, base_partition)
     for x in cfg.partial_x_list:
-        partial_score = score(PerResidual(x, cfg.wrapper_cfg, base_partition))
+        partial_score = _test_score(partial_models[x], test_ds)
         results.append(
             VariantResult(
                 f"interaction_{x}",

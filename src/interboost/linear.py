@@ -80,7 +80,8 @@ def _column_stats(col: np.ndarray) -> tuple[float, float]:
     column, or a single row) is clamped to 1 so the standardized column is
     all zeros rather than NaN."""
     mean = float(col.mean())
-    sd = float(col.std(ddof=1)) if col.size > 1 else 0.0
+    with np.errstate(over="ignore"):  # an overflowed stddev is clamped below
+        sd = float(col.std(ddof=1)) if col.size > 1 else 0.0
     if not np.isfinite(sd) or sd <= 0.0:
         sd = 1.0
     return mean, sd
@@ -146,10 +147,12 @@ def fit_ols(values: np.ndarray, y: np.ndarray, ridge: float = 1e-8) -> LinearMod
     A = _with_intercept(values)
     y = np.asarray(y, dtype=np.float64)
     n_coef = A.shape[1] - 1
-    M = A.T @ A
+    # products that overflow give a non-finite score, which the scorer rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = A.T @ A
+        b = A.T @ y
     diag = np.arange(n_coef)
     M[diag, diag] += ridge
-    b = A.T @ y
     try:
         theta = np.linalg.solve(M, b)
     except np.linalg.LinAlgError:

@@ -3,17 +3,20 @@
 Everything here deliberately avoids the library's own code paths: stump
 search enumerates every candidate with direct sums instead of prefix
 scans, least squares goes through an explicit SVD pseudo-inverse, and
-gradients are checked by central finite differences. `reference_grow` is
-the exception: it is the simpler per-feature, sort-in-every-node grower
-that the presorted one must match bit for bit, so it shares the library's
-threshold rule and leaf weight.
+gradients are checked by central finite differences. `reference_grow` and
+`reference_tune` are the exceptions: they are the simpler forms that the
+library must match bit for bit, so they share its building blocks.
+`reference_grow` sorts every allowed feature again in every node;
+`reference_tune` trains every grid cell separately.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from interboost.boosting import NODE, Tree, _split_threshold, leaf_weight
+from interboost.boosting import NODE, NoConstraints, TrainParams, Tree, _split_threshold, leaf_weight, predict, train
+from interboost.data import kfold
+from interboost.linear import score_for_task
 
 
 def brute_force_stump(X, g, h, reg_lambda, gamma=0.0, min_child_samples=1, min_child_hessian=0.0):
@@ -145,6 +148,30 @@ def reference_grow(X, g, h, params, partition):
         stack.append((pos[~goes_left], depth + 1, allowed, node_id, 3))
         stack.append((pos[goes_left], depth + 1, allowed, node_id, 2))
     return Tree(np.array([tuple(r) for r in records], dtype=NODE), 0, used_group), values
+
+
+def reference_tune(ds, grid, k, seed):
+    """`interboost.experiment.tune` without shared work: every (n_trees,
+    max_depth, learning_rate) cell trains its own model per fold and scores
+    it with `predict`; the first cell with the strictly best mean wins."""
+    fold_rows = kfold(ds.n_rows, k, seed)
+    best_score = -np.inf
+    best_params = None
+    for n_trees in grid.n_trees:
+        for max_depth in grid.max_depth:
+            for learning_rate in grid.learning_rate:
+                params = TrainParams(n_trees, max_depth, learning_rate)
+                scores = []
+                for tr, va in fold_rows:
+                    ens = train(ds, tr, params, NoConstraints())
+                    prediction = predict(ens, ds, va)
+                    scores.append(score_for_task(ds.task, ds.target[va.indices], prediction))
+                mean_score = float(np.mean(scores))
+                if mean_score > best_score:
+                    best_score = mean_score
+                    best_params = params
+    assert best_params is not None
+    return best_params
 
 
 def pinv_least_squares(A, y, tol=1e-10):

@@ -57,3 +57,24 @@ def test_traced_discovery_records_one_linear_predict_per_fit():
         cli.discover_constraints_traced(ds, WrapperConfig(seed=1))
     names = [s.name for s in recorder.spans]
     assert names.count("linear.predict") == names.count("linear.fit_ols") > 0
+
+
+def test_traced_benchmark_tunes_each_cell_once_at_the_largest_size():
+    from interboost.experiment import BenchmarkConfig, TuningGrid
+    from interboost.synth import paired_products_dataset
+
+    cfg = BenchmarkConfig(
+        grid=TuningGrid((3, 6), (2, 3), (0.3,)),
+        k=2,
+        wrapper_cfg=WrapperConfig(seed=1, epsilon=5e-3),
+        partial_x_list=(2,),
+        random_runs=1,
+    )
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        from interboost import cli
+
+        cli.benchmark(paired_products_dataset(160, seed=2), cfg)
+    metrics = tracer.layer_metrics([recorder.spans])
+    assert metrics["experiment.tune.useful_tree_ratio"] == 1.0
+    assert metrics["experiment.tune.trees"] == 2 * 1 * 2 * 6  # depths x rates x folds x max n_trees

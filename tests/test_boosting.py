@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from interboost.boosting import (
     FixedPartition,
     NODE,
+    NoConstraints,
     PerResidual,
     TrainParams,
     Tree,
@@ -22,9 +24,10 @@ from interboost.boosting import (
     predict,
     predict_raw_matrix,
     save_model,
+    staged_raw_matrix,
     train,
 )
-from interboost.data import DataError, Dataset, Task
+from interboost.data import DataError, Dataset, RowIndexSet, Task
 from interboost.discovery import ConstraintPartition, WrapperConfig
 from interboost.linear import sigmoid
 from oracles import (
@@ -428,6 +431,78 @@ class TestTrain:
         for tree, partition in zip(ens.trees, ens.constraint_log):
             if partition is not None:
                 assert_paths_respect_partition(tree, partition)
+
+
+def _same_model(a, b):
+    assert [t.nodes.tobytes() for t in a.trees] == [t.nodes.tobytes() for t in b.trees]
+    assert [t.used_group for t in a.trees] == [t.used_group for t in b.trees]
+    assert [None if p is None else p.groups for p in a.constraint_log] == [
+        None if p is None else p.groups for p in b.constraint_log
+    ]
+    assert (a.params, a.base_score) == (b.params, b.base_score)
+
+
+class TestPrefix:
+    """`train(..., prefix=ens[:t])` continues another run from its first t trees."""
+
+    def _ds(self):
+        return make_regression(90, 3, seed=12, target_fn=lambda X: X[:, 0] * X[:, 1] + X[:, 2], noise_sd=0.1)
+
+    @pytest.mark.parametrize("task", [Task.REGRESSION, Task.BINARY_CLASSIFICATION])
+    def test_unconstrained_continuation_equals_one_run(self, task):
+        if task is Task.REGRESSION:
+            ds = self._ds()
+        else:
+            ds = make_classification(90, 3, seed=12, logit_fn=lambda X: 3 * X[:, 0] * X[:, 1])
+        rows = RowIndexSet(np.arange(5, 80))
+        params = TrainParams(7, 3, 0.3)
+        full = train(ds, rows, params)
+        for t in (0, 1, 3, 7):
+            _same_model(train(ds, rows, params, NoConstraints(), prefix=full[:t]), full)
+
+    @pytest.mark.parametrize("x", [1, 2, 4, 5, 8])
+    def test_continuing_a_longer_per_residual_run_equals_per_residual_x(self, x):
+        ds = self._ds()
+        params = TrainParams(5, 2, 0.3)
+        partition = ConstraintPartition(((0, 1), (2,)))
+        schedule = PerResidual(params.n_trees + 3, WrapperConfig(seed=0, epsilon=5e-3), partition)
+        longest = train(ds, None, params, schedule)
+        forked = train(ds, None, params, NoConstraints(), prefix=longest[: min(x, params.n_trees)])
+        direct = train(ds, None, params, dataclasses.replace(schedule, first_x=x))
+        _same_model(forked, direct)
+
+    def test_stages_are_the_predictions_of_each_prefix(self):
+        ds = self._ds()
+        ens = train(ds, None, TrainParams(6, 3, 0.2))
+        stages = list(staged_raw_matrix(ens, ds.features))
+        assert len(stages) == 7
+        with pytest.raises(TypeError):
+            ens[0]
+        for t, raw in enumerate(stages):
+            assert raw.tobytes() == predict_raw_matrix(ens[:t], ds.features).tobytes()
+
+    @pytest.mark.parametrize(
+        "change",
+        ["task", "n_features", "learning_rate", "base_score", "too_many_trees"],
+    )
+    def test_prefix_that_does_not_fit_is_rejected(self, change):
+        ds = self._ds()
+        params = TrainParams(4, 2, 0.3)
+        prefix = train(ds, None, TrainParams(3, 2, 0.3))
+        if change == "task":
+            ds = Dataset(ds.features, ds.feature_names, (ds.target > 0).astype(float), Task.BINARY_CLASSIFICATION)
+            prefix = dataclasses.replace(prefix, base_score=default_base_score(ds.task, ds.target))
+        elif change == "n_features":
+            ds = Dataset(ds.features[:, :2], ds.feature_names[:2], ds.target, ds.task)
+            prefix = dataclasses.replace(prefix, base_score=default_base_score(ds.task, ds.target))
+        elif change == "learning_rate":
+            params = TrainParams(4, 2, 0.2)
+        elif change == "base_score":
+            params = TrainParams(4, 2, 0.3, base_score=prefix.base_score + 1.0)
+        else:
+            params = TrainParams(2, 2, 0.3)
+        with pytest.raises(ValueError, match="prefix"):
+            train(ds, None, params, NoConstraints(), prefix=prefix)
 
 
 class TestPredict:

@@ -52,6 +52,7 @@ class TestDiscoverCommand:
         assert code == 2
         assert "zz" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
     def test_feature_too_large_to_standardize_is_data_error(self, tmp_path, capsys):
         # its standard deviation overflows, so fold scores would be NaN
         rng = np.random.default_rng(6)

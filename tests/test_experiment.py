@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from interboost import boosting, experiment
 from interboost.boosting import FixedPartition, NoConstraints, PerResidual, TrainParams, predict, train
+from interboost.data import train_test_split
 from interboost.discovery import ConstraintPartition, WrapperConfig, discover_constraints
 from interboost.experiment import (
     BenchmarkConfig,
@@ -19,9 +21,11 @@ from interboost.experiment import (
     report_to_json_obj,
     tune,
 )
+from interboost.linear import score_for_task
 from interboost.synth import paired_products_dataset
 
-from conftest import make_regression
+from conftest import make_classification, make_regression
+from oracles import reference_tune
 
 
 class TestTune:
@@ -62,6 +66,44 @@ class TestTune:
         grid = TuningGrid((5, 10), (2, 3), (0.1, 0.3))
         params = tune(ds, grid, k=3, seed=0)
         assert (params.n_trees, params.max_depth, params.learning_rate) == (5, 2, 0.1)
+
+
+class TestStagedTune:
+    """`tune` trains each (depth, rate, fold) once and scores every grid
+    size from staged sums; `reference_tune` trains every cell."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        classification=st.booleans(),
+        constant=st.booleans(),
+        seed=st.integers(0, 2**16),
+        n_trees=st.lists(st.sampled_from([0, 1, 2, 3, 5]), min_size=1, max_size=4),
+        max_depth=st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=2),
+        learning_rate=st.lists(st.sampled_from([0.1, 0.3, 1.0]), min_size=1, max_size=2),
+        k=st.integers(2, 3),
+    )
+    def test_equals_reference(self, classification, constant, seed, n_trees, max_depth, learning_rate, k):
+        # a constant target scores every cell alike, so ties decide the pick
+        if classification:
+            logit = (lambda X: np.full(X.shape[0], 50.0)) if constant else (lambda X: 3 * X[:, 0] * X[:, 1])
+            ds = make_classification(40, 2, seed=seed, logit_fn=logit)
+        else:
+            target = (lambda X: np.full(X.shape[0], 1.5)) if constant else (lambda X: X[:, 0] * X[:, 1])
+            ds = make_regression(40, 2, seed=seed, target_fn=target, noise_sd=0.0 if constant else 0.3)
+        grid = TuningGrid(tuple(n_trees), tuple(max_depth), tuple(learning_rate))
+        assert tune(ds, grid, k, seed) == reference_tune(ds, grid, k, seed)
+
+    def test_trains_once_per_depth_rate_fold_at_the_largest_size(self, monkeypatch):
+        sizes = []
+
+        def counting_train(ds, rows, params, schedule=NoConstraints(), prefix=None):
+            sizes.append(params.n_trees)
+            return train(ds, rows, params, schedule, prefix)
+
+        monkeypatch.setattr(experiment, "train", counting_train)
+        ds = make_regression(60, 2, seed=3, target_fn=lambda X: X[:, 0] * X[:, 1], noise_sd=0.2)
+        tune(ds, TuningGrid((3, 7, 0, 7), (2, 3), (0.1, 0.3)), k=3, seed=0)
+        assert sizes == [7] * (2 * 2 * 3)
 
 
 class TestRandomPartition:
@@ -234,6 +276,35 @@ class TestBenchmark:
         ds = paired_products_dataset(240, seed=1)
         again = benchmark(ds, _tiny_benchmark_config(), dataset_name="synthetic")
         assert report_to_json_obj(again) == report_to_json_obj(report)
+
+
+class TestForkedPartialRuns:
+    def test_rediscovers_only_for_the_largest_x(self, monkeypatch):
+        calls = []
+        discover = boosting.discover_constraints_for_residuals
+
+        def counting_discover(*args, **kwargs):
+            calls.append(1)
+            return discover(*args, **kwargs)
+
+        monkeypatch.setattr(boosting, "discover_constraints_for_residuals", counting_discover)
+        ds = paired_products_dataset(160, seed=2)
+        cfg = dataclasses.replace(
+            _tiny_benchmark_config(), grid=TuningGrid((4,), (2,), (0.3,)), partial_x_list=(2, 6, 3, 2), random_runs=1
+        )
+        report = benchmark(ds, cfg)
+        assert report.tuned_params.n_trees == 4
+        assert len(calls) == min(6, 4) - 1
+        # each interaction_x is the model PerResidual(x) trains directly
+        train_ds, test_ds = train_test_split(ds, cfg.test_fraction, cfg.split_seed)
+        base_partition = report.variants[1].constraint["partition"]
+        partial = report.variants[2:-1]
+        assert [v.variant_id for v in partial] == ["interaction_2", "interaction_6", "interaction_3", "interaction_2"]
+        partial = {v.variant_id: v.test_score for v in partial}
+        for x in (2, 6, 3):
+            schedule = PerResidual(x, cfg.wrapper_cfg, ConstraintPartition(tuple(map(tuple, base_partition))))
+            prediction = predict(train(train_ds, None, report.tuned_params, schedule), test_ds, None)
+            assert partial[f"interaction_{x}"] == score_for_task(test_ds.task, test_ds.target, prediction)
 
 
 class TestConfigValidation:
