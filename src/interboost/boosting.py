@@ -71,9 +71,6 @@ class TrainParams:
             checked_real("base_score", self.base_score)
         checked_int("seed", self.seed)
 
-    def to_json_obj(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 NODE = np.dtype(
     [
@@ -423,10 +420,9 @@ def predict_matrix(ens: Ensemble, X: np.ndarray) -> np.ndarray:
     return raw_to_prediction(ens.task, predict_raw_matrix(ens, X))
 
 
-def predict(ens: Ensemble, ds: Dataset, rows: RowIndexSet | None = None) -> np.ndarray:
+def predict(ens: Ensemble, ds: Dataset) -> np.ndarray:
     """Raw sum for regression; sigmoid of the raw sum for classification."""
-    rows = resolve_rows(ds, rows)
-    return predict_matrix(ens, ds.features[rows.indices, :])
+    return predict_matrix(ens, ds.features)
 
 
 # --- JSON serialization (schema documented in the README) -------------------
@@ -491,7 +487,7 @@ def _tree_from_obj(obj: dict, n_features: int, partition: ConstraintPartition | 
 def ensemble_to_json_obj(ens: Ensemble) -> dict:
     return {
         "task": ens.task.value,
-        "params": ens.params.to_json_obj(),
+        "params": dataclasses.asdict(ens.params),
         "base_score": ens.base_score,
         "n_features": ens.n_features,
         "feature_names": list(ens.feature_names),

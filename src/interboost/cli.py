@@ -38,11 +38,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Config fields that stand in for an absent flag of the same name.
+_TOP_LEVEL_FIELDS = ("data", "target", "task", "out_dir", "model")
+
+
 def _load_config(path) -> dict:
     config = read_json(path, ConfigError)
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    for key in ("data", "target", "task", "out_dir", "model"):
+    for key in _TOP_LEVEL_FIELDS:
         value = config.get(key, "")
         if not isinstance(value, str) or "\0" in value:
             raise ConfigError(f"config field {key!r} must be a string, got {value!r}")
@@ -61,23 +65,16 @@ def _section(config: dict, name: str) -> dict:
     return value
 
 
-def _effective(flag_value, config: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    return config.get(key, default)
-
-
 def _require(value, what: str):
     if value is None:
         raise ConfigError(f"missing required {what} (flag or config field)")
     return value
 
 
-def _load_dataset(args, config: dict):
-    data_path = _require(_effective(args.data, config, "data", None), "--data")
-    target = _require(_effective(args.target, config, "target", None), "--target")
-    task_name = _require(_effective(args.task, config, "task", None), "--task")
-    return load_csv(data_path, target, Task.parse(task_name))
+def _load_dataset(args):
+    data_path = _require(args.data, "--data")
+    target = _require(args.target, "--target")
+    return load_csv(data_path, target, Task.parse(_require(args.task, "--task")))
 
 
 def _present(values: dict) -> dict:
@@ -128,38 +125,31 @@ def _benchmark_config(args, config: dict) -> BenchmarkConfig:
     )
 
 
-def _out_dir(args, config: dict) -> Path:
-    return Path(_effective(args.out_dir, config, "out_dir", "."))
-
-
-def cmd_discover(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    ds = _load_dataset(args, config)
+def cmd_discover(args, config: dict) -> int:
+    ds = _load_dataset(args)
     cfg = _wrapper_config(args, config)
     partition, steps = discover_constraints_traced(ds, cfg)
-    out = _out_dir(args, config)
-    write_json(out / "partition.json", partition.to_json_obj())
+    write_json(args.out_dir / "partition.json", partition.to_json_obj())
     write_json(
-        out / "discovery_log.json",
+        args.out_dir / "discovery_log.json",
         {
             "seed": cfg.seed,
             "k_folds": cfg.k_folds,
             "epsilon": cfg.epsilon,
-            "steps": [s.to_json_obj() for s in steps],
+            "steps": [dataclasses.asdict(s) for s in steps],
         },
     )
     print(f"partition: {partition.to_json_obj()}")
-    print(f"wrote {out / 'partition.json'} and {out / 'discovery_log.json'}")
+    print(f"wrote {args.out_dir / 'partition.json'} and {args.out_dir / 'discovery_log.json'}")
     return 0
 
 
-def cmd_train(args) -> int:
-    config = _load_config(args.config) if args.config else {}
+def cmd_train(args, config: dict) -> int:
     if args.constraints is not None and args.partial_x is not None:
         raise ConfigError("--constraints and --partial-x are mutually exclusive")
     if args.partial_x is not None and args.partial_x < 1:  # PerResidual comes after discovery
         raise ConfigError(f"--partial-x must be >= 1, got {args.partial_x}")
-    ds = _load_dataset(args, config)
+    ds = _load_dataset(args)
     params = _train_params(args, config)
     if args.constraints is not None:
         partition = read_json(args.constraints, DataError)
@@ -171,35 +161,29 @@ def cmd_train(args) -> int:
     else:
         schedule = NoConstraints()
     ens = train(ds, None, params, schedule)
-    out = _out_dir(args, config)
-    save_model(ens, out / "model.json")
-    print(f"trained {params.n_trees} trees; wrote {out / 'model.json'}")
+    save_model(ens, args.out_dir / "model.json")
+    print(f"trained {params.n_trees} trees; wrote {args.out_dir / 'model.json'}")
     return 0
 
 
-def cmd_predict(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    model_path = _require(_effective(args.model, config, "model", None), "--model")
-    data_path = _require(_effective(args.data, config, "data", None), "--data")
+def cmd_predict(args, config: dict) -> int:
+    model_path = _require(args.model, "--model")
+    data_path = _require(args.data, "--data")
     ens = load_model(model_path)
     _, X = read_csv(data_path, ens.feature_names)
     prediction = predict_matrix(ens, X)
-    out = _out_dir(args, config)
     lines = ["prediction"] + [format_real(v) for v in prediction]
-    write_atomic(out / "predictions.csv", "\n".join(lines) + "\n")
-    print(f"wrote {len(prediction)} predictions to {out / 'predictions.csv'}")
+    write_atomic(args.out_dir / "predictions.csv", "\n".join(lines) + "\n")
+    print(f"wrote {len(prediction)} predictions to {args.out_dir / 'predictions.csv'}")
     return 0
 
 
-def cmd_benchmark(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    ds = _load_dataset(args, config)
+def cmd_benchmark(args, config: dict) -> int:
+    ds = _load_dataset(args)
     cfg = _benchmark_config(args, config)
-    data_path = _effective(args.data, config, "data", "dataset")
-    report = benchmark(ds, cfg, dataset_name=Path(str(data_path)).stem)
-    out = _out_dir(args, config)
-    write_json(out / "report.json", report_to_json_obj(report))
-    write_atomic(out / "report.csv", report_to_csv(report))
+    report = benchmark(ds, cfg, dataset_name=Path(args.data).stem)
+    write_json(args.out_dir / "report.json", report_to_json_obj(report))
+    write_atomic(args.out_dir / "report.csv", report_to_csv(report))
     for v in report.variants:
         change = (
             "n/a"
@@ -207,22 +191,21 @@ def cmd_benchmark(args) -> int:
             else f"{v.percent_change_from_baseline:+.4f}%"
         )
         print(f"{v.variant_id:>20}  score={v.test_score:.6f}  change={change}")
-    print(f"wrote {out / 'report.json'} and {out / 'report.csv'}")
+    print(f"wrote {args.out_dir / 'report.json'} and {args.out_dir / 'report.csv'}")
     return 0
 
 
-def cmd_tune(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    ds = _load_dataset(args, config)
+def cmd_tune(args, config: dict) -> int:
+    ds = _load_dataset(args)
     cfg = _benchmark_config(args, config)
-    seed = _effective(args.seed, config, "seed", 0)
+    seed = config.get("seed", 0) if args.seed is None else args.seed
     params = tune(ds, cfg.grid, cfg.k, seed)
-    out = _out_dir(args, config)
     # `seed` is the tuning-fold seed, kept apart from TrainParams.seed
-    write_json(out / "tuned_params.json", {"params": params.to_json_obj(), "k": cfg.k, "seed": seed})
+    tuned = {"params": dataclasses.asdict(params), "k": cfg.k, "seed": seed}
+    write_json(args.out_dir / "tuned_params.json", tuned)
     print(
         f"tuned: n_trees={params.n_trees} max_depth={params.max_depth} "
-        f"learning_rate={params.learning_rate}; wrote {out / 'tuned_params.json'}"
+        f"learning_rate={params.learning_rate}; wrote {args.out_dir / 'tuned_params.json'}"
     )
     return 0
 
@@ -274,7 +257,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        config = _load_config(args.config) if args.config else {}
+        for key in _TOP_LEVEL_FIELDS:  # a flag wins over its config field
+            if getattr(args, key, None) is None:
+                setattr(args, key, config.get(key))
+        args.out_dir = Path(args.out_dir or ".")
+        return args.func(args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

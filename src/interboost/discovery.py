@@ -106,9 +106,6 @@ class CandidateScore:
     plain: float
     interaction: float | None
 
-    def to_json_obj(self) -> dict:
-        return {"feature": self.feature, "plain": self.plain, "interaction": self.interaction}
-
 
 @dataclass(frozen=True)
 class DiscoveryStep:
@@ -120,16 +117,6 @@ class DiscoveryStep:
     interaction_score: float | None
     subset: tuple[int, ...]
     candidates: tuple[CandidateScore, ...]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "action": self.action,
-            "feature": self.feature,
-            "plain_score": self.plain_score,
-            "interaction_score": self.interaction_score,
-            "subset": list(self.subset),
-            "candidates": [c.to_json_obj() for c in self.candidates],
-        }
 
 
 def discover_constraints_traced(

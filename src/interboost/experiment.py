@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -172,7 +172,7 @@ def percent_change(baseline: float, variant: float) -> float | None:
 
 
 def _test_score(ens: Ensemble, test_ds: Dataset) -> float:
-    prediction = predict(ens, test_ds, None)
+    prediction = predict(ens, test_ds)
     return score_for_task(test_ds.task, test_ds.target, prediction)
 
 
@@ -213,28 +213,20 @@ def benchmark(ds: Dataset, cfg: BenchmarkConfig, dataset_name: str = "dataset") 
         return _test_score(train(train_ds, None, params, schedule), test_ds)
 
     baseline_score = score(NoConstraints())
-    full_score = score(FixedPartition(base_partition))
-    results = [
-        VariantResult("baseline", None, baseline_score, percent_change(baseline_score, baseline_score)),
-        VariantResult(
-            "full_interaction",
-            {"partition": base_partition.to_json_obj()},
-            full_score,
-            percent_change(baseline_score, full_score),
-        ),
-    ]
 
+    def variant(variant_id, constraint, test_score, runs=()) -> VariantResult:
+        change = percent_change(baseline_score, test_score)
+        return VariantResult(variant_id, constraint, test_score, change, runs)
+
+    base_groups = base_partition.to_json_obj()
+    results = [
+        variant("baseline", None, baseline_score),
+        variant("full_interaction", {"partition": base_groups}, score(FixedPartition(base_partition))),
+    ]
     partial_models = _partial_x_models(train_ds, params, cfg, base_partition)
     for x in cfg.partial_x_list:
-        partial_score = _test_score(partial_models[x], test_ds)
-        results.append(
-            VariantResult(
-                f"interaction_{x}",
-                {"first_x": x, "first_tree_partition": base_partition.to_json_obj()},
-                partial_score,
-                percent_change(baseline_score, partial_score),
-            )
-        )
+        constraint = {"first_x": x, "first_tree_partition": base_groups}
+        results.append(variant(f"interaction_{x}", constraint, _test_score(partial_models[x], test_ds)))
 
     random_seeds = [mix_seed(cfg.split_seed, 2, i) for i in range(cfg.random_runs)]
     runs = []
@@ -242,15 +234,8 @@ def benchmark(ds: Dataset, cfg: BenchmarkConfig, dataset_name: str = "dataset") 
         partition = random_partition(train_ds.n_features, cfg.random_groups, run_seed)
         runs.append(RandomRun(run_seed, partition.groups, score(FixedPartition(partition))))
     random_mean = float(np.mean([r.test_score for r in runs]))
-    results.append(
-        VariantResult(
-            "random_interaction",
-            {"n_groups": cfg.random_groups, "n_runs": cfg.random_runs},
-            random_mean,
-            percent_change(baseline_score, random_mean),
-            runs=tuple(runs),
-        )
-    )
+    constraint = {"n_groups": cfg.random_groups, "n_runs": cfg.random_runs}
+    results.append(variant("random_interaction", constraint, random_mean, tuple(runs)))
 
     return BenchmarkReport(
         dataset_name=dataset_name,
@@ -270,7 +255,7 @@ def report_to_json_obj(report: BenchmarkReport) -> dict:
     return {
         "dataset": report.dataset_name,
         "task": report.task.value,
-        "tuned_params": report.tuned_params.to_json_obj(),
+        "tuned_params": asdict(report.tuned_params),
         "seeds": report.seeds,
         "variants": [
             {

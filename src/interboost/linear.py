@@ -10,6 +10,7 @@ standardized bases, which keeps the normal equations well conditioned.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,12 +77,17 @@ class LinearModel:
 
 
 def _column_stats(col: np.ndarray) -> tuple[float, float]:
-    """(mean, sample stddev) of one column. A degenerate stddev (constant
-    column, or a single row) is clamped to 1 so the standardized column is
-    all zeros rather than NaN."""
-    mean = float(col.mean())
+    """(mean, sample stddev) of one column, taken on the column divided by
+    2^e, e the binary exponent of its largest magnitude, and scaled back.
+    Powers of two scale exactly, so the stats of 2^k * col are 2^k times
+    those of col, and no scale makes the squared deviations overflow or
+    underflow. A degenerate stddev (constant column, or a single row) is
+    clamped to 1 so the standardized column is all zeros rather than NaN."""
+    e = math.frexp(float(np.max(np.abs(col))))[1]
+    scaled = np.ldexp(col, -e)
     with np.errstate(over="ignore"):  # an overflowed stddev is clamped below
-        sd = float(col.std(ddof=1)) if col.size > 1 else 0.0
+        mean = float(np.ldexp(scaled.mean(), e))
+        sd = float(np.ldexp(scaled.std(ddof=1), e)) if col.size > 1 else 0.0
     if not np.isfinite(sd) or sd <= 0.0:
         sd = 1.0
     return mean, sd
@@ -294,28 +300,24 @@ def fit_for_task(task: Task, values: np.ndarray, y: np.ndarray) -> LinearModel:
 class FoldScorer:
     """k-fold validation scores of term lists over all rows of a dataset.
 
-    The fold plan is built once. Each base feature is standardized once per
-    fold, on first use, with statistics from that fold's training rows, and
-    its standardized training and validation columns are kept. A score then
-    only stacks cached columns and runs the k fits, with the same arithmetic
-    as materializing every fold's design afresh.
+    The fold plan and each fold's data are built once: every feature
+    standardized with statistics from that fold's training rows (one row per
+    feature, for the training and the validation rows), and both target
+    slices. A score then only stacks rows and runs the k fits, with the
+    same arithmetic as materializing every fold's design afresh.
     """
 
     def __init__(self, ds: Dataset, k: int = 3, seed: int = 0):
         self._ds = ds
-        self._folds = tuple((tr.indices, va.indices) for tr, va in kfold(ds.n_rows, k, seed))
-        # Per fold, feature -> standardized train / validation column.
-        self._train: list[dict[int, np.ndarray]] = [{} for _ in self._folds]
-        self._val: list[dict[int, np.ndarray]] = [{} for _ in self._folds]
-
-    def _standardize(self, feature: int) -> None:
-        if feature in self._train[0]:
-            return
-        x = self._ds.features
-        for fold, (train_idx, val_idx) in enumerate(self._folds):
-            mean, sd = _column_stats(x[train_idx, feature])
-            self._train[fold][feature] = (x[train_idx, feature] - mean) / sd
-            self._val[fold][feature] = (x[val_idx, feature] - mean) / sd
+        xt, y = ds.features.T, ds.target  # one row per feature
+        self._folds = []
+        for tr, va in kfold(ds.n_rows, k, seed):
+            train_x, val_x = xt[:, tr.indices], xt[:, va.indices]
+            stats = np.array([_column_stats(col) for col in train_x])
+            mean, sd = stats[:, :1], stats[:, 1:]
+            self._folds.append(
+                ((train_x - mean) / sd, (val_x - mean) / sd, y[tr.indices], y[va.indices])
+            )
 
     def score(self, terms) -> float:
         """Mean validation score of the task-appropriate linear model over
@@ -326,16 +328,15 @@ class FoldScorer:
         if not terms:
             raise ValueError("term list must be nonempty")
         _check_terms(self._ds, terms)
-        for t in terms:
-            if isinstance(t, Base):
-                self._standardize(t.index)
-        task, y = self._ds.task, self._ds.target
+        task = self._ds.task
         scores = []
-        for fold, (train_idx, val_idx) in enumerate(self._folds):
-            train_values = np.column_stack(_design_columns(terms, self._train[fold]))
-            model = fit_for_task(task, train_values, y[train_idx])
-            val_values = np.column_stack(_design_columns(terms, self._val[fold]))
-            scores.append(score_for_task(task, y[val_idx], predict(task, model, val_values)))
+        # a score that overflows is not finite, which is the DataError below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for train_std, val_std, y_train, y_val in self._folds:
+                train_values = np.column_stack(_design_columns(terms, train_std))
+                model = fit_for_task(task, train_values, y_train)
+                val_values = np.column_stack(_design_columns(terms, val_std))
+                scores.append(score_for_task(task, y_val, predict(task, model, val_values)))
         mean = float(np.mean(scores))
         if not np.isfinite(mean):
             raise DataError(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from interboost.boosting import NODE, NoConstraints, TrainParams, Tree, _split_threshold, leaf_weight, predict, train
+from interboost.boosting import NODE, NoConstraints, TrainParams, Tree, _split_threshold, leaf_weight, predict_matrix, train
 from interboost.data import kfold
 from interboost.linear import score_for_task
 
@@ -153,7 +153,7 @@ def reference_grow(X, g, h, params, partition):
 def reference_tune(ds, grid, k, seed):
     """`interboost.experiment.tune` without shared work: every (n_trees,
     max_depth, learning_rate) cell trains its own model per fold and scores
-    it with `predict`; the first cell with the strictly best mean wins."""
+    it with `predict_matrix`; the first cell with the strictly best mean wins."""
     fold_rows = kfold(ds.n_rows, k, seed)
     best_score = -np.inf
     best_params = None
@@ -164,7 +164,7 @@ def reference_tune(ds, grid, k, seed):
                 scores = []
                 for tr, va in fold_rows:
                     ens = train(ds, tr, params, NoConstraints())
-                    prediction = predict(ens, ds, va)
+                    prediction = predict_matrix(ens, ds.features[va.indices])
                     scores.append(score_for_task(ds.task, ds.target[va.indices], prediction))
                 mean_score = float(np.mean(scores))
                 if mean_score > best_score:

@@ -203,8 +203,8 @@ def test_criterion_5_constraint_benefit():
 
         full = train(train_ds, None, params, FixedPartition(discovered))
         bad = train(train_ds, None, params, FixedPartition(misspecified))
-        rmse_full = _rmse(predict(full, test_ds, None), test_ds.target)
-        rmse_bad = _rmse(predict(bad, test_ds, None), test_ds.target)
+        rmse_full = _rmse(predict(full, test_ds), test_ds.target)
+        rmse_bad = _rmse(predict(bad, test_ds), test_ds.target)
         wins += rmse_full <= rmse_bad
     assert wins >= 8, f"discovered partition won only {wins}/10 seeds"
     report_line(5, "constraint benefit", f"PASS ({wins}/10)")
@@ -227,14 +227,13 @@ def test_criterion_6_partial_vs_full_soft_check():
         base_partition = discover_constraints(train_ds, cfg)
 
         full = train(train_ds, None, params, FixedPartition(base_partition))
-        rmse_full = _rmse(predict(full, test_ds, None), test_ds.target)
+        rmse_full = _rmse(predict(full, test_ds), test_ds.target)
 
         rmse_partial = min(
             _rmse(
                 predict(
                     train(train_ds, None, params, PerResidual(x, cfg, base_partition)),
                     test_ds,
-                    None,
                 ),
                 test_ds.target,
             )
@@ -275,12 +274,12 @@ def test_criterion_7_cleve_qualitative_anchor():
         train_ds, test_ds = train_test_split(ds, 0.25, split_seed)
         params = tune(train_ds, grid, k=3, seed=split_seed)
         baseline = train(train_ds, None, params, NoConstraints())
-        base_acc = accuracy(test_ds.target, predict(baseline, test_ds, None))
+        base_acc = accuracy(test_ds.target, predict(baseline, test_ds))
         baseline_scores.append(base_acc)
         for partition_seed in range(20):
             partition = random_partition(train_ds.n_features, 2, partition_seed)
             ens = train(train_ds, None, params, FixedPartition(partition))
-            if accuracy(test_ds.target, predict(ens, test_ds, None)) > base_acc:
+            if accuracy(test_ds.target, predict(ens, test_ds)) > base_acc:
                 random_beats_baseline = True
                 break
         if random_beats_baseline and len(baseline_scores) == 3:

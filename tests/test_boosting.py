@@ -332,7 +332,7 @@ class TestTrain:
     def test_zero_trees_predicts_base_score(self):
         ds = make_regression(20, 2, seed=0)
         ens = train(ds, None, TrainParams(0, 3, 0.5))
-        np.testing.assert_array_equal(predict(ens, ds, None), np.full(20, ens.base_score))
+        np.testing.assert_array_equal(predict(ens, ds), np.full(20, ens.base_score))
         assert ens.base_score == float(ds.target.mean())
 
     def test_classification_base_score_is_logit(self):
@@ -340,7 +340,7 @@ class TestTrain:
         ens = train(ds, None, TrainParams(0, 3, 0.5))
         mean = float(ds.target.mean())
         assert ens.base_score == pytest.approx(np.log(mean / (1 - mean)))
-        np.testing.assert_allclose(predict(ens, ds, None), sigmoid(np.full(40, ens.base_score)))
+        np.testing.assert_allclose(predict(ens, ds), sigmoid(np.full(40, ens.base_score)))
 
     def test_single_stump_round_equals_oracle(self):
         rng = np.random.default_rng(13)
@@ -353,7 +353,7 @@ class TestTrain:
         g = np.full(n, base) - y
         oracle = brute_force_stump(X, g, np.ones(n), reg_lambda=0.0)
         expected = np.where(X[:, oracle[0]] < oracle[1], oracle[2], oracle[3]) + base
-        np.testing.assert_array_equal(predict(ens, ds, None), expected)
+        np.testing.assert_array_equal(predict(ens, ds), expected)
 
     def test_training_mse_non_increasing(self):
         ds = make_regression(
@@ -521,14 +521,14 @@ class TestPredict:
         ens = train(ds, None, TrainParams(1, 1, 0.5, base_score=0.0, reg_lambda=0.0))
         # constant feature: no split, single leaf with the mean residual 2.0
         assert len(ens.trees[0].nodes) == 1
-        np.testing.assert_allclose(predict(ens, ds, None), np.full(3, 0.5 * 2.0))
+        np.testing.assert_allclose(predict(ens, ds), np.full(3, 0.5 * 2.0))
 
     def test_feature_count_mismatch(self):
         ds = make_regression(20, 2, seed=0)
         ens = train(ds, None, TrainParams(2, 2, 0.5))
         other = make_regression(5, 3, seed=1)
         with pytest.raises(DataError, match="feature count"):
-            predict(ens, other, None)
+            predict(ens, other)
 
     def test_predict_raw_recomputes_from_parts(self):
         ds = make_regression(80, 3, seed=2, target_fn=lambda X: X[:, 0] - X[:, 2], noise_sd=0.1)
@@ -552,7 +552,7 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(ens, path)
         back = load_model(path)
-        np.testing.assert_array_equal(predict(back, ds, None), predict(ens, ds, None))
+        np.testing.assert_array_equal(predict(back, ds), predict(ens, ds))
         assert ensemble_to_json_obj(back) == ensemble_to_json_obj(ens)
         save_model(back, tmp_path / "model2.json")
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "model2.json").read_bytes()

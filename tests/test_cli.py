@@ -53,12 +53,26 @@ class TestDiscoverCommand:
         assert "zz" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
-    def test_feature_too_large_to_standardize_is_data_error(self, tmp_path, capsys):
-        # its standard deviation overflows, so fold scores would be NaN
+    def test_huge_feature_gets_the_unscaled_partition(self, tmp_path, data_csv):
+        # the squares of its deviations overflow unless the column is rescaled
+        ds = load_csv(data_csv, "y", Task.REGRESSION)
+        X = np.array(ds.features)
+        X[:, 1] *= 1e200
+        huge = tmp_path / "huge.csv"
+        save_csv(Dataset(X, ds.feature_names, ds.target, ds.task), huge, target_name="y")
+        for path, out in ((data_csv, "plain"), (huge, "huge")):
+            assert run("discover", "--data", path, "--target", "y",
+                       "--task", "regression", "--out-dir", tmp_path / out) == 0
+        partition = (tmp_path / "plain" / "partition.json").read_bytes()
+        assert (tmp_path / "huge" / "partition.json").read_bytes() == partition
+        assert [0, 1] in json.loads(partition)
+
+    @pytest.mark.filterwarnings("error")
+    def test_target_too_large_to_score_is_data_error(self, tmp_path, capsys):
+        # squared validation errors overflow, so fold scores would be NaN
         rng = np.random.default_rng(6)
         X = rng.normal(size=(120, 3))
-        y = X[:, 0] * X[:, 1] + X[:, 2]
-        X[:, 1] *= 1e200
+        y = (X[:, 0] * X[:, 1] + X[:, 2]) * 1e200
         path = tmp_path / "huge.csv"
         save_csv(Dataset(X, ("a", "b", "c"), y, Task.REGRESSION), path, target_name="y")
         out = tmp_path / "out"
@@ -152,6 +166,34 @@ class TestTrainPredictCommands:
         assert run("train", "--data", data_csv, "--target", "y", "--task", "regression",
                    "--config", config, "--n-trees", 1, "--out-dir", out) == 0
         assert json.loads((out / "model.json").read_text())["params"]["seed"] == 9
+
+    def test_top_level_fields_stand_in_for_absent_flags(self, tmp_path, data_csv):
+        # predict reads model, data and out_dir from the config; discover reads
+        # data, target and task; a flag wins over each of these fields
+        assert run("train", "--data", data_csv, "--target", "y", "--task", "regression",
+                   "--n-trees", 3, "--out-dir", tmp_path / "model") == 0
+        model = tmp_path / "model" / "model.json"
+        assert run("predict", "--model", model, "--data", data_csv,
+                   "--out-dir", tmp_path / "flags") == 0
+        assert run("discover", "--data", data_csv, "--target", "y", "--task", "regression",
+                   "--out-dir", tmp_path / "flags") == 0
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"model": str(model), "data": str(data_csv), "target": "y",
+                                    "task": "regression", "out_dir": str(tmp_path / "config")}))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"model": "missing.json", "data": "missing.csv", "target": "x9",
+                                   "task": "classification", "out_dir": str(tmp_path / "unused")}))
+        assert run("predict", "--config", good) == 0
+        assert run("discover", "--config", good) == 0
+        assert run("predict", "--config", bad, "--model", model, "--data", data_csv,
+                   "--out-dir", tmp_path / "won") == 0
+        assert run("discover", "--config", bad, "--data", data_csv, "--target", "y",
+                   "--task", "regression", "--out-dir", tmp_path / "won") == 0
+        assert not (tmp_path / "unused").exists()
+        for name in ("predictions.csv", "partition.json", "discovery_log.json"):
+            expected = (tmp_path / "flags" / name).read_bytes()
+            assert (tmp_path / "config" / name).read_bytes() == expected
+            assert (tmp_path / "won" / name).read_bytes() == expected
 
     def test_constraints_file_enforced(self, tmp_path, data_csv):
         out = tmp_path / "out"

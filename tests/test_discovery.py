@@ -1,6 +1,10 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+from interboost.boosting import PerResidual, TrainParams, train
 from interboost.data import DataError, Dataset, Task
 from interboost.discovery import (
     ConstraintPartition,
@@ -10,6 +14,7 @@ from interboost.discovery import (
     discover_constraints_traced,
 )
 from interboost.linear import cv_score_terms, pairwise_terms
+from interboost.synth import paired_products_dataset
 
 from conftest import make_regression
 
@@ -250,3 +255,45 @@ class TestResidualDiscovery:
         residuals = y - 0.5
         part = discover_constraints_for_residuals(ds, residuals, WrapperConfig(seed=1))
         part.validate_for(3)
+
+
+class TestScaleInvariance:
+    """Multiplying a feature by 2^k is exact, so its standardized columns,
+    and with them every discovery score, must not change; tree thresholds
+    on it must scale by 2^k and nothing else in a model may change."""
+
+    CFG = WrapperConfig(epsilon=EPS)
+
+    def _log(self, ds):
+        partition, steps = discover_constraints_traced(ds, self.CFG)
+        return partition, json.dumps([dataclasses.asdict(s) for s in steps])
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        ds = paired_products_dataset(300, seed=1)
+        partition, log = self._log(ds)
+        assert partition.groups == ((2, 3, 1, 0), (4,), (5,))
+        params = TrainParams(6, 3, 0.3)
+        ens = train(ds, None, params, PerResidual(3, self.CFG, partition))
+        assert any((tree.nodes["feature"] == 2).any() for tree in ens.trees)
+        return ds, log, params, ens
+
+    @pytest.mark.parametrize("k", [-600, -520, -300, -64, -1, 1, 64, 300, 509, 510, 512, 600])
+    def test_power_of_two_scaling(self, reference, k):
+        ds, log, params, ens = reference
+        X = np.array(ds.features)
+        X[:, 2] = np.ldexp(X[:, 2], k)
+        scaled = Dataset(X, ds.feature_names, ds.target, ds.task)
+        partition, scaled_log = self._log(scaled)
+        assert scaled_log == log
+        scaled_ens = train(scaled, None, params, PerResidual(3, self.CFG, partition))
+        groups = [None if p is None else p.groups for p in ens.constraint_log]
+        assert [None if p is None else p.groups for p in scaled_ens.constraint_log] == groups
+        for tree, scaled_tree in zip(ens.trees, scaled_ens.trees, strict=True):
+            assert scaled_tree.used_group == tree.used_group
+            nodes, scaled_nodes = tree.nodes, scaled_tree.nodes
+            for field in ("feature", "left", "right", "weight"):
+                np.testing.assert_array_equal(scaled_nodes[field], nodes[field])
+            on_2 = nodes["feature"] == 2
+            expected = np.where(on_2, np.ldexp(nodes["threshold"], k), nodes["threshold"])
+            np.testing.assert_array_equal(scaled_nodes["threshold"], expected)

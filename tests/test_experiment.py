@@ -57,7 +57,7 @@ class TestTune:
 
         tr, te = train_test_split(ds, 0.25, seed=0)
         ens = train(tr, None, params)
-        assert r_squared(te.target, predict(ens, te, None)) >= 0.9
+        assert r_squared(te.target, predict(ens, te)) >= 0.9
 
     def test_tie_break_order(self):
         # constant target: every cell scores identically, so the first cell
@@ -182,7 +182,7 @@ class TestVariantSchedules:
         free = train(ds, None, self._params(), NoConstraints())
         for a, b in zip(constrained.trees, free.trees):
             assert np.array_equal(a.nodes, b.nodes)
-        np.testing.assert_array_equal(predict(constrained, ds, None), predict(free, ds, None))
+        np.testing.assert_array_equal(predict(constrained, ds), predict(free, ds))
 
 
 class TestPercentChange:
@@ -303,7 +303,7 @@ class TestForkedPartialRuns:
         partial = {v.variant_id: v.test_score for v in partial}
         for x in (2, 6, 3):
             schedule = PerResidual(x, cfg.wrapper_cfg, ConstraintPartition(tuple(map(tuple, base_partition))))
-            prediction = predict(train(train_ds, None, report.tuned_params, schedule), test_ds, None)
+            prediction = predict(train(train_ds, None, report.tuned_params, schedule), test_ds)
             assert partial[f"interaction_{x}"] == score_for_task(test_ds.task, test_ds.target, prediction)
 
 

@@ -83,6 +83,16 @@ class TestMaterialize:
         np.testing.assert_array_equal(values[:, 0], [0.0, 0.0, 0.0])
         assert stats[0] == (4.0, 1.0)
 
+    @pytest.mark.parametrize("k", [-1000, -600, -1, 1, 600, 1000])
+    def test_stats_scale_exactly_by_powers_of_two(self, k):
+        col = np.array([0.3, -1.7, 2.9, 0.05])
+        _, stats = materialize(self._ds([col, np.ldexp(col, k)]), None, (Base(0), Base(1)))
+        assert stats[1] == (np.ldexp(stats[0][0], k), np.ldexp(stats[0][1], k))
+
+    def test_stats_of_the_largest_floats(self):
+        _, stats = materialize(self._ds([np.array([1.7e308, 1.6e308])]), None, (Base(0),))
+        np.testing.assert_allclose(stats[0], (1.65e308, np.std([1.7, 1.6], ddof=1) * 1e308))
+
     def test_product_of_standardized_bases(self):
         ds = self._ds([np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0])])
         values, _ = materialize(ds, None, pairwise_terms((0, 1), (0, 1)))

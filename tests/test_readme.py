@@ -1,18 +1,46 @@
 """The README's library example is the documented entry point to the
-package's public names; it must run as written."""
+package's public names, and its Scripts section is the documented
+end-to-end benchmark run; both must run as written."""
 
+import json
 import re
+import runpy
+import shlex
+import sys
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+from interboost import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
-def _library_example() -> str:
-    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
-    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
-    assert match is not None, "no python block under '## Library example'"
+def _section(heading: str) -> str:
+    return README.read_text(encoding="utf-8").split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _block(section: str, language: str) -> str:
+    match = re.search(rf"```{language}\n(.*?)```", section, re.DOTALL)
+    assert match is not None, f"no {language} block in the section"
     return match.group(1)
 
 
 def test_library_example_runs():
-    exec(compile(_library_example(), str(README), "exec"), {"__name__": "readme_example"})
+    code = _block(_section("Library example"), "python")
+    exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
+
+
+def test_synthetic_benchmark_commands_run(tmp_path, monkeypatch):
+    section = _section("Scripts")
+    commands = _block(section, "bash").replace("\\\n", " ")
+    generate, bench = [shlex.split(line) for line in commands.splitlines() if line.strip()]
+    assert generate[:2] == ["python", "scripts/gen_synthetic.py"]
+    assert bench[:2] == ["interboost", "benchmark"]
+    generate[generate.index("--rows") + 1] = "200"  # a smaller table, for speed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fast.json").write_text(_block(section, "json"), encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", generate[1:])
+    runpy.run_path(str(ROOT / generate[1]), run_name="__main__")
+    assert cli.main(bench[1:]) == 0
+    out = Path(bench[bench.index("--out-dir") + 1])
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["dataset"] == "synthetic_paired"
