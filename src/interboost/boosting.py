@@ -32,7 +32,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 import numpy as np
 
-from .data import DataError, Dataset, RowIndexSet, Task, resolve_rows, take_rows
+from .data import DataError, Dataset, RowIndexSet, Task, take_rows
 from .data import checked_int, checked_real, read_json, write_json
 from .discovery import (
     ConstraintPartition,
@@ -196,7 +196,7 @@ def _split_threshold(a: float, b: float) -> float:
     return t if t > a else b
 
 
-def _find_split(xs, rows, g, h, allowed, params: TrainParams):
+def _find_split(xs, rows, g, h, allowed, params: TrainParams, gamma: float):
     """(gain, threshold, feature) of the best split of one node, or None.
 
     `rows` and `xs` are the node's presorted block: row k holds the node's
@@ -208,7 +208,8 @@ def _find_split(xs, rows, g, h, allowed, params: TrainParams):
     min_child_hessian, or with a non-finite gain (possible when reg_lambda
     and min_child_hessian are both zero) scores -inf. The first maximum in
     row-major order wins, so ties go to the lower feature index, then the
-    lower threshold; a best gain that is not positive gives None."""
+    lower threshold; a best gain that is not positive gives None. `gamma`
+    stands for params.gamma in the units of g squared."""
     m = xs.shape[1]
     min_rows, lam, min_hess = params.min_child_samples, params.reg_lambda, params.min_child_hessian
     if m < 2 * min_rows:
@@ -225,7 +226,7 @@ def _find_split(xs, rows, g, h, allowed, params: TrainParams):
         right /= H - HL + lam
         gains = GL * GL / (HL + lam)
         gains += right
-        gains = 0.5 * (gains - G * G / (H + lam)) - params.gamma
+        gains = 0.5 * (gains - G * G / (H + lam)) - gamma
     gains[invalid | ~np.isfinite(gains)] = -np.inf
     gains[:, : min_rows - 1] = gains[:, m - min_rows :] = -np.inf  # a child below min_child_samples
     k, i = divmod(int(np.argmax(gains)), m - 1)
@@ -244,7 +245,19 @@ def _grow(
     each feature sorted with ties in row order, so no node sorts. Node ids
     are in depth-first preorder: the stack pushes a node's right child
     before its left one, and each popped child writes its id into its
-    parent's record."""
+    parent's record.
+
+    Splits are scored on ldexp(g, -e), its largest |g| in [0.5, 1), against
+    ldexp(gamma, -2e), so squared sums of g neither overflow nor sink into
+    the subnormals. A power-of-two scale is exact: the gains scale by
+    2^-2e, the splits stay those of g, and leaf weights come from g. A
+    gradient that is not finite is a DataError."""
+    largest = float(np.max(np.abs(g)))
+    if not math.isfinite(largest):
+        raise DataError("a gradient is not finite: the targets are too large")
+    e = math.frexp(largest)[1]
+    with np.errstate(over="ignore"):  # a gamma past the largest float allows no split
+        scan_g, gamma = np.ldexp(g, -e), np.ldexp(params.gamma, -2 * e)
     n = X.shape[0]
     records: list[list] = []
     values = np.empty(n)
@@ -260,7 +273,7 @@ def _grow(
             records[parent][side] = node_id
         found = None
         if depth < params.max_depth:
-            found = _find_split(xs, rows, g, h, allowed, params)
+            found = _find_split(xs, rows, scan_g, h, allowed, params, gamma)
         if found is None:
             weight = leaf_weight(float(g[pos].sum()), float(h[pos].sum()), params.reg_lambda)
             records.append([-1, 0.0, -1, -1, weight])
@@ -299,13 +312,10 @@ def default_base_score(task: Task, y: np.ndarray) -> float:
 
 
 def _partition_for_round(
-    schedule: ConstraintSchedule,
-    tree_number: int,
-    train_ds: Dataset | None,
-    g: np.ndarray,
+    schedule: ConstraintSchedule, tree_number: int, train_ds: Dataset, g: np.ndarray
 ) -> ConstraintPartition | None:
-    """The partition of round `tree_number`; `train_ds` (the training rows,
-    needed only by `PerResidual`) is where residual discovery runs."""
+    """The partition of round `tree_number`; `PerResidual` runs residual
+    discovery on `train_ds`, the training set."""
     if isinstance(schedule, NoConstraints):
         return None
     if isinstance(schedule, FixedPartition):
@@ -346,16 +356,19 @@ def train(
     the run that grew it. A prefix of another task, feature count,
     learning rate or base score, or with more than n_trees trees, is a
     ValueError.
+
+    `rows` picks the training rows of `ds`; None trains on all of them.
+    An index past the end is a DataError, and so is an empty row set.
     """
-    rows = resolve_rows(ds, rows)
-    if len(rows) == 0:
-        raise ValueError("training requires a nonempty row set")
+    if rows is not None:
+        if len(rows) and rows.indices[-1] >= ds.n_rows:
+            raise DataError(f"row index {int(rows.indices[-1])} out of range for {ds.n_rows} rows")
+        ds = take_rows(ds, rows.indices)
     if isinstance(schedule, FixedPartition):
         schedule.partition.validate_for(ds.n_features)
     elif isinstance(schedule, PerResidual):
         schedule.first_tree_partition.validate_for(ds.n_features)
-    X = ds.features[rows.indices]
-    y = ds.target[rows.indices]
+    X, y = ds.features, ds.target
     base = params.base_score if params.base_score is not None else default_base_score(ds.task, y)
     if not math.isfinite(base):
         raise DataError(f"base score {base} is not finite: the targets are too large")
@@ -364,13 +377,12 @@ def train(
     else:
         _check_prefix(prefix, ds, params, float(base))
     raw = deque(staged_raw_matrix(prefix, X), maxlen=1).pop()
-    train_ds = take_rows(ds, rows.indices) if isinstance(schedule, PerResidual) else None
     presorted = presort(X)
     trees = list(prefix.trees)
     log = list(prefix.constraint_log)
     for tree_number in range(len(trees) + 1, params.n_trees + 1):
         g, h = grad_hess(ds.task, y, raw)
-        partition = _partition_for_round(schedule, tree_number, train_ds, g)
+        partition = _partition_for_round(schedule, tree_number, ds, g)
         tree, contribution = _grow(X, g, h, presorted, params, partition)
         if not np.all(np.isfinite(contribution)):
             raise DataError(f"tree {tree_number} has a leaf weight that is not finite: the targets are too large")

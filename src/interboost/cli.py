@@ -26,7 +26,7 @@ from .boosting import (
 from .data import DataError, Task, format_real, load_csv, write_atomic
 from .data import checked_int, read_csv, read_json, write_json
 from .discovery import ConstraintPartition, WrapperConfig, discover_constraints, discover_constraints_traced
-from .experiment import BenchmarkConfig, TuningGrid, benchmark, report_to_csv, report_to_json_obj, tune
+from .experiment import BenchmarkConfig, TuningGrid, benchmark, report_to_csv, tune
 
 
 class ConfigError(ValueError):
@@ -182,15 +182,12 @@ def cmd_benchmark(args, config: dict) -> int:
     ds = _load_dataset(args)
     cfg = _benchmark_config(args, config)
     report = benchmark(ds, cfg, dataset_name=Path(args.data).stem)
-    write_json(args.out_dir / "report.json", report_to_json_obj(report))
+    write_json(args.out_dir / "report.json", report)
     write_atomic(args.out_dir / "report.csv", report_to_csv(report))
-    for v in report.variants:
-        change = (
-            "n/a"
-            if v.percent_change_from_baseline is None
-            else f"{v.percent_change_from_baseline:+.4f}%"
-        )
-        print(f"{v.variant_id:>20}  score={v.test_score:.6f}  change={change}")
+    for v in report["variants"]:
+        change = v["percent_change_from_baseline"]
+        change = "n/a" if change is None else f"{change:+.4f}%"
+        print(f"{v['variant']:>20}  score={v['test_score']:.6f}  change={change}")
     print(f"wrote {args.out_dir / 'report.json'} and {args.out_dir / 'report.csv'}")
     return 0
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import collections
 import csv
 import enum
+import io
 import json
 import math
 import numbers
@@ -99,23 +100,6 @@ class RowIndexSet:
 
     def __len__(self) -> int:
         return int(self.indices.size)
-
-    @classmethod
-    def all_rows(cls, n_rows: int) -> "RowIndexSet":
-        return cls(np.arange(n_rows, dtype=np.int64))
-
-    @classmethod
-    def of(cls, positions) -> "RowIndexSet":
-        return cls(np.asarray(sorted(positions), dtype=np.int64))
-
-
-def resolve_rows(ds: Dataset, rows: RowIndexSet | None) -> RowIndexSet:
-    """None means all rows; otherwise validate the indices fit the dataset."""
-    if rows is None:
-        return RowIndexSet.all_rows(ds.n_rows)
-    if len(rows) and rows.indices[-1] >= ds.n_rows:
-        raise DataError(f"row index {int(rows.indices[-1])} out of range for {ds.n_rows} rows")
-    return rows
 
 
 def read_csv(path, columns=None) -> tuple[tuple[str, ...], np.ndarray]:
@@ -235,30 +219,35 @@ def format_real(value: float) -> str:
 
 
 def save_csv(ds: Dataset, path, target_name: str = "target") -> None:
-    """Write the dataset back to CSV; feature columns first, target last.
+    """Write the dataset to CSV through `write_atomic`; feature columns first, target last.
 
     Reals are written with 17 significant digits so a reload reproduces the
     dataset exactly.
     """
     if target_name in ds.feature_names:
         raise DataError(f"target name {target_name!r} collides with a feature name")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(ds.feature_names) + [target_name])
-        for i in range(ds.n_rows):
-            writer.writerow(
-                [format_real(v) for v in ds.features[i, :]] + [format_real(ds.target[i])]
-            )
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(ds.feature_names) + [target_name])
+    for i in range(ds.n_rows):
+        writer.writerow([format_real(v) for v in ds.features[i, :]] + [format_real(ds.target[i])])
+    write_atomic(Path(path), buf.getvalue())
+
+
+_UMASK = os.umask(0)
+os.umask(_UMASK)
 
 
 def write_atomic(path: Path, text: str) -> None:
     """Write `text` to `path` through a temporary file in the same directory
-    and a rename, so readers never see a partial file."""
+    and a rename, so readers never see a partial file. The file gets the
+    mode `open` would give it (0666 less the umask), not mkstemp's 0600."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):

@@ -31,7 +31,7 @@ from .boosting import (
     staged_raw_matrix,
     train,
 )
-from .data import DataError, Dataset, Task, kfold, train_test_split
+from .data import DataError, Dataset, kfold, train_test_split
 from .data import checked_int, checked_real
 from .discovery import ConstraintPartition, WrapperConfig, discover_constraints
 from .linear import score_for_task
@@ -83,7 +83,9 @@ def tune(ds: Dataset, grid: TuningGrid, k: int, seed: int) -> TrainParams:
                 stages = staged_raw_matrix(ens, ds.features[va.indices])
                 for n_trees, raw in enumerate(stages):
                     if n_trees in sizes:
-                        score = score_for_task(ds.task, y, raw_to_prediction(ds.task, raw))
+                        # a score that overflows is NaN, which no cell picks
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            score = score_for_task(ds.task, y, raw_to_prediction(ds.task, raw))
                         fold_scores.setdefault((n_trees, max_depth, learning_rate), []).append(score)
     best_score = -np.inf
     best_params = None
@@ -94,7 +96,8 @@ def tune(ds: Dataset, grid: TuningGrid, k: int, seed: int) -> TrainParams:
                 if mean_score > best_score:
                     best_score = mean_score
                     best_params = TrainParams(n_trees, max_depth, learning_rate)
-    assert best_params is not None
+    if best_params is None:
+        raise DataError("no grid cell has a finite mean score: the targets are too large to score")
     return best_params
 
 
@@ -139,31 +142,6 @@ class BenchmarkConfig:
             raise ValueError("random_runs and random_groups must be >= 1")
 
 
-@dataclass(frozen=True)
-class RandomRun:
-    seed: int
-    groups: tuple[tuple[int, ...], ...]
-    test_score: float
-
-
-@dataclass(frozen=True)
-class VariantResult:
-    variant_id: str
-    constraint: dict | None
-    test_score: float
-    percent_change_from_baseline: float | None
-    runs: tuple[RandomRun, ...] = ()
-
-
-@dataclass(frozen=True, eq=False)
-class BenchmarkReport:
-    dataset_name: str
-    task: Task
-    tuned_params: TrainParams
-    variants: tuple[VariantResult, ...]
-    seeds: dict
-
-
 def percent_change(baseline: float, variant: float) -> float | None:
     """(variant - baseline) / |baseline| * 100; None when the baseline is zero."""
     if baseline == 0.0:
@@ -196,8 +174,9 @@ def _partial_x_models(
     return models
 
 
-def benchmark(ds: Dataset, cfg: BenchmarkConfig, dataset_name: str = "dataset") -> BenchmarkReport:
-    """Run the full variant comparison on one holdout split.
+def benchmark(ds: Dataset, cfg: BenchmarkConfig, dataset_name: str = "dataset") -> dict:
+    """Run the full variant comparison on one holdout split and return the
+    `report.json` document (schema in the README).
 
     Derived seeds: tuning folds use mix_seed(split_seed, 1); random-partition
     run i uses mix_seed(split_seed, 2, i). All are recorded in the report.
@@ -214,9 +193,10 @@ def benchmark(ds: Dataset, cfg: BenchmarkConfig, dataset_name: str = "dataset") 
 
     baseline_score = score(NoConstraints())
 
-    def variant(variant_id, constraint, test_score, runs=()) -> VariantResult:
+    def variant(variant_id, constraint, test_score, **runs) -> dict:
         change = percent_change(baseline_score, test_score)
-        return VariantResult(variant_id, constraint, test_score, change, runs)
+        return dict(variant=variant_id, constraint=constraint, test_score=test_score,
+                    percent_change_from_baseline=change, **runs)
 
     base_groups = base_partition.to_json_obj()
     results = [
@@ -232,63 +212,32 @@ def benchmark(ds: Dataset, cfg: BenchmarkConfig, dataset_name: str = "dataset") 
     runs = []
     for run_seed in random_seeds:
         partition = random_partition(train_ds.n_features, cfg.random_groups, run_seed)
-        runs.append(RandomRun(run_seed, partition.groups, score(FixedPartition(partition))))
-    random_mean = float(np.mean([r.test_score for r in runs]))
+        runs.append(dict(seed=run_seed, groups=partition.to_json_obj(), test_score=score(FixedPartition(partition))))
+    random_mean = float(np.mean([r["test_score"] for r in runs]))
     constraint = {"n_groups": cfg.random_groups, "n_runs": cfg.random_runs}
-    results.append(variant("random_interaction", constraint, random_mean, tuple(runs)))
+    results.append(variant("random_interaction", constraint, random_mean, runs=runs))
 
-    return BenchmarkReport(
-        dataset_name=dataset_name,
-        task=ds.task,
-        tuned_params=params,
-        variants=tuple(results),
-        seeds={
+    return {
+        "dataset": dataset_name,
+        "task": ds.task.value,
+        "tuned_params": asdict(params),
+        "seeds": {
             "split_seed": cfg.split_seed,
             "tune_seed": tune_seed,
             "wrapper_seed": cfg.wrapper_cfg.seed,
             "random_seeds": random_seeds,
         },
-    )
-
-
-def report_to_json_obj(report: BenchmarkReport) -> dict:
-    return {
-        "dataset": report.dataset_name,
-        "task": report.task.value,
-        "tuned_params": asdict(report.tuned_params),
-        "seeds": report.seeds,
-        "variants": [
-            {
-                "variant": v.variant_id,
-                "constraint": v.constraint,
-                "test_score": v.test_score,
-                "percent_change_from_baseline": v.percent_change_from_baseline,
-                **(
-                    {
-                        "runs": [
-                            {
-                                "seed": r.seed,
-                                "groups": [list(g) for g in r.groups],
-                                "test_score": r.test_score,
-                            }
-                            for r in v.runs
-                        ]
-                    }
-                    if v.runs
-                    else {}
-                ),
-            }
-            for v in report.variants
-        ],
+        "variants": results,
     }
 
 
-def report_to_csv(report: BenchmarkReport) -> str:
-    """Flat one-row-per-variant CSV for external plotting."""
+def report_to_csv(report: dict) -> str:
+    """Flat one-row-per-variant CSV of a `benchmark` report, for external plotting."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["dataset", "task", "variant", "test_score", "percent_change_from_baseline"])
-    for v in report.variants:
-        change = "" if v.percent_change_from_baseline is None else repr(v.percent_change_from_baseline)
-        writer.writerow([report.dataset_name, report.task.value, v.variant_id, repr(v.test_score), change])
+    for v in report["variants"]:
+        change = v["percent_change_from_baseline"]
+        row = [report["dataset"], report["task"], v["variant"], repr(v["test_score"])]
+        writer.writerow(row + ["" if change is None else repr(change)])
     return buf.getvalue()

@@ -1,10 +1,11 @@
 import dataclasses
 import gc
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from interboost.boosting import (
     FixedPartition,
@@ -27,7 +28,7 @@ from interboost.boosting import (
     staged_raw_matrix,
     train,
 )
-from interboost.data import DataError, Dataset, RowIndexSet, Task
+from interboost.data import DataError, Dataset, RowIndexSet, Task, replace_target, take_rows
 from interboost.discovery import ConstraintPartition, WrapperConfig
 from interboost.linear import sigmoid
 from oracles import (
@@ -120,7 +121,7 @@ def _find(ds, allowed, gh, params):
     pair `gh`: (gain, threshold, feature) or None."""
     rows, xs = presort(ds.features)
     allowed = list(allowed)
-    return _find_split(xs[allowed], rows[allowed], *gh, tuple(allowed), params)
+    return _find_split(xs[allowed], rows[allowed], *gh, tuple(allowed), params, params.gamma)
 
 
 class TestBestSplit:
@@ -431,6 +432,70 @@ class TestTrain:
         for tree, partition in zip(ens.trees, ens.constraint_log):
             if partition is not None:
                 assert_paths_respect_partition(tree, partition)
+
+
+class TestTrainingRows:
+    """`rows` picks the training set of `ds`; None trains on all of it."""
+
+    def _ds(self):
+        return make_regression(120, 3, seed=14, target_fn=lambda X: X[:, 0] * X[:, 1] + X[:, 2], noise_sd=0.1)
+
+    def test_index_past_the_end_is_data_error(self):
+        ds = self._ds()
+        with pytest.raises(DataError, match="out of range"):
+            train(ds, RowIndexSet(np.array([0, 5, ds.n_rows])), TrainParams(2, 2, 0.3))
+
+    def test_empty_row_set_is_data_error(self):
+        with pytest.raises(DataError):
+            train(self._ds(), RowIndexSet(np.array([], dtype=np.int64)), TrainParams(2, 2, 0.3))
+
+    @pytest.mark.parametrize("per_residual", [False, True])
+    def test_rows_train_like_the_dataset_of_those_rows(self, per_residual):
+        ds = self._ds()
+        rows = RowIndexSet(np.arange(1, ds.n_rows, 2))
+        schedule = NoConstraints()
+        if per_residual:
+            schedule = PerResidual(3, WrapperConfig(seed=0, epsilon=5e-3), ConstraintPartition(((0, 1), (2,))))
+        params = TrainParams(5, 3, 0.3)
+        picked = train(ds, rows, params, schedule)
+        alone = train(take_rows(ds, rows.indices), None, params, schedule)
+        assert json.dumps(ensemble_to_json_obj(picked)) == json.dumps(ensemble_to_json_obj(alone))
+
+
+class TestScaleInvariance:
+    """With gamma = 0, a regression target scaled by 2^k grows the same
+    trees with leaf weights scaled by 2^k, also where the squared gradient
+    sums would overflow or underflow unscaled."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(k=st.integers(-600, 900))
+    @example(k=-600)
+    @example(k=-520)
+    @example(k=-401)
+    @example(k=500)
+    @example(k=505)
+    @example(k=510)
+    @example(k=511)
+    @example(k=512)
+    @example(k=515)
+    @example(k=520)
+    @example(k=900)
+    def test_power_of_two_target(self, k):
+        ds = make_regression(120, 3, seed=16, target_fn=lambda X: X[:, 0] * X[:, 1] + X[:, 2], noise_sd=0.1)
+        params = TrainParams(6, 3, 0.3, gamma=0.0)
+        plain = train(ds, None, params)
+        scaled = train(replace_target(ds, np.ldexp(ds.target, k), ds.task), None, params)
+        assert scaled.base_score == math.ldexp(plain.base_score, k)
+        for a, b in zip(plain.trees, scaled.trees, strict=True):
+            for field in ("feature", "threshold", "left", "right"):
+                assert a.nodes[field].tobytes() == b.nodes[field].tobytes()
+            assert np.ldexp(a.nodes["weight"], k).tobytes() == b.nodes["weight"].tobytes()
+        assert sum(len(tree.nodes) for tree in plain.trees) > 6  # the trees did split
+
+    def test_gradient_that_is_not_finite_is_data_error(self):
+        ds = Dataset(np.arange(4.0).reshape(4, 1), ("a",), np.full(4, -1e308), Task.REGRESSION)
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="gradient"):
+            train(ds, None, TrainParams(1, 1, 0.1, base_score=1e308))
 
 
 def _same_model(a, b):

@@ -23,6 +23,18 @@ def data_csv(tmp_path):
     return path
 
 
+@pytest.fixture
+def huge_target_csv(tmp_path):
+    """A 120-row regression table whose target, (x0*x1 + x2) * 1e200,
+    overflows when squared."""
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(120, 3))
+    y = (X[:, 0] * X[:, 1] + X[:, 2]) * 1e200
+    path = tmp_path / "huge.csv"
+    save_csv(Dataset(X, ("a", "b", "c"), y, Task.REGRESSION), path, target_name="y")
+    return path
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -68,15 +80,10 @@ class TestDiscoverCommand:
         assert [0, 1] in json.loads(partition)
 
     @pytest.mark.filterwarnings("error")
-    def test_target_too_large_to_score_is_data_error(self, tmp_path, capsys):
+    def test_target_too_large_to_score_is_data_error(self, tmp_path, huge_target_csv, capsys):
         # squared validation errors overflow, so fold scores would be NaN
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(120, 3))
-        y = (X[:, 0] * X[:, 1] + X[:, 2]) * 1e200
-        path = tmp_path / "huge.csv"
-        save_csv(Dataset(X, ("a", "b", "c"), y, Task.REGRESSION), path, target_name="y")
         out = tmp_path / "out"
-        code = run("discover", "--data", path, "--target", "y",
+        code = run("discover", "--data", huge_target_csv, "--target", "y",
                    "--task", "regression", "--out-dir", out)
         assert code == 2
         assert "not finite" in capsys.readouterr().err
@@ -341,6 +348,14 @@ class TestExtremeValues:
         assert "not finite" in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_target_still_splits(self, tmp_path, huge_target_csv):
+        # squared gradient sums overflow unless the split scan rescales them
+        out = tmp_path / "out"
+        assert run("train", "--data", huge_target_csv, "--target", "y", "--task", "regression",
+                   "--n-trees", 3, "--out-dir", out) == 0
+        assert any(len(tree.nodes) > 1 for tree in load_model(out / "model.json").trees)
+
 
 class TestBenchmarkCommand:
     def _config(self, tmp_path, data_csv, out_name="bench"):
@@ -391,6 +406,12 @@ class TestBenchmarkCommand:
         path.write_text("{nope")
         assert run("benchmark", "--config", path) == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_target_too_large_to_score_is_data_error(self, tmp_path, huge_target_csv, capsys):
+        assert run("benchmark", "--config", self._config(tmp_path, huge_target_csv)) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "bench" / "report.json").exists()
+
 
 class TestTuneCommand:
     def test_writes_params(self, tmp_path, data_csv):
@@ -407,6 +428,18 @@ class TestTuneCommand:
         ds = load_csv(data_csv, "y", Task.REGRESSION)
         expected = tune(ds, TuningGrid((5, 9), (2,), (0.3,)), obj["k"], 2)
         assert TrainParams(**obj["params"]) == expected
+
+    @pytest.mark.filterwarnings("error")
+    def test_target_too_large_to_score_is_data_error(self, tmp_path, huge_target_csv, capsys):
+        # every fold score overflows to NaN, so no grid cell can be picked
+        out = tmp_path / "out"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grid": {"n_trees": [3, 6], "max_depth": [2], "learning_rate": [0.3]}}))
+        code = run("tune", "--data", huge_target_csv, "--target", "y", "--task", "regression",
+                   "--config", config, "--out-dir", out)
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (out / "tuned_params.json").exists()
 
 
 class TestUsageErrors:

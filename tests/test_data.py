@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from interboost import data
 from interboost.data import (
     DataError,
     Dataset,
@@ -91,6 +92,27 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.target, ds.target)
         assert back.feature_names == ds.feature_names
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "old.csv"
+        path.write_bytes(b"a,t\n1,2\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(data.os, "replace", failing_replace)
+        ds = Dataset(np.zeros((3, 1)), ("a",), np.ones(3), Task.REGRESSION)
+        with pytest.raises(OSError, match="disk full"):
+            save_csv(ds, path, target_name="t")
+        assert path.read_bytes() == b"a,t\n1,2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+
+    def test_written_file_has_the_mode_open_gives(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("a,t\n")
+        path = tmp_path / "saved.csv"
+        save_csv(Dataset(np.zeros((2, 1)), ("a",), np.ones(2), Task.REGRESSION), path, target_name="t")
+        assert path.stat().st_mode == plain.stat().st_mode
+
 
 class TestDatasetInvariants:
     def test_rejects_nan_features(self):
@@ -120,9 +142,6 @@ class TestRowIndexSet:
             RowIndexSet(np.array([2, 1]))
         with pytest.raises(DataError):
             RowIndexSet(np.array([-1, 0]))
-
-    def test_of_sorts(self):
-        assert RowIndexSet.of([3, 1, 2]).indices.tolist() == [1, 2, 3]
 
 
 class TestTrainTestSplit:

@@ -18,7 +18,6 @@ from interboost.experiment import (
     percent_change,
     random_partition,
     report_to_csv,
-    report_to_json_obj,
     tune,
 )
 from interboost.linear import score_for_task
@@ -221,7 +220,7 @@ def report():
 
 class TestBenchmark:
     def test_variant_naming_scheme(self, report):
-        names = [v.variant_id for v in report.variants]
+        names = [v["variant"] for v in report["variants"]]
         assert names == [
             "baseline",
             "full_interaction",
@@ -231,51 +230,50 @@ class TestBenchmark:
         ]
 
     def test_baseline_percent_change_zero(self, report):
-        assert report.variants[0].percent_change_from_baseline == 0.0
+        assert report["variants"][0]["percent_change_from_baseline"] == 0.0
 
     def test_percent_changes_recompute_from_scores(self, report):
-        base = report.variants[0].test_score
-        for v in report.variants:
-            assert v.percent_change_from_baseline == percent_change(base, v.test_score)
+        base = report["variants"][0]["test_score"]
+        for v in report["variants"]:
+            assert v["percent_change_from_baseline"] == percent_change(base, v["test_score"])
 
     def test_random_entry_is_mean_of_runs(self, report):
-        random = report.variants[-1]
-        assert len(random.runs) == 2
-        assert random.test_score == pytest.approx(
-            float(np.mean([r.test_score for r in random.runs])), abs=0
+        random = report["variants"][-1]
+        assert len(random["runs"]) == 2
+        assert random["test_score"] == pytest.approx(
+            float(np.mean([r["test_score"] for r in random["runs"]])), abs=0
         )
-        seeds = [r.seed for r in random.runs]
-        assert seeds == report.seeds["random_seeds"]
+        seeds = [r["seed"] for r in random["runs"]]
+        assert seeds == report["seeds"]["random_seeds"]
 
     def test_random_runs_use_seeded_partitions(self, report):
         n_features = paired_products_dataset(240, seed=1).n_features
         groups = _tiny_benchmark_config().random_groups
-        for run in report.variants[-1].runs:
-            assert run.groups == random_partition(n_features, groups, run.seed).groups
+        for run in report["variants"][-1]["runs"]:
+            assert run["groups"] == random_partition(n_features, groups, run["seed"]).to_json_obj()
 
     def test_report_serializations(self, report):
-        obj = report_to_json_obj(report)
-        text = json.dumps(obj, indent=2)
-        assert json.loads(text) == obj
+        text = json.dumps(report, indent=2)
+        assert json.loads(text) == report
         csv_text = report_to_csv(report)
         lines = csv_text.strip().split("\n")
         assert lines[0] == "dataset,task,variant,test_score,percent_change_from_baseline"
-        assert len(lines) == 1 + len(report.variants)
+        assert len(lines) == 1 + len(report["variants"])
         # raw scores in the CSV parse back to the exact stored floats
-        for line, v in zip(lines[1:], report.variants):
+        for line, v in zip(lines[1:], report["variants"]):
             cells = line.split(",")
-            assert float(cells[3]) == v.test_score
+            assert float(cells[3]) == v["test_score"]
 
     def test_csv_quotes_a_dataset_name_with_a_comma(self, report):
-        text = report_to_csv(dataclasses.replace(report, dataset_name="a,b"))
+        text = report_to_csv({**report, "dataset": "a,b"})
         rows = list(csv.reader(io.StringIO(text)))
-        assert [len(row) for row in rows] == [5] * (1 + len(report.variants))
+        assert [len(row) for row in rows] == [5] * (1 + len(report["variants"]))
         assert {row[0] for row in rows[1:]} == {"a,b"}
 
     def test_deterministic(self, report):
         ds = paired_products_dataset(240, seed=1)
         again = benchmark(ds, _tiny_benchmark_config(), dataset_name="synthetic")
-        assert report_to_json_obj(again) == report_to_json_obj(report)
+        assert again == report
 
 
 class TestForkedPartialRuns:
@@ -293,17 +291,18 @@ class TestForkedPartialRuns:
             _tiny_benchmark_config(), grid=TuningGrid((4,), (2,), (0.3,)), partial_x_list=(2, 6, 3, 2), random_runs=1
         )
         report = benchmark(ds, cfg)
-        assert report.tuned_params.n_trees == 4
+        tuned = TrainParams(**report["tuned_params"])
+        assert tuned.n_trees == 4
         assert len(calls) == min(6, 4) - 1
         # each interaction_x is the model PerResidual(x) trains directly
         train_ds, test_ds = train_test_split(ds, cfg.test_fraction, cfg.split_seed)
-        base_partition = report.variants[1].constraint["partition"]
-        partial = report.variants[2:-1]
-        assert [v.variant_id for v in partial] == ["interaction_2", "interaction_6", "interaction_3", "interaction_2"]
-        partial = {v.variant_id: v.test_score for v in partial}
+        base_partition = report["variants"][1]["constraint"]["partition"]
+        partial = report["variants"][2:-1]
+        assert [v["variant"] for v in partial] == ["interaction_2", "interaction_6", "interaction_3", "interaction_2"]
+        partial = {v["variant"]: v["test_score"] for v in partial}
         for x in (2, 6, 3):
             schedule = PerResidual(x, cfg.wrapper_cfg, ConstraintPartition(tuple(map(tuple, base_partition))))
-            prediction = predict(train(train_ds, None, report.tuned_params, schedule), test_ds)
+            prediction = predict(train(train_ds, None, tuned, schedule), test_ds)
             assert partial[f"interaction_{x}"] == score_for_task(test_ds.task, test_ds.target, prediction)
 
 

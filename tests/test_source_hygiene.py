@@ -1,10 +1,12 @@
 """Every name a package module imports is used there, exported through
 `__all__`, or imported on a line marked `# noqa` (kept for another reader,
 such as the benchmark's tracer); every package name a script imports exists;
-and every module-level function and class of the package has a reader."""
+every module-level function and class of the package has a reader; and every
+file the package writes goes through `data.write_atomic`."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -103,3 +105,54 @@ def test_every_definition_has_a_reader(path):
     ]
     readers = _readers()
     assert [name for name in defined if name not in readers] == []
+
+
+def file_writes(source: str) -> list[str]:
+    """Calls outside a function named `write_atomic` that write a file:
+    `open`, `Path.open` or `os.fdopen` with a literal mode holding w, a, x
+    or +, and `write_text` or `write_bytes`."""
+    tree = ast.parse(source)
+    exempt = {
+        node
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef) and f.name == "write_atomic"
+        for node in ast.walk(f)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or node in exempt:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("open", "fdopen"):
+            # the mode is open's second argument, or Path.open's first
+            args = node.args[:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            modes = [a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+            if not any(re.fullmatch(r"[rwxabt+]+", m) and set(m) & set("wax+") for m in modes):
+                continue
+        elif name not in ("write_text", "write_bytes"):
+            continue
+        found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_file_write_is_atomic(path):
+    assert file_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_a_file_write():
+    source = (
+        "def write_atomic(path, text):\n"
+        "    with os.fdopen(fd, 'w') as fh:\n"
+        "        fh.write(text)\n"
+        "def save(path):\n"
+        "    open(path, 'w')\n"
+        "    open(path, mode='ab')\n"
+        "    path.open('r+')\n"
+        "    path.write_text('')\n"
+        "    open(path)\n"
+        "    open('data.csv', 'rb')\n"
+        "    gzip.open(path)\n"
+    )
+    assert file_writes(source) == ["line 5: open", "line 6: open", "line 7: open", "line 8: write_text"]
