@@ -21,11 +21,18 @@ Training has no randomness, so the first t trees of a run depend only on
 the schedule's first t rounds: `train` can continue a prefix of another
 run (`prefix=`), and `staged_raw_matrix` gives the prediction after every
 number of trees from one summation loop.
+
+Prediction walks every tree of an ensemble at once: the trees are laid out
+once per `Ensemble` in one flat node table (`FlatTrees`), and each walk step
+moves every (tree, row) cell one level down with a few numpy gathers. Rows
+are walked in chunks of at most WALK_CELLS cells, so predict's temporary
+memory grows with the rows, not with rows times trees.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections import deque
 from collections.abc import Iterator
@@ -85,30 +92,21 @@ NODE = np.dtype(
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """Binary regression tree addressed by node id; node 0 is the root.
+    """Binary regression tree addressed by node id; `root` is the root's id
+    (0 in a grown tree, any id in a loaded one).
 
-    `nodes` is a NODE structured array with one record per node id. A leaf
-    has feature -1, children -1, threshold 0.0 and its weight; an internal
-    node has feature >= 0, its threshold and child ids, and weight 0.0.
+    `nodes` is a read-only NODE structured array with one record per node
+    id. A leaf has feature -1, children -1, threshold 0.0 and its weight; an
+    internal node has feature >= 0, its threshold and child ids, and weight
+    0.0.
     """
 
     nodes: np.ndarray
     root: int = 0
     used_group: int | None = None
 
-    def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """Leaf weight reached by each row of X (vectorized level-walk)."""
-        feature, threshold = self.nodes["feature"], self.nodes["threshold"]
-        left, right = self.nodes["left"], self.nodes["right"]
-        at = np.full(X.shape[0], self.root, dtype=np.int64)
-        while True:
-            active = np.nonzero(feature[at] >= 0)[0]
-            if active.size == 0:
-                break
-            node_ids = at[active]
-            goes_left = X[active, feature[node_ids]] < threshold[node_ids]
-            at[active] = np.where(goes_left, left[node_ids], right[node_ids])
-        return self.nodes["weight"][at]
+    def __post_init__(self):
+        self.nodes.setflags(write=False)  # so an ensemble's cached `FlatTrees` cannot go stale
 
 
 @dataclass(frozen=True)
@@ -138,6 +136,48 @@ class PerResidual:
 ConstraintSchedule = NoConstraints | FixedPartition | PerResidual
 
 
+WALK_CELLS = 2**16  # (tree, row) cells in one chunk of a prediction walk
+
+
+@dataclass(frozen=True, eq=False)
+class FlatTrees:
+    """Every tree of an ensemble in one read-only node table.
+
+    Tree t's nodes are numbered on from the end of tree t-1's, its child ids
+    shifted to match, and `root[t]` is its root. A leaf loops to itself
+    (feature 0, left = right = its own id), so a walk step moves every cell
+    without a mask and a cell on a leaf stays there."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    weight: np.ndarray
+    is_leaf: np.ndarray
+    root: np.ndarray
+
+    @classmethod
+    def of(cls, trees: tuple[Tree, ...]) -> FlatTrees:
+        nodes = np.concatenate([np.empty(0, dtype=NODE), *(tree.nodes for tree in trees)])
+        sizes = np.array([len(tree.nodes) for tree in trees], dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        shift = np.repeat(starts, sizes)
+        is_leaf = nodes["feature"] < 0
+        own = np.arange(len(nodes))
+        flat = cls(
+            feature=np.where(is_leaf, 0, nodes["feature"]),
+            threshold=np.ascontiguousarray(nodes["threshold"]),
+            left=np.where(is_leaf, own, nodes["left"] + shift),
+            right=np.where(is_leaf, own, nodes["right"] + shift),
+            weight=np.ascontiguousarray(nodes["weight"]),
+            is_leaf=is_leaf,
+            root=starts + np.array([tree.root for tree in trees], dtype=np.int64),
+        )
+        for array in vars(flat).values():
+            array.setflags(write=False)
+        return flat
+
+
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     trees: tuple[Tree, ...]
@@ -147,6 +187,11 @@ class Ensemble:
     n_features: int
     feature_names: tuple[str, ...]
     constraint_log: tuple[ConstraintPartition | None, ...]
+
+    @functools.cached_property
+    def flat(self) -> FlatTrees:
+        """The trees as one node table, built on first use."""
+        return FlatTrees.of(self.trees)
 
     def __getitem__(self, index: slice) -> Ensemble:
         """The ensemble of `trees[index]` and their constraint-log entries;
@@ -351,7 +396,7 @@ def train(
 
     With `prefix`, the run keeps the prefix's trees and constraint log as
     its first rounds and boosts rounds len(prefix.trees)+1 .. n_trees under
-    `schedule`. `leaf_values` routes the training rows exactly as growing
+    `schedule`. Prediction routes the training rows exactly as growing
     them did, so the raw predictions rebuilt from the prefix equal those of
     the run that grew it. A prefix of another task, feature count,
     learning rate or base score, or with more than n_trees trees, is a
@@ -376,7 +421,7 @@ def train(
         prefix = Ensemble((), params, ds.task, float(base), ds.n_features, ds.feature_names, ())
     else:
         _check_prefix(prefix, ds, params, float(base))
-    raw = deque(staged_raw_matrix(prefix, X), maxlen=1).pop()
+    raw = predict_raw_matrix(prefix, X)
     presorted = presort(X)
     trees = list(prefix.trees)
     log = list(prefix.constraint_log)
@@ -400,25 +445,64 @@ def train(
     )
 
 
-def staged_raw_matrix(ens: Ensemble, X: np.ndarray) -> Iterator[np.ndarray]:
-    """Raw predictions of the rows of X after 0, 1, ..., len(ens.trees)
-    trees: the base score, then each tree's learning_rate-scaled leaf
-    values added in tree order. Every raw sum in the package comes from
-    this loop, so a stage equals the prediction of `ens[:t]` bit for bit."""
+def _checked_features(ens: Ensemble, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != ens.n_features:
         raise DataError(
             f"feature count mismatch: model expects {ens.n_features}, got {X.shape}"
         )
-    raw = np.full(X.shape[0], ens.base_score)
+    return X
+
+
+def _leaf_weights(ens: Ensemble, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, weights) for consecutive chunks of the rows of X, where
+    weights[t, i] is the leaf weight that row i of the chunk reaches in
+    tree t. Every (tree, row) cell starts at its tree's root; each step
+    sends every cell left where x[feature] < threshold and right otherwise
+    (NaN goes right), until all cells stand on leaves. A chunk has at most
+    WALK_CELLS cells (one row, when there are more trees than that)."""
+    flat = ens.flat
+    n_rows, n_features = X.shape
+    chunk = max(1, WALK_CELLS // max(1, len(flat.root)))
+    for start in range(0, n_rows, chunk):
+        rows = slice(start, min(start + chunk, n_rows))
+        cells = np.ascontiguousarray(X[rows]).ravel()
+        row_start = np.arange(rows.stop - start) * n_features
+        at = np.repeat(flat.root[:, None], rows.stop - start, axis=1)
+        while not flat.is_leaf[at].all():
+            x = cells[row_start + flat.feature[at]]
+            at = np.where(x < flat.threshold[at], flat.left[at], flat.right[at])
+        yield rows, flat.weight[at]
+
+
+def _staged_sums(ens: Ensemble, weights: np.ndarray) -> Iterator[np.ndarray]:
+    """The base score, then raw = raw + learning_rate * weights[t] for each
+    tree t in order: every raw sum in the package comes from this loop, so
+    a stage equals the prediction of `ens[:t]` bit for bit."""
+    raw = np.full(weights.shape[1], ens.base_score)
     yield raw
-    for tree in ens.trees:
-        raw = raw + ens.params.learning_rate * tree.leaf_values(X)
+    for tree_weights in weights:
+        raw = raw + ens.params.learning_rate * tree_weights
         yield raw
 
 
+def staged_raw_matrix(ens: Ensemble, X: np.ndarray) -> Iterator[np.ndarray]:
+    """Raw predictions of the rows of X after 0, 1, ..., len(ens.trees)
+    trees. Holds the leaf weights of every (tree, row) cell at once."""
+    X = _checked_features(ens, X)
+    weights = np.empty((len(ens.trees), X.shape[0]))
+    for rows, chunk_weights in _leaf_weights(ens, X):
+        weights[:, rows] = chunk_weights
+    yield from _staged_sums(ens, weights)
+
+
 def predict_raw_matrix(ens: Ensemble, X: np.ndarray) -> np.ndarray:
-    return deque(staged_raw_matrix(ens, X), maxlen=1).pop()
+    """Raw predictions of the rows of X, summed one row chunk at a time."""
+    X = _checked_features(ens, X)
+    raw = np.empty(X.shape[0])
+    for rows, chunk_weights in _leaf_weights(ens, X):
+        raw[rows] = deque(_staged_sums(ens, chunk_weights), maxlen=1).pop()
+    return raw
 
 
 def raw_to_prediction(task: Task, raw: np.ndarray) -> np.ndarray:

@@ -3,11 +3,13 @@
 Everything here deliberately avoids the library's own code paths: stump
 search enumerates every candidate with direct sums instead of prefix
 scans, least squares goes through an explicit SVD pseudo-inverse, and
-gradients are checked by central finite differences. `reference_grow` and
-`reference_tune` are the exceptions: they are the simpler forms that the
-library must match bit for bit, so they share its building blocks.
-`reference_grow` sorts every allowed feature again in every node;
-`reference_tune` trains every grid cell separately.
+gradients are checked by central finite differences. `reference_grow`,
+`reference_tune` and `reference_leaf_values` are the exceptions: they are
+the simpler forms that the library must match bit for bit, so they share
+its building blocks. `reference_grow` sorts every allowed feature again in
+every node; `reference_tune` trains every grid cell separately;
+`reference_leaf_values` walks one tree at a time, and `reference_stages`
+adds its trees up one by one.
 """
 
 from __future__ import annotations
@@ -148,6 +150,34 @@ def reference_grow(X, g, h, params, partition):
         stack.append((pos[~goes_left], depth + 1, allowed, node_id, 3))
         stack.append((pos[goes_left], depth + 1, allowed, node_id, 2))
     return Tree(np.array([tuple(r) for r in records], dtype=NODE), 0, used_group), values
+
+
+def reference_leaf_values(tree, X):
+    """Leaf weight reached by each row of X in one tree: rows still on an
+    internal node move one level down per step (left iff x < threshold)."""
+    feature, threshold = tree.nodes["feature"], tree.nodes["threshold"]
+    left, right = tree.nodes["left"], tree.nodes["right"]
+    at = np.full(X.shape[0], tree.root, dtype=np.int64)
+    while True:
+        active = np.nonzero(feature[at] >= 0)[0]
+        if active.size == 0:
+            break
+        node_ids = at[active]
+        goes_left = X[active, feature[node_ids]] < threshold[node_ids]
+        at[active] = np.where(goes_left, left[node_ids], right[node_ids])
+    return tree.nodes["weight"][at]
+
+
+def reference_stages(ens, X):
+    """Raw predictions of the rows of X after 0, 1, ..., len(ens.trees)
+    trees: the base score, then raw + learning_rate * leaf values, tree by
+    tree in order."""
+    raw = np.full(X.shape[0], ens.base_score)
+    stages = [raw]
+    for tree in ens.trees:
+        raw = raw + ens.params.learning_rate * reference_leaf_values(tree, X)
+        stages.append(raw)
+    return stages
 
 
 def reference_tune(ds, grid, k, seed):

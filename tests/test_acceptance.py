@@ -42,6 +42,7 @@ from oracles import (
     brute_force_stump,
     central_difference_grad,
     pinv_least_squares,
+    reference_leaf_values,
 )
 
 # CV-noise-aware epsilon for the statistical wrapper criteria (see ledger /
@@ -364,7 +365,7 @@ def test_criterion_9_training_loss_monotonicity():
         raw = np.full(n_rows, ens.base_score)
         last = float(np.mean((y - raw) ** 2))
         for tree in ens.trees:
-            raw = raw + params.learning_rate * tree.leaf_values(ds.features)
+            raw = raw + params.learning_rate * reference_leaf_values(tree, ds.features)
             mse = float(np.mean((y - raw) ** 2))
             assert mse <= last + 1e-12 * max(1.0, last), f"MSE rose on trial {trial}"
             last = mse

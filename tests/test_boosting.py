@@ -2,12 +2,15 @@ import dataclasses
 import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from interboost.boosting import (
+    WALK_CELLS,
+    Ensemble,
     FixedPartition,
     NODE,
     NoConstraints,
@@ -23,6 +26,7 @@ from interboost.boosting import (
     leaf_weight,
     load_model,
     predict,
+    predict_matrix,
     predict_raw_matrix,
     save_model,
     staged_raw_matrix,
@@ -37,6 +41,8 @@ from oracles import (
     brute_force_stump,
     direct_split_gain,
     reference_grow,
+    reference_leaf_values,
+    reference_stages,
     split_gain,
     tree_paths,
 )
@@ -365,7 +371,7 @@ class TestTrain:
         raw = np.full(200, ens.base_score)
         last = float(np.mean((ds.target - raw) ** 2))
         for tree in ens.trees:
-            raw = raw + params.learning_rate * tree.leaf_values(ds.features)
+            raw = raw + params.learning_rate * reference_leaf_values(tree, ds.features)
             mse = float(np.mean((ds.target - raw) ** 2))
             assert mse <= last + 1e-12 * max(1.0, last)
             last = mse
@@ -570,7 +576,105 @@ class TestPrefix:
             train(ds, None, params, NoConstraints(), prefix=prefix)
 
 
+def _hand_built_ensemble(trees, n_features, learning_rate=0.5, base_score=0.0):
+    """A regression ensemble of the given trees, as a loaded model would be;
+    params.max_depth is 1, whatever the depth of the trees."""
+    return Ensemble(
+        trees=tuple(trees),
+        params=TrainParams(len(trees), 1, learning_rate),
+        task=Task.REGRESSION,
+        base_score=base_score,
+        n_features=n_features,
+        feature_names=tuple(f"x{i}" for i in range(n_features)),
+        constraint_log=(None,) * len(trees),
+    )
+
+
+# thresholds, among them adjacent floats and +-1e308; X also holds NaN,
+# infinities, and the floats next to the thresholds and past +-1e308
+THRESHOLDS = [0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -1.5, 1e308, -1e308, 5e-324]
+X_VALUES = THRESHOLDS + [np.nan, np.inf, -np.inf, np.nextafter(1e308, np.inf), np.nextafter(-1e308, -np.inf), -0.0, 2.5]
+# mixed magnitudes, so a sum in another order gives other floats
+LEAF_WEIGHTS = [1e16, -1e16, 1.0, -0.1, 3.0, 1e-300, 0.3]
+
+
+def _random_tree(rng, n_features, n_internal, chain, n_unreachable):
+    """A tree of `n_internal` splits, each on a random leaf (or always on the
+    newest one: a chain that deep), its node ids shuffled, so the root is
+    rarely node 0, with `n_unreachable` extra nodes that no walk reaches."""
+    def leaf():
+        return [-1, 0.0, -1, -1, rng.choice(LEAF_WEIGHTS)]
+
+    records, leaves = [leaf()], [0]
+    for _ in range(n_internal):
+        at = leaves.pop(-1 if chain else int(rng.integers(len(leaves))))
+        children = [len(records), len(records) + 1]
+        records[at] = [int(rng.integers(n_features)), rng.choice(THRESHOLDS), *children, 0.0]
+        records += [leaf(), leaf()]
+        leaves += children
+    n = len(records) + n_unreachable
+    for _ in range(n_unreachable):  # children anywhere, cycles included
+        records.append([int(rng.integers(n_features)), 0.5, *rng.integers(n, size=2), 0.0])
+    order = rng.permutation(n)  # record i becomes node order[i]
+    nodes = np.empty(n, dtype=NODE)
+    for i, (feature, threshold, left, right, weight) in enumerate(records):
+        if feature >= 0:
+            left, right = order[left], order[right]
+        nodes[order[i]] = (feature, threshold, left, right, weight)
+    return Tree(nodes, root=int(order[0]))
+
+
 class TestPredict:
+    def test_tree_nodes_are_read_only(self):
+        nodes = np.array([(-1, 0.0, -1, -1, 1.0)], dtype=NODE)
+        tree = Tree(nodes)
+        with pytest.raises(ValueError, match="read-only"):
+            tree.nodes["weight"][0] = 2.0
+        trained = train(make_regression(30, 2, seed=0), None, TrainParams(2, 2, 0.5)).trees[0]
+        with pytest.raises(ValueError, match="read-only"):
+            trained.nodes[0] = (-1, 0.0, -1, -1, 2.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_trees=st.integers(0, 6),
+        n_features=st.integers(1, 3),
+        n_internal=st.integers(0, 12),
+        chain=st.booleans(),
+        n_unreachable=st.integers(0, 3),
+        rows=st.sampled_from(["none", "one", "few", "chunk-1", "chunk", "chunk+1"]),
+        order=st.sampled_from(["C", "F"]),
+        learning_rate=st.sampled_from([1.0, 0.3, 0.1]),
+        base_score=st.sampled_from([0.0, 0.7, -1e16]),
+    )
+    def test_walk_matches_the_one_tree_oracle_bit_for_bit(
+        self, seed, n_trees, n_features, n_internal, chain, n_unreachable, rows, order, learning_rate, base_score
+    ):
+        rng = np.random.default_rng(seed)
+        trees = [_random_tree(rng, n_features, n_internal, chain, n_unreachable) for _ in range(n_trees)]
+        ens = _hand_built_ensemble(trees, n_features, learning_rate, base_score)
+        chunk = WALK_CELLS // max(1, n_trees)
+        n_rows = {"none": 0, "one": 1, "few": 37, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}[rows]
+        X = np.asarray(rng.choice(X_VALUES, size=(n_rows, n_features)), order=order)
+        expected = [stage.tobytes() for stage in reference_stages(ens, X)]
+        assert [stage.tobytes() for stage in staged_raw_matrix(ens, X)] == expected
+        assert predict_raw_matrix(ens, X).tobytes() == expected[-1]
+
+    def test_predict_memory_is_bounded_by_the_row_chunk(self):
+        # 20 000 rows x 200 trees: a (rows, trees) matrix of node ids or
+        # leaf weights alone takes 32 MB; the walk's row chunk needs about 3
+        rng = np.random.default_rng(0)
+        trees = [_random_tree(rng, 4, 3, False, 0) for _ in range(200)]
+        ens = _hand_built_ensemble(trees, 4)
+        X = rng.normal(size=(20_000, 4))
+        tracemalloc.start()
+        try:
+            predict_matrix(ens, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes + 8 * 2**20
+
     def test_boundary_value_routes_right(self):
         # routing is strict "<": x == threshold goes right
         nodes = np.array(
@@ -578,7 +682,7 @@ class TestPredict:
             dtype=NODE,
         )
         tree = Tree(nodes)
-        values = tree.leaf_values(np.array([[1.9], [2.0], [2.1]]))
+        values = reference_leaf_values(tree, np.array([[1.9], [2.0], [2.1]]))
         np.testing.assert_array_equal(values, [-1.0, 1.0, 1.0])
 
     def test_single_leaf_scaled_by_learning_rate(self):
@@ -602,7 +706,7 @@ class TestPredict:
         raw = predict_raw_matrix(ens, ds.features)
         manual = np.full(80, ens.base_score)
         for tree in ens.trees:
-            manual = manual + params.learning_rate * tree.leaf_values(ds.features)
+            manual = manual + params.learning_rate * reference_leaf_values(tree, ds.features)
         np.testing.assert_array_equal(raw, manual)
 
 
