@@ -556,12 +556,23 @@ def _tree_from_obj(obj: dict, n_features: int, partition: ConstraintPartition | 
     """Parse one tree, checking each node once: children in range, features
     in [0, n_features), finite thresholds and leaf weights, and no node
     reached twice from the root (so prediction cannot cycle). `used_group`
-    must be null or index the tree's constraint-log `partition`."""
+    is what `_grow` sets: null when the constraint-log `partition` is null or
+    the root is a leaf, else the group of the root's split feature, which
+    holds every split of the tree."""
     n_nodes = len(_list(obj, "nodes"))
     nodes = [_node_from_obj(n, n_nodes, n_features) for n in obj["nodes"]]
     root = checked_int("root", obj["root"])
     if not 0 <= root < n_nodes:
         raise DataError(f"root {root} out of range for {n_nodes} nodes")
+    used_group = obj["used_group"]
+    if used_group is not None and (
+        partition is None or not 0 <= checked_int("used_group", used_group) < len(partition.groups)
+    ):
+        raise DataError(f"used_group {used_group} does not index the tree's constraint partition")
+    root_feature = nodes[root][0]
+    group = None if partition is None or root_feature < 0 else partition.group_index_of(root_feature)
+    if used_group != group:
+        raise DataError(f"used_group {used_group} is not {group}, the group of the root's split")
     reached = [False] * n_nodes
     stack = [root]
     while stack:
@@ -571,12 +582,9 @@ def _tree_from_obj(obj: dict, n_features: int, partition: ConstraintPartition | 
         reached[node_id] = True
         feature, _, left, right, _ = nodes[node_id]
         if feature >= 0:
+            if group is not None and partition.group_index_of(feature) != group:
+                raise DataError(f"node {node_id} splits on feature {feature}, outside used_group {group}")
             stack += (left, right)
-    used_group = obj["used_group"]
-    if used_group is not None and (
-        partition is None or not 0 <= checked_int("used_group", used_group) < len(partition.groups)
-    ):
-        raise DataError(f"used_group {used_group} does not index the tree's constraint partition")
     return Tree(nodes=np.array(nodes, dtype=NODE), root=root, used_group=used_group)
 
 

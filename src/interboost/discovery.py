@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset, DataError, Task, replace_target
 from .data import checked_int, checked_real
-from .linear import FoldScorer, pairwise_terms
+from .linear import FoldScorer
 from .linear import cv_score_terms  # noqa: F401  (perfbench/tracer.py wraps this name here)
 
 
@@ -132,9 +132,7 @@ def discover_constraints_traced(
     while remaining:
         if not subset:
             # Seed a fresh group with the best single feature by plain score.
-            evals = tuple(
-                CandidateScore(f, score(pairwise_terms([f], [])), None) for f in remaining
-            )
+            evals = tuple(CandidateScore(f, score([f], []), None) for f in remaining)
             best = max(evals, key=lambda c: (c.plain, -c.feature))
             subset.append(best.feature)
             remaining.remove(best.feature)
@@ -150,8 +148,8 @@ def discover_constraints_traced(
         evals = []
         candidates = []
         for f in remaining:
-            plain = score(pairwise_terms(subset + [f], subset))
-            inter = score(pairwise_terms(subset + [f], subset + [f]))
+            plain = score(subset + [f], subset)
+            inter = score(subset + [f], subset + [f])
             evals.append(CandidateScore(f, plain, inter))
             if inter > plain + cfg.epsilon:
                 candidates.append(evals[-1])

@@ -1,10 +1,12 @@
-"""Linear and logistic regression with pairwise product expansion.
+"""Linear and logistic regression over pairwise product designs.
 
 These models are the scoring engine behind constraint-partition discovery:
 candidate feature groups are compared by cross-validated fit quality with
-and without product columns. Base columns are standardized with statistics
-fitted on training rows; product columns are elementwise products of the
-standardized bases, which keeps the normal equations well conditioned.
+and without product columns. A design is a pair `(features, scope)`: the
+standardized `features` in the given order, then the elementwise product of
+every pair of `sorted(scope)` in lexicographic order. Features are
+standardized with statistics fitted on training rows, which keeps the
+normal equations well conditioned.
 """
 
 from __future__ import annotations
@@ -18,48 +20,23 @@ import numpy as np
 from .data import DataError, Dataset, RowIndexSet, Task, kfold, take_rows
 
 
-@dataclass(frozen=True)
-class Base:
-    """A raw feature column, referenced by feature index."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class Product:
-    """Elementwise product of two standardized base columns, a < b."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a >= self.b:
-            raise ValueError(f"product term requires a < b, got ({self.a}, {self.b})")
+def _check_design(n_features: int, features, scope) -> None:
+    """`features` are distinct indices into `n_features` features, and
+    `scope` is distinct features among them."""
+    for f in features:
+        if not 0 <= f < n_features:
+            raise ValueError(f"feature index {f} out of range for {n_features} features")
+    if len(set(features)) != len(features) or len(set(scope)) != len(scope):
+        raise ValueError(f"duplicate features in design ({features}, {scope})")
+    if not set(scope) <= set(features):
+        raise ValueError(f"interaction scope {scope} names a feature with no base column")
 
 
-Term = Base | Product
-
-
-def pairwise_terms(features, interaction_scope) -> tuple[Term, ...]:
-    """Bases for `features` in the given order, then every unordered pair of
-    `interaction_scope` as a product term in lexicographic index order."""
-    products = itertools.combinations(sorted(interaction_scope), 2)
-    return tuple([Base(i) for i in features] + [Product(a, b) for a, b in products])
-
-
-def _check_terms(ds: Dataset, terms: tuple[Term, ...]) -> None:
-    """Every term's features index `ds`, no term repeats, and every
-    product's features have base columns."""
-    for t in terms:
-        for idx in (t.index,) if isinstance(t, Base) else (t.a, t.b):
-            if not 0 <= idx < ds.n_features:
-                raise ValueError(f"feature index {idx} out of range for {ds.n_features} features")
-    if len(set(terms)) != len(terms):
-        raise ValueError("duplicate terms in design")
-    base_set = {t.index for t in terms if isinstance(t, Base)}
-    for t in terms:
-        if isinstance(t, Product) and not (t.a in base_set and t.b in base_set):
-            raise ValueError(f"product term {t} references a feature with no base column")
+def _design_columns(std, features, scope) -> list[np.ndarray]:
+    """Columns of the design `(features, scope)`; `std[f]` is feature f's
+    standardized column."""
+    products = itertools.combinations(sorted(scope), 2)
+    return [std[f] for f in features] + [std[a] * std[b] for a, b in products]
 
 
 @dataclass(frozen=True)
@@ -96,45 +73,30 @@ def _column_stats(col: np.ndarray) -> tuple[float, float]:
 def materialize(
     ds: Dataset,
     rows: np.ndarray | None,
-    terms,
+    features,
+    scope,
     standardization: dict[int, tuple[float, float]] | None = None,
 ) -> tuple[np.ndarray, dict[int, tuple[float, float]]]:
-    """The design values for `terms` over the row indices `rows` (None: all
-    rows), and the standardization statistics that built them.
+    """The values of the design `(features, scope)` over the row indices
+    `rows` (None: all rows), and the standardization statistics that built
+    them.
 
-    With `standardization=None` each base feature's (mean, sample stddev)
-    is fitted on these rows; otherwise the supplied (train-fitted)
-    statistics are applied. Discovery scores with `FoldScorer`, which
-    builds the same columns; this per-call path is the reference for it.
+    With `standardization=None` each feature's (mean, sample stddev) is
+    fitted on these rows; otherwise the supplied (train-fitted) statistics
+    are applied. Discovery scores with `FoldScorer`, which builds the same
+    columns; this per-call path is the reference for it.
     """
     idx = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("cannot materialize a design over an empty row set")
-    terms = tuple(terms)
-    _check_terms(ds, terms)
+    _check_design(ds.n_features, features, scope)
     stats = standardization
     if stats is None:
-        stats = {
-            t.index: _column_stats(ds.features[idx, t.index]) for t in terms if isinstance(t, Base)
-        }
-    std_cols: dict[int, np.ndarray] = {}
-    for t in terms:
-        if isinstance(t, Base):
-            if t.index not in stats:
-                raise ValueError(f"no standardization statistics for feature {t.index}")
-            mean, sd = stats[t.index]
-            std_cols[t.index] = (ds.features[idx, t.index] - mean) / sd
-    columns = _design_columns(terms, std_cols)
+        stats = {f: _column_stats(ds.features[idx, f]) for f in features}
+    std = {f: (ds.features[idx, f] - stats[f][0]) / stats[f][1] for f in features}
+    columns = _design_columns(std, features, scope)
     values = np.column_stack(columns) if columns else np.empty((idx.size, 0))
     return values, stats
-
-
-def _design_columns(terms, std_cols: dict[int, np.ndarray]) -> list[np.ndarray]:
-    """Design columns for `terms` from standardized base columns: bases as
-    they are, products as elementwise products, in term order."""
-    return [
-        std_cols[t.index] if isinstance(t, Base) else std_cols[t.a] * std_cols[t.b] for t in terms
-    ]
 
 
 def _with_intercept(values: np.ndarray) -> np.ndarray:
@@ -215,13 +177,13 @@ def fit_logistic(
     theta = np.zeros(p_cols)
     penalty = np.ones(p_cols)
     penalty[-1] = 0.0
-    threshold = tol * (1.0 + float(np.max(np.abs(logistic_grad(A, y, theta, ridge)))))
+    grad = logistic_grad(A, y, theta, ridge)
+    threshold = tol * (1.0 + float(np.max(np.abs(grad))))
     ll = logistic_loglik(A, y, theta, ridge)
     path = [ll]
     converged = False
     iterations = 0
     while True:
-        grad = logistic_grad(A, y, theta, ridge)
         if float(np.max(np.abs(grad))) <= threshold:
             converged = True
             break
@@ -251,12 +213,9 @@ def fit_logistic(
             break
         path.append(ll)
         iterations += 1
+        grad = logistic_grad(A, y, theta, ridge)
     fit_info = FitInfo(converged, iterations, tuple(path))
     return LinearModel(theta[:-1].copy(), float(theta[-1]), fit_info)
-
-
-# Probabilities are nudged off exact 0/1 so downstream log/odds stay finite.
-_P_EPS = 1e-15
 
 
 def predict(task: Task, model: LinearModel, values: np.ndarray) -> np.ndarray:
@@ -266,7 +225,7 @@ def predict(task: Task, model: LinearModel, values: np.ndarray) -> np.ndarray:
     z = values @ model.coefficients + model.intercept
     if task is Task.REGRESSION:
         return z
-    return np.clip(sigmoid(z), _P_EPS, 1.0 - _P_EPS)
+    return sigmoid(z)
 
 
 def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -298,7 +257,7 @@ def fit_for_task(task: Task, values: np.ndarray, y: np.ndarray) -> LinearModel:
 
 
 class FoldScorer:
-    """k-fold validation scores of term lists over all rows of a dataset.
+    """k-fold validation scores of designs over all rows of a dataset.
 
     The fold plan and each fold's data are built once: every feature
     standardized with statistics from that fold's training rows (one row per
@@ -319,23 +278,23 @@ class FoldScorer:
                 ((train_x - mean) / sd, (val_x - mean) / sd, y[tr.indices], y[va.indices])
             )
 
-    def score(self, terms) -> float:
+    def score(self, features, scope) -> float:
         """Mean validation score of the task-appropriate linear model over
-        `terms`: R-squared of an OLS fit for regression, accuracy of a
-        logistic fit for classification. A mean that is not finite (features
-        too large to standardize) is a DataError."""
-        terms = tuple(terms)
-        if not terms:
-            raise ValueError("term list must be nonempty")
-        _check_terms(self._ds, terms)
+        the design `(features, scope)`: R-squared of an OLS fit for
+        regression, accuracy of a logistic fit for classification. A mean
+        that is not finite (features too large to standardize) is a
+        DataError."""
+        if not features:
+            raise ValueError("feature list must be nonempty")
+        _check_design(self._ds.n_features, features, scope)
         task = self._ds.task
         scores = []
         # a score that overflows is not finite, which is the DataError below
         with np.errstate(over="ignore", invalid="ignore"):
             for train_std, val_std, y_train, y_val in self._folds:
-                train_values = np.column_stack(_design_columns(terms, train_std))
+                train_values = np.column_stack(_design_columns(train_std, features, scope))
                 model = fit_for_task(task, train_values, y_train)
-                val_values = np.column_stack(_design_columns(terms, val_std))
+                val_values = np.column_stack(_design_columns(val_std, features, scope))
                 scores.append(score_for_task(task, y_val, predict(task, model, val_values)))
         mean = float(np.mean(scores))
         if not np.isfinite(mean):
@@ -353,6 +312,7 @@ def cv_score_terms(
     seed: int = 0,
 ) -> float:
     """Mean k-fold validation score of the task-appropriate linear model over
-    an explicit term list and the given rows (None: all rows).
-    Standardization statistics come from each fold's training part only."""
-    return FoldScorer(ds if rows is None else take_rows(ds, rows.indices), k, seed).score(terms)
+    the design `terms`, a pair `(features, scope)`, and the given rows (None:
+    all rows). Standardization statistics come from each fold's training
+    part only."""
+    return FoldScorer(ds if rows is None else take_rows(ds, rows.indices), k, seed).score(*terms)

@@ -34,7 +34,6 @@ from interboost.linear import (
     logistic_grad,
     logistic_loglik,
     materialize,
-    pairwise_terms,
 )
 from interboost.synth import paired_products_dataset, shifted_products_dataset
 from oracles import (
@@ -153,7 +152,7 @@ def test_criterion_3_linear_model_oracles():
         y = rng.integers(0, 2, size=n).astype(float)
         ds = Dataset(X, tuple(f"x{i}" for i in range(p)), y, Task.BINARY_CLASSIFICATION)
         features = tuple(range(p))
-        values, _ = materialize(ds, None, pairwise_terms(features, features if p >= 2 else ()))
+        values, _ = materialize(ds, None, features, features if p >= 2 else ())
         A = _with_intercept(values)
         for _ in range(10):
             theta = rng.normal(scale=0.7, size=A.shape[1])

@@ -1,9 +1,12 @@
 """The benchmark in perfbench/ wraps package functions by module and name and
 reads tree sizes from the ensembles they return; these tests fail when a
-source change removes a name it wraps or breaks the node count it reports."""
+source change removes a name it wraps, renames a parameter a note reads, or
+breaks the node count it reports."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -32,6 +35,35 @@ def test_every_traced_target_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_every_note_reads_parameters_of_the_function_it_wraps():
+    # a note gets the wrapped call's bound arguments as a dict; a key that is
+    # not a parameter fails only when a traced run reaches the call
+    defs = {
+        node.name: node
+        for node in ast.parse(TRACER_PATH.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    unknown, read = [], 0
+    for module, attr, _, note in tracer.TARGETS:
+        if note is None:
+            continue
+        note_def = defs[note.__name__]
+        arguments = note_def.args.args[0].arg
+        keys = {
+            node.slice.value
+            for node in ast.walk(note_def)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == arguments
+            and isinstance(node.slice, ast.Constant)
+        }
+        parameters = inspect.signature(getattr(importlib.import_module(module), attr)).parameters
+        unknown += [f"{module}.{attr}: {key}" for key in sorted(keys - set(parameters))]
+        read += len(keys)
+    assert unknown == []
+    assert read > 0
 
 
 def test_traced_train_counts_every_node():

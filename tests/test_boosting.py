@@ -733,7 +733,7 @@ class TestSerialization:
         assert back.constraint_log[0].groups == ((0, 1), (2,))
         assert back.trees[0].used_group == ens.trees[0].used_group
 
-    @pytest.mark.parametrize("used_group", [2, -1, "0", True, 0.0])
+    @pytest.mark.parametrize("used_group", [2, -1, "0", True, 0.0, 1, None])  # tree 0 used group 0
     def test_used_group_must_index_its_partition(self, tmp_path, used_group):
         _, ens = self._trained()
         model = ensemble_to_json_obj(ens)

@@ -39,6 +39,18 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def _split_outside_used_group(model):
+    """Log tree 0 under a partition whose group 0 is its root's split
+    feature alone, and move a split below the root to another feature."""
+    tree, n = model["trees"][0], model["n_features"]
+    nodes = tree["nodes"]
+    root = nodes[tree["root"]]
+    below = next(nodes[c] for c in (root["left"], root["right"]) if "feature" in nodes[c])
+    below["feature"] = (root["feature"] + 1) % n
+    model["constraint_log"][0] = [[root["feature"]], [f for f in range(n) if f != root["feature"]]]
+    tree["used_group"] = 0
+
+
 class TestDiscoverCommand:
     def test_single_feature_partition(self, tmp_path, tmp_csv):
         csv_path = tmp_csv("x0,y\n" + "\n".join(f"{i},{2*i}" for i in range(12)) + "\n")
@@ -289,11 +301,12 @@ class TestTrainPredictCommands:
             (lambda m: m["trees"][0].update(used_group="zz"), "used_group zz does not index"),
             (lambda m: m["trees"][1].update(used_group=0), "tree 1: used_group 0 does not index"),
             (lambda m: m["constraint_log"].__setitem__(0, [[0]]), "constraint groups must cover features"),
+            (_split_outside_used_group, "outside used_group 0"),
         ],
         ids=["root-cycle", "feature-range", "negative-feature", "child-range", "learning-rate", "nan-threshold",
              "repeated-feature-name", "feature-names-dict", "trees-dict", "trees-string", "nodes-dict",
              "constraint-log-dict", "constraint-log-short", "used-group-string", "used-group-unconstrained",
-             "constraint-log-partial"],
+             "constraint-log-partial", "split-outside-used-group"],
     )
     def test_corrupt_model_is_data_error(self, tmp_path, data_csv, capsys, mutate, message):
         out = tmp_path / "out"

@@ -13,14 +13,14 @@ from interboost.discovery import (
     discover_constraints_for_residuals,
     discover_constraints_traced,
 )
-from interboost.linear import cv_score_terms, pairwise_terms
+from interboost.linear import cv_score_terms
 from interboost.synth import paired_products_dataset
 
 from conftest import make_regression
 
 # features 0 and 1 with and without their product column
-PLAIN_TERMS = pairwise_terms((0, 1), ())
-PRODUCT_TERMS = pairwise_terms((0, 1), (0, 1))
+PLAIN_TERMS = ((0, 1), ())
+PRODUCT_TERMS = ((0, 1), (0, 1))
 
 # CV R-squared differences from a few pure-noise product columns fluctuate
 # around +-1e-3 at n=2000, so statistical recovery tests set epsilon above
