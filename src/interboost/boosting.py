@@ -46,7 +46,7 @@ from .discovery import (
     WrapperConfig,
     discover_constraints_for_residuals,
 )
-from .linear import sigmoid
+from .linear import raw_to_prediction, sigmoid
 
 
 @dataclass(frozen=True)
@@ -503,13 +503,6 @@ def predict_raw_matrix(ens: Ensemble, X: np.ndarray) -> np.ndarray:
     for rows, chunk_weights in _leaf_weights(ens, X):
         raw[rows] = deque(_staged_sums(ens, chunk_weights), maxlen=1).pop()
     return raw
-
-
-def raw_to_prediction(task: Task, raw: np.ndarray) -> np.ndarray:
-    """Prediction from raw sums: raw for regression, sigmoid(raw) otherwise."""
-    if task is Task.REGRESSION:
-        return raw
-    return sigmoid(raw)
 
 
 def predict_matrix(ens: Ensemble, X: np.ndarray) -> np.ndarray:

@@ -59,8 +59,8 @@ class Dataset:
         if n_rows == 0 or n_features == 0:
             raise DataError("dataset must have at least one row and one feature")
         names = tuple(self.feature_names)
-        if len(names) != n_features:
-            raise DataError(f"{len(names)} feature names for {n_features} feature columns")
+        if not all(isinstance(n, str) for n in names) or not len(set(names)) == len(names) == n_features:
+            raise DataError(f"feature names must be {n_features} distinct strings")
         if tgt.shape != (n_rows,):
             raise DataError(f"target length {tgt.shape} does not match {n_rows} rows")
         if not np.all(np.isfinite(feats)) or not np.all(np.isfinite(tgt)):

@@ -27,14 +27,13 @@ from .boosting import (
     PerResidual,
     TrainParams,
     predict,
-    raw_to_prediction,
     staged_raw_matrix,
     train,
 )
 from .data import DataError, Dataset, kfold, train_test_split
 from .data import checked_int, checked_real
 from .discovery import ConstraintPartition, WrapperConfig, discover_constraints
-from .linear import score_for_task
+from .linear import raw_to_prediction, score_for_task
 from .prng import mix_seed, permutation
 
 
@@ -58,6 +57,9 @@ class TuningGrid:
             TrainParams(self.n_trees[0], max_depth, self.learning_rate[0])
         for learning_rate in self.learning_rate:
             TrainParams(self.n_trees[0], self.max_depth[0], learning_rate)
+        # each axis distinct and ascending, so grid order is tie-break order
+        for name in ("n_trees", "max_depth", "learning_rate"):
+            object.__setattr__(self, name, tuple(sorted(dict.fromkeys(getattr(self, name)))))
 
 
 def tune(ds: Dataset, grid: TuningGrid, k: int, seed: int) -> TrainParams:
@@ -70,19 +72,16 @@ def tune(ds: Dataset, grid: TuningGrid, k: int, seed: int) -> TrainParams:
     grid `n_trees`, and every grid size is scored from that run's staged
     validation predictions."""
     fold_rows = kfold(ds.n_rows, k, seed)
-    sizes = set(grid.n_trees)
     fold_scores: dict[tuple, list[float]] = {}
-    # each distinct (depth, rate) once: a repeated axis entry must not add its
-    # fold scores to a cell twice
-    for max_depth in dict.fromkeys(grid.max_depth):
-        for learning_rate in dict.fromkeys(grid.learning_rate):
-            params = TrainParams(max(sizes), max_depth, learning_rate)
+    for max_depth in grid.max_depth:
+        for learning_rate in grid.learning_rate:
+            params = TrainParams(grid.n_trees[-1], max_depth, learning_rate)
             for tr, va in fold_rows:
                 ens = train(ds, tr, params, NoConstraints())
                 y = ds.target[va.indices]
                 stages = staged_raw_matrix(ens, ds.features[va.indices])
                 for n_trees, raw in enumerate(stages):
-                    if n_trees in sizes:
+                    if n_trees in grid.n_trees:
                         # a score that overflows is NaN, which no cell picks
                         with np.errstate(over="ignore", invalid="ignore"):
                             score = score_for_task(ds.task, y, raw_to_prediction(ds.task, raw))

@@ -7,6 +7,11 @@ standardized `features` in the given order, then the elementwise product of
 every pair of `sorted(scope)` in lexicographic order. Features are
 standardized with statistics fitted on training rows, which keeps the
 normal equations well conditioned.
+
+`fit_ols` and `fit_logistic` take only the design values and the target:
+their ridges and Newton's stop rule are the module constants below.
+`raw_to_prediction` is the link of each task, for these fits and for
+boosting's raw sums.
 """
 
 from __future__ import annotations
@@ -39,9 +44,14 @@ def _design_columns(std, features, scope) -> list[np.ndarray]:
     return [std[f] for f in features] + [std[a] * std[b] for a, b in products]
 
 
+OLS_RIDGE = 1e-8  # neither ridge penalizes the intercept
+LOGISTIC_RIDGE = 1e-6
+NEWTON_TOL = 1e-8  # of fit_logistic's stop test
+NEWTON_MAX_ITER = 100
+
+
 @dataclass(frozen=True)
 class FitInfo:
-    converged: bool
     n_iter: int
     loglik_path: tuple[float, ...]
 
@@ -103,24 +113,21 @@ def _with_intercept(values: np.ndarray) -> np.ndarray:
     return np.column_stack([values, np.ones(values.shape[0])])
 
 
-def fit_ols(values: np.ndarray, y: np.ndarray, ridge: float = 1e-8) -> LinearModel:
+def fit_ols(values: np.ndarray, y: np.ndarray) -> LinearModel:
     """Ridge-stabilized least squares via the normal equations.
 
-    Minimizes ||y - A theta||^2 + ridge * ||coefficients||^2 with the
-    intercept unpenalized; the default tiny ridge makes duplicated or
-    collinear columns solvable without materially biasing scores.
+    Minimizes ||y - A theta||^2 + OLS_RIDGE * ||coefficients||^2 with the
+    intercept unpenalized; the tiny ridge makes duplicated or collinear
+    columns solvable without materially biasing scores.
     """
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
     A = _with_intercept(values)
     y = np.asarray(y, dtype=np.float64)
-    n_coef = A.shape[1] - 1
     # products that overflow give a non-finite score, which the scorer rejects
     with np.errstate(over="ignore", invalid="ignore"):
         M = A.T @ A
         b = A.T @ y
-    diag = np.arange(n_coef)
-    M[diag, diag] += ridge
+    diag = np.arange(A.shape[1] - 1)
+    M[diag, diag] += OLS_RIDGE
     try:
         theta = np.linalg.solve(M, b)
     except np.linalg.LinAlgError:
@@ -138,61 +145,53 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def logistic_loglik(A: np.ndarray, y: np.ndarray, theta: np.ndarray, ridge: float) -> float:
-    """Penalized Bernoulli log-likelihood; the intercept (last entry of
-    theta) is unpenalized."""
-    z = A @ theta
+def raw_to_prediction(task: Task, raw: np.ndarray) -> np.ndarray:
+    """The task's link: raw scores for regression, sigmoid(raw) otherwise."""
+    if task is Task.REGRESSION:
+        return raw
+    return sigmoid(raw)
+
+
+def logistic_loglik(z: np.ndarray, y: np.ndarray, theta: np.ndarray) -> float:
+    """Penalized Bernoulli log-likelihood at theta, given z = A @ theta; the
+    intercept (last entry of theta) is unpenalized."""
     ll = -float(np.sum(y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)))
-    return ll - 0.5 * ridge * float(np.sum(theta[:-1] ** 2))
+    return ll - 0.5 * LOGISTIC_RIDGE * float(np.sum(theta[:-1] ** 2))
 
 
-def logistic_grad(A: np.ndarray, y: np.ndarray, theta: np.ndarray, ridge: float) -> np.ndarray:
-    p = sigmoid(A @ theta)
+def logistic_grad(A: np.ndarray, y: np.ndarray, theta: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Gradient of `logistic_loglik` at theta, given p = sigmoid(A @ theta)."""
     grad = A.T @ (y - p)
-    grad[:-1] -= ridge * theta[:-1]
+    grad[:-1] -= LOGISTIC_RIDGE * theta[:-1]
     return grad
 
 
-def fit_logistic(
-    values: np.ndarray,
-    y: np.ndarray,
-    ridge: float = 1e-6,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> LinearModel:
+def fit_logistic(values: np.ndarray, y: np.ndarray) -> LinearModel:
     """Damped Newton ascent on the penalized log-likelihood.
 
     Each iteration halves the step (at most 30 times) until the penalized
     log-likelihood does not decrease, so the accepted path is monotone.
-    Convergence: gradient infinity-norm <= tol * (1 + gradient norm at
-    theta = 0). Hitting max_iter is flagged on fit_info, not an error.
+    Each tried step computes A @ theta once; the accepted one keeps it for
+    the gradient and the next Hessian. Stops when the gradient infinity-norm
+    is <= NEWTON_TOL * (1 + gradient norm at theta = 0), after
+    NEWTON_MAX_ITER iterations, or when no step improves.
     """
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
     A = _with_intercept(values)
     y = np.asarray(y, dtype=np.float64)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("logistic regression requires a 0/1 target")
-    p_cols = A.shape[1]
-    theta = np.zeros(p_cols)
-    penalty = np.ones(p_cols)
-    penalty[-1] = 0.0
-    grad = logistic_grad(A, y, theta, ridge)
-    threshold = tol * (1.0 + float(np.max(np.abs(grad))))
-    ll = logistic_loglik(A, y, theta, ridge)
+    theta = np.zeros(A.shape[1])
+    diag = np.arange(A.shape[1] - 1)
+    z = A @ theta
+    p = sigmoid(z)
+    grad = logistic_grad(A, y, theta, p)
+    threshold = NEWTON_TOL * (1.0 + float(np.max(np.abs(grad))))
+    ll = logistic_loglik(z, y, theta)
     path = [ll]
-    converged = False
-    iterations = 0
-    while True:
-        if float(np.max(np.abs(grad))) <= threshold:
-            converged = True
-            break
-        if iterations >= max_iter:
-            break
-        p = sigmoid(A @ theta)
+    while float(np.max(np.abs(grad))) > threshold and len(path) - 1 < NEWTON_MAX_ITER:
         w = p * (1.0 - p)
         H = (A * w[:, None]).T @ A
-        H[np.diag_indices(p_cols)] += ridge * penalty
+        H[diag, diag] += LOGISTIC_RIDGE
         try:
             direction = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
@@ -200,32 +199,27 @@ def fit_logistic(
         if not np.all(np.isfinite(direction)):
             break
         step = 1.0
-        improved = False
         for _ in range(31):  # full step plus at most 30 halvings
             candidate = theta + step * direction
-            candidate_ll = logistic_loglik(A, y, candidate, ridge)
+            candidate_z = A @ candidate
+            candidate_ll = logistic_loglik(candidate_z, y, candidate)
             if candidate_ll >= ll:
-                theta, ll = candidate, candidate_ll
-                improved = True
                 break
             step *= 0.5
-        if not improved:
+        else:  # no step improved
             break
+        theta, z, ll = candidate, candidate_z, candidate_ll
         path.append(ll)
-        iterations += 1
-        grad = logistic_grad(A, y, theta, ridge)
-    fit_info = FitInfo(converged, iterations, tuple(path))
-    return LinearModel(theta[:-1].copy(), float(theta[-1]), fit_info)
+        p = sigmoid(z)
+        grad = logistic_grad(A, y, theta, p)
+    return LinearModel(theta[:-1].copy(), float(theta[-1]), FitInfo(len(path) - 1, tuple(path)))
 
 
 def predict(task: Task, model: LinearModel, values: np.ndarray) -> np.ndarray:
     """Output of the task's model on design values (no intercept column)
     built with the fit's standardization: the linear response of an OLS fit
     for regression, the probability of a logistic fit for classification."""
-    z = values @ model.coefficients + model.intercept
-    if task is Task.REGRESSION:
-        return z
-    return sigmoid(z)
+    return raw_to_prediction(task, values @ model.coefficients + model.intercept)
 
 
 def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:

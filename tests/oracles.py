@@ -4,12 +4,14 @@ Everything here deliberately avoids the library's own code paths: stump
 search enumerates every candidate with direct sums instead of prefix
 scans, least squares goes through an explicit SVD pseudo-inverse, and
 gradients are checked by central finite differences. `reference_grow`,
-`reference_tune` and `reference_leaf_values` are the exceptions: they are
-the simpler forms that the library must match bit for bit, so they share
-its building blocks. `reference_grow` sorts every allowed feature again in
-every node; `reference_tune` trains every grid cell separately;
-`reference_leaf_values` walks one tree at a time, and `reference_stages`
-adds its trees up one by one.
+`reference_tune`, `reference_leaf_values` and `reference_fit_logistic` are
+the exceptions: they are the simpler forms that the library must match bit
+for bit, so they share its building blocks. `reference_grow` sorts every
+allowed feature again in every node; `reference_tune` trains every grid
+cell separately; `reference_leaf_values` walks one tree at a time, and
+`reference_stages` adds its trees up one by one; `reference_fit_logistic`
+evaluates each Newton iterate afresh for its gradient, its Hessian weights
+and its log-likelihood.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from interboost.boosting import NODE, NoConstraints, TrainParams, Tree, _split_threshold, leaf_weight, predict_matrix, train
 from interboost.data import kfold
-from interboost.linear import score_for_task
+from interboost.linear import _with_intercept, score_for_task, sigmoid
 
 
 def brute_force_stump(X, g, h, reg_lambda, gamma=0.0, min_child_samples=1, min_child_hessian=0.0):
@@ -202,6 +204,52 @@ def reference_tune(ds, grid, k, seed):
                     best_params = params
     assert best_params is not None
     return best_params
+
+
+def reference_fit_logistic(values, y):
+    """`interboost.linear.fit_logistic` with every quantity recomputed from
+    theta where it is used. Returns (theta, loglik path, accepted step sizes);
+    the intercept is theta's last entry."""
+    ridge, tol, max_iter = 1e-6, 1e-8, 100  # fit_logistic's constants
+    A = _with_intercept(values)
+
+    def loglik(theta):
+        z = A @ theta
+        ll = -float(np.sum(y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)))
+        return ll - 0.5 * ridge * float(np.sum(theta[:-1] ** 2))
+
+    def grad(theta):
+        g = A.T @ (y - sigmoid(A @ theta))
+        g[:-1] -= ridge * theta[:-1]
+        return g
+
+    penalty = np.ones(A.shape[1])
+    penalty[-1] = 0.0
+    theta = np.zeros(A.shape[1])
+    g = grad(theta)
+    threshold = tol * (1.0 + float(np.max(np.abs(g))))
+    path, steps = [loglik(theta)], []
+    while float(np.max(np.abs(g))) > threshold and len(steps) < max_iter:
+        p = sigmoid(A @ theta)
+        H = (A * (p * (1.0 - p))[:, None]).T @ A
+        H[np.diag_indices(A.shape[1])] += ridge * penalty
+        try:
+            direction = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:
+            direction = np.linalg.lstsq(H, g, rcond=None)[0]
+        if not np.all(np.isfinite(direction)):
+            break
+        for halvings in range(31):
+            step = 0.5**halvings
+            if loglik(theta + step * direction) >= path[-1]:
+                break
+        else:
+            break
+        theta = theta + step * direction
+        path.append(loglik(theta))
+        steps.append(step)
+        g = grad(theta)
+    return theta, path, steps
 
 
 def pinv_least_squares(A, y, tol=1e-10):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from interboost.boosting import TrainParams, ensemble_to_json_obj
 from interboost.discovery import WrapperConfig
-from conftest import make_regression
+from conftest import make_classification, make_regression
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -89,6 +89,20 @@ def test_traced_discovery_records_one_linear_predict_per_fit():
         cli.discover_constraints_traced(ds, WrapperConfig(seed=1))
     names = [s.name for s in recorder.spans]
     assert names.count("linear.predict") == names.count("linear.fit_ols") > 0
+
+
+def test_traced_classification_discovery_records_newton_iterations():
+    ds = make_classification(60, 3, seed=2, logit_fn=lambda X: 3.0 * X[:, 0] * X[:, 1])
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        from interboost import cli
+
+        cli.discover_constraints_traced(ds, WrapperConfig(seed=1))
+    fits = [s for s in recorder.spans if s.name == "linear.fit_logistic"]
+    assert fits and all("newton_iters" in s.attrs for s in fits)
+    metrics = tracer.layer_metrics([recorder.spans])
+    assert metrics["linear.fit_logistic.newton_iters"] == sum(s.attrs["newton_iters"] for s in fits) > 0
+    assert [s.name for s in recorder.spans].count("linear.predict") == len(fits)
 
 
 def test_traced_benchmark_tunes_each_cell_once_at_the_largest_size():

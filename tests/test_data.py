@@ -128,6 +128,12 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             Dataset(np.ones((0, 1)), ("a",), np.ones(0), Task.REGRESSION)
 
+    def test_feature_names_are_distinct_strings(self):
+        # a model or CSV saved from such names could not be loaded back
+        for names in [("a", "a"), (0, 1), ("a", None)]:
+            with pytest.raises(DataError, match="distinct strings"):
+                Dataset(np.ones((3, 2)), names, np.ones(3), Task.REGRESSION)
+
     def test_arrays_read_only(self):
         ds = Dataset(np.ones((2, 1)), ("a",), np.zeros(2), Task.REGRESSION)
         with pytest.raises(ValueError):

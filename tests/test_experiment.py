@@ -59,12 +59,23 @@ class TestTune:
         assert r_squared(te.target, predict(ens, te)) >= 0.9
 
     def test_tie_break_order(self):
-        # constant target: every cell scores identically, so the first cell
-        # in (n_trees, max_depth, learning_rate) order must win
+        # constant target: every cell scores identically, so fewer trees,
+        # then shallower, then the lower rate must win, however the grid is
+        # written
         ds = make_regression(30, 2, seed=1, target_fn=lambda X: np.full(X.shape[0], 2.0))
-        grid = TuningGrid((5, 10), (2, 3), (0.1, 0.3))
-        params = tune(ds, grid, k=3, seed=0)
-        assert (params.n_trees, params.max_depth, params.learning_rate) == (5, 2, 0.1)
+        for axes, expected in [
+            (((5, 10), (2, 3), (0.1, 0.3)), (5, 2, 0.1)),
+            (((10, 5), (2,), (0.3,)), (5, 2, 0.3)),
+            (((5,), (3, 2), (0.3,)), (5, 2, 0.3)),
+            (((5,), (2,), (0.3, 0.1)), (5, 2, 0.1)),
+            (((10, 5, 10), (3, 2, 3), (0.3, 0.1)), (5, 2, 0.1)),
+        ]:
+            params = tune(ds, TuningGrid(*axes), k=3, seed=0)
+            assert (params.n_trees, params.max_depth, params.learning_rate) == expected
+
+    def test_grid_axes_are_distinct_and_ascending(self):
+        grid = TuningGrid([10, 5, 10], (3, 2), (0.3, 0.1, 0.3))
+        assert (grid.n_trees, grid.max_depth, grid.learning_rate) == ((5, 10), (2, 3), (0.1, 0.3))
 
 
 class TestStagedTune:

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from interboost.boosting import load_model, raw_to_prediction
+from interboost.boosting import load_model
 from interboost.cli import main
 from interboost.data import Dataset, Task, format_real, read_csv, save_csv
+from interboost.linear import raw_to_prediction
 from oracles import reference_stages
 
 

@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 from interboost.data import Dataset, RowIndexSet, Task, kfold, take_rows
 from interboost.discovery import WrapperConfig, discover_constraints_traced
 from interboost.linear import (
+    OLS_RIDGE,
     FoldScorer,
+    LinearModel,
     _with_intercept,
     accuracy,
     cv_score_terms,
@@ -20,7 +22,7 @@ from interboost.linear import (
     score_for_task,
     sigmoid,
 )
-from oracles import central_difference_grad, pinv_least_squares
+from oracles import central_difference_grad, pinv_least_squares, reference_fit_logistic
 
 from conftest import make_classification, make_regression
 
@@ -146,7 +148,7 @@ class TestFitOls:
             base = rng.normal(size=(n, 2))
             A = np.column_stack([base, base[:, 0]])  # duplicate first column
             y = rng.normal(size=n)
-            model = fit_ols(A, y, ridge=1e-8)
+            model = fit_ols(A, y)
             engine_fit = A @ model.coefficients + model.intercept
             with_ones = np.column_stack([A, np.ones(n)])
             oracle_fit = with_ones @ pinv_least_squares(with_ones, y)
@@ -157,12 +159,11 @@ class TestFitOls:
         for seed in range(10):
             ds = make_regression(40, 3, seed=seed, target_fn=lambda X: X @ [1.0, -2.0, 0.5], noise_sd=0.3)
             values, _ = materialize(ds, None, (0, 1, 2), (0, 1, 2))
-            ridge = 1e-8
-            model = fit_ols(values, ds.target, ridge=ridge)
+            model = fit_ols(values, ds.target)
             fitted = values @ model.coefficients + model.intercept
             residual = ds.target - fitted
             np.testing.assert_allclose(
-                values.T @ residual, ridge * model.coefficients, atol=1e-6
+                values.T @ residual, OLS_RIDGE * model.coefficients, atol=1e-6
             )
             assert abs(residual.sum()) < 1e-6
 
@@ -187,16 +188,16 @@ def _rederive_logistic_oracle(steps=100_000, step=0.01):
     A = _with_intercept(values)
     theta = np.zeros(A.shape[1])
     for _ in range(steps):
-        theta += step * logistic_grad(A, y, theta, 1e-6)
-    return logistic_loglik(A, y, theta, 1e-6)
+        theta += step * logistic_grad(A, y, theta, sigmoid(A @ theta))
+    return logistic_loglik(A @ theta, y, theta)
 
 
 class TestFitLogistic:
     def test_matches_gradient_ascent_oracle(self):
         values, y = _logistic_oracle_instance()
-        model = fit_logistic(values, y, ridge=1e-6)
+        model = fit_logistic(values, y)
         theta = np.append(model.coefficients, model.intercept)
-        engine_ll = logistic_loglik(_with_intercept(values), y, theta, 1e-6)
+        engine_ll = logistic_loglik(_with_intercept(values) @ theta, y, theta)
         assert abs(engine_ll - _LOGISTIC_ORACLE_LL) <= 1e-6
 
     def test_separable_data_converges(self):
@@ -204,7 +205,7 @@ class TestFitLogistic:
         y = (x > 0).astype(float)
         ds = Dataset(x[:, None], ("x0",), y, Task.BINARY_CLASSIFICATION)
         values, _ = materialize(ds, None, (0,), ())
-        model = fit_logistic(values, y, ridge=1e-6)
+        model = fit_logistic(values, y)
         assert np.all(np.isfinite(model.coefficients))
         assert accuracy(y, predict(ds.task, model, values)) == 1.0
 
@@ -222,9 +223,9 @@ class TestFitLogistic:
         A = _with_intercept(values)
         for _ in range(10):
             theta = rng.normal(scale=0.8, size=A.shape[1])
-            analytic = logistic_grad(A, y, theta, 1e-6)
+            analytic = logistic_grad(A, y, theta, sigmoid(A @ theta))
             numeric = central_difference_grad(
-                lambda t: logistic_loglik(A, y, t, 1e-6), theta
+                lambda t: logistic_loglik(A @ t, y, t), theta
             )
             denom = max(float(np.max(np.abs(analytic))), 1e-12)
             assert float(np.max(np.abs(analytic - numeric))) / denom <= 1e-4
@@ -237,6 +238,34 @@ class TestFitLogistic:
             path = np.array(model.fit_info.loglik_path)
             assert np.all(np.diff(path) >= 0.0)
 
+    def test_equals_reference_loop_bit_for_bit(self):
+        # fit_logistic reuses each iterate's A @ theta and sigmoid; the
+        # reference recomputes them wherever they are used
+        rng = np.random.default_rng(5)
+        designs = [
+            (rng.normal(size=(n, p)), rng.integers(0, 2, size=n).astype(float))
+            for n, p in [(12, 1), (30, 2), (40, 3), (25, 5)]
+        ]
+        x = np.concatenate([np.linspace(-2.0, -0.1, 10), np.linspace(0.1, 2.0, 10)])
+        designs.append((x[:, None], (x > 0).astype(float)))  # separable
+        designs.append((rng.normal(size=(25, 2)), np.ones(25)))  # all-ones target
+        base = rng.normal(size=(30, 2))
+        labels = (base[:, 0] + rng.normal(size=30) > 0).astype(float)
+        designs.append((np.column_stack([base, base[:, 0]]), labels))  # collinear
+        near = np.random.default_rng(150)  # a near-separable fit that halves a step
+        X = near.normal(size=(16, 2))
+        designs.append((X, (X[:, 0] + 0.3 * near.normal(size=16) > 0).astype(float)))
+        halved = False
+        for values, y in designs:
+            model = fit_logistic(values, y)
+            theta, path, steps = reference_fit_logistic(values, y)
+            assert np.array_equal(model.coefficients, theta[:-1])
+            assert model.intercept == theta[-1]
+            assert model.fit_info.n_iter == len(steps)
+            assert model.fit_info.loglik_path == tuple(path)
+            halved = halved or min(steps, default=1.0) < 1.0
+        assert halved
+
     def test_rejects_non_binary_target(self):
         values, _ = _logistic_oracle_instance()
         with pytest.raises(ValueError):
@@ -247,8 +276,7 @@ class TestPredict:
     def test_zero_model_logistic_gives_half(self):
         ds = make_classification(10, 2, seed=0)
         values, _ = materialize(ds, None, (0,), ())
-        model = fit_logistic(values, ds.target, max_iter=0)
-        assert model.fit_info.n_iter == 0
+        model = LinearModel(np.zeros(1), 0.0)
         np.testing.assert_array_equal(predict(ds.task, model, values), np.full(10, 0.5))
 
     def test_zero_coefficients_ols_gives_intercept(self):
