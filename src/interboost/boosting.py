@@ -14,8 +14,13 @@ feature index, then the lower threshold, so training is bit-reproducible.
 
 Constraint semantics: the root may split on any feature; once the root
 splits on feature f under a partition, every split below is restricted to
-f's group. A per-residual schedule re-runs partition discovery against the
-current negative gradients for each of the first x trees.
+f's group (`used_group`). A per-residual schedule re-runs partition
+discovery against the current negative gradients for each of the first x
+trees.
+
+A tree has one layout, from growth through prediction to the model file:
+its node table in depth-first preorder, left subtree first, so node 0 is
+the root and every node is reached from it exactly once.
 
 Training has no randomness, so the first t trees of a run depend only on
 the schedule's first t rounds: `train` can continue a prefix of another
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, Dataset, RowIndexSet, Task, take_rows
-from .data import checked_int, checked_real, read_json, write_json
+from .data import checked_feature_names, checked_int, checked_real, read_json, write_json
 from .discovery import (
     ConstraintPartition,
     WrapperConfig,
@@ -92,18 +97,16 @@ NODE = np.dtype(
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """Binary regression tree addressed by node id; `root` is the root's id
-    (0 in a grown tree, any id in a loaded one).
+    """Binary regression tree: `nodes` is a read-only NODE structured array
+    with one record per node id, in depth-first preorder with the left
+    subtree first, so node 0 is the root.
 
-    `nodes` is a read-only NODE structured array with one record per node
-    id. A leaf has feature -1, children -1, threshold 0.0 and its weight; an
+    A leaf has feature -1, children -1, threshold 0.0 and its weight; an
     internal node has feature >= 0, its threshold and child ids, and weight
     0.0.
     """
 
     nodes: np.ndarray
-    root: int = 0
-    used_group: int | None = None
 
     def __post_init__(self):
         self.nodes.setflags(write=False)  # so an ensemble's cached `FlatTrees` cannot go stale
@@ -144,7 +147,7 @@ class FlatTrees:
     """Every tree of an ensemble in one read-only node table.
 
     Tree t's nodes are numbered on from the end of tree t-1's, its child ids
-    shifted to match, and `root[t]` is its root. A leaf loops to itself
+    shifted to match, so `root[t]`, its root, is where its nodes start. A leaf loops to itself
     (feature 0, left = right = its own id), so a walk step moves every cell
     without a mask and a cell on a leaf stays there."""
 
@@ -171,7 +174,7 @@ class FlatTrees:
             right=np.where(is_leaf, own, nodes["right"] + shift),
             weight=np.ascontiguousarray(nodes["weight"]),
             is_leaf=is_leaf,
-            root=starts + np.array([tree.root for tree in trees], dtype=np.int64),
+            root=starts,
         )
         for array in vars(flat).values():
             array.setflags(write=False)
@@ -307,7 +310,6 @@ def _grow(
     records: list[list] = []
     values = np.empty(n)
     in_left = np.zeros(n, dtype=bool)  # valid on the rows of the node being split
-    used_group = None
     # (row ids ascending, block rows, block values (None at max_depth), depth,
     #  allowed features, parent id, parent's field for this child: 2 left, 3 right)
     stack = [(np.arange(n), *presorted, 0, tuple(range(X.shape[1])), -1, 0)]
@@ -326,9 +328,8 @@ def _grow(
             continue
         _, threshold, feature = found
         if partition is not None and depth == 0:
-            used_group = partition.group_index_of(feature)
             # ascending order keeps the lower-feature-index tie-break exact
-            allowed = tuple(sorted(partition.groups[used_group]))
+            allowed = tuple(sorted(partition.groups[partition.group_index_of(feature)]))
             rows, xs = rows[list(allowed)], xs[list(allowed)]
         records.append([feature, threshold, -1, -1, 0.0])
         goes_left = X[pos, feature] < threshold
@@ -343,7 +344,14 @@ def _grow(
             ]
         for (side, picked), block in zip(((3, ~goes_left), (2, goes_left)), blocks):
             stack.append((pos[picked], *block, depth + 1, allowed, node_id, side))
-    return Tree(np.array([tuple(r) for r in records], dtype=NODE), 0, used_group), values
+    return Tree(np.array([tuple(r) for r in records], dtype=NODE)), values
+
+
+def used_group(tree: Tree, partition: ConstraintPartition | None) -> int | None:
+    """The group of `partition` that holds every split of `tree`: None when
+    the partition is None or the root is a leaf, else the root feature's."""
+    root_feature = int(tree.nodes[0]["feature"])
+    return None if partition is None or root_feature < 0 else partition.group_index_of(root_feature)
 
 
 def default_base_score(task: Task, y: np.ndarray) -> float:
@@ -546,39 +554,41 @@ def _list(obj: dict, key: str) -> list:
 
 
 def _tree_from_obj(obj: dict, n_features: int, partition: ConstraintPartition | None) -> Tree:
-    """Parse one tree, checking each node once: children in range, features
-    in [0, n_features), finite thresholds and leaf weights, and no node
-    reached twice from the root (so prediction cannot cycle). `used_group`
-    is what `_grow` sets: null when the constraint-log `partition` is null or
-    the root is a leaf, else the group of the root's split feature, which
+    """Parse one tree in the layout `_grow` writes, checking each node once:
+    children in range, features in [0, n_features), finite thresholds and
+    leaf weights, root 0, and a walk from the root, left child first, that
+    meets node i at its step i and every node by its end (so prediction
+    cannot cycle). `used_group` is `used_group(tree, partition)`, which
     holds every split of the tree."""
     n_nodes = len(_list(obj, "nodes"))
     nodes = [_node_from_obj(n, n_nodes, n_features) for n in obj["nodes"]]
     root = checked_int("root", obj["root"])
-    if not 0 <= root < n_nodes:
-        raise DataError(f"root {root} out of range for {n_nodes} nodes")
-    used_group = obj["used_group"]
-    if used_group is not None and (
-        partition is None or not 0 <= checked_int("used_group", used_group) < len(partition.groups)
+    if root != 0 or not nodes:
+        raise DataError(f"root {root} is not node 0 of {n_nodes} nodes: nodes are stored in preorder, root first")
+    tree = Tree(np.array(nodes, dtype=NODE))
+    logged, group = obj["used_group"], used_group(tree, partition)
+    if logged is not None and (
+        partition is None or not 0 <= checked_int("used_group", logged) < len(partition.groups)
     ):
-        raise DataError(f"used_group {used_group} does not index the tree's constraint partition")
-    root_feature = nodes[root][0]
-    group = None if partition is None or root_feature < 0 else partition.group_index_of(root_feature)
-    if used_group != group:
-        raise DataError(f"used_group {used_group} is not {group}, the group of the root's split")
-    reached = [False] * n_nodes
-    stack = [root]
+        raise DataError(f"used_group {logged} does not index the tree's constraint partition")
+    if logged != group:
+        raise DataError(f"used_group {logged} is not {group}, the group of the root's split")
+    step, stack = 0, [0]
     while stack:
         node_id = stack.pop()
-        if reached[node_id]:
+        if node_id < step:  # nodes 0 .. step-1 are already met
             raise DataError(f"node {node_id} is reached twice from the root")
-        reached[node_id] = True
+        if node_id > step:
+            raise DataError(f"node {node_id} is out of preorder: the walk from the root meets it at step {step}")
+        step += 1
         feature, _, left, right, _ = nodes[node_id]
         if feature >= 0:
             if group is not None and partition.group_index_of(feature) != group:
                 raise DataError(f"node {node_id} splits on feature {feature}, outside used_group {group}")
-            stack += (left, right)
-    return Tree(nodes=np.array(nodes, dtype=NODE), root=root, used_group=used_group)
+            stack += (right, left)
+    if step < n_nodes:
+        raise DataError(f"only nodes 0 to {step - 1} of {n_nodes} are reachable from the root")
+    return tree
 
 
 def ensemble_to_json_obj(ens: Ensemble) -> dict:
@@ -591,10 +601,10 @@ def ensemble_to_json_obj(ens: Ensemble) -> dict:
         "trees": [
             {
                 "nodes": [_node_to_obj(n) for n in tree.nodes.tolist()],
-                "root": tree.root,
-                "used_group": tree.used_group,
+                "root": 0,
+                "used_group": used_group(tree, partition),
             }
-            for tree in ens.trees
+            for tree, partition in zip(ens.trees, ens.constraint_log, strict=True)
         ],
         "constraint_log": [
             None if p is None else p.to_json_obj() for p in ens.constraint_log
@@ -607,9 +617,7 @@ def ensemble_from_json_obj(obj: dict) -> Ensemble:
     try:
         params = TrainParams(**obj["params"])
         n_features = checked_int("n_features", obj["n_features"])
-        names = _list(obj, "feature_names")
-        if not all(isinstance(n, str) for n in names) or not len(set(names)) == len(names) == n_features:
-            raise DataError(f"feature_names must be {n_features} distinct strings")
+        names = checked_feature_names(_list(obj, "feature_names"), n_features)
         log = tuple(
             None if p is None else ConstraintPartition.from_json_obj(p, n_features)
             for p in _list(obj, "constraint_log")
@@ -629,7 +637,7 @@ def ensemble_from_json_obj(obj: dict) -> Ensemble:
             task=Task.parse(obj["task"]),
             base_score=float(checked_real("base_score", obj["base_score"])),
             n_features=n_features,
-            feature_names=tuple(names),
+            feature_names=names,
             constraint_log=log,
         )
     except DataError as exc:

@@ -58,9 +58,7 @@ class Dataset:
         n_rows, n_features = feats.shape
         if n_rows == 0 or n_features == 0:
             raise DataError("dataset must have at least one row and one feature")
-        names = tuple(self.feature_names)
-        if not all(isinstance(n, str) for n in names) or not len(set(names)) == len(names) == n_features:
-            raise DataError(f"feature names must be {n_features} distinct strings")
+        names = checked_feature_names(self.feature_names, n_features)
         if tgt.shape != (n_rows,):
             raise DataError(f"target length {tgt.shape} does not match {n_rows} rows")
         if not np.all(np.isfinite(feats)) or not np.all(np.isfinite(tgt)):
@@ -211,6 +209,16 @@ def checked_real(name: str, value):
     if not finite:
         raise ValueError(f"{name} {value!r} is not finite")
     return value
+
+
+def checked_feature_names(names, n_features: int) -> tuple[str, ...]:
+    """`names` as a tuple if it holds `n_features` distinct strings, none with
+    leading or trailing whitespace (`read_csv` strips header cells, so such a
+    name would not survive `save_csv`); otherwise DataError."""
+    names = tuple(names)
+    if not all(isinstance(n, str) and n == n.strip() for n in names) or not len(set(names)) == len(names) == n_features:
+        raise DataError(f"feature names must be {n_features} distinct strings without leading or trailing whitespace")
+    return names
 
 
 def format_real(value: float) -> str:

@@ -129,46 +129,28 @@ def discover_constraints_traced(
     groups: list[list[int]] = []
     subset: list[int] = []
     steps: list[DiscoveryStep] = []
-    while remaining:
+    while remaining or subset:
+        # Score a fresh group's seeds or an open group's candidates; with no
+        # best feature (none left, the group full, or no candidate) it closes.
+        evals, best = (), None
         if not subset:
-            # Seed a fresh group with the best single feature by plain score.
             evals = tuple(CandidateScore(f, score([f], []), None) for f in remaining)
             best = max(evals, key=lambda c: (c.plain, -c.feature))
+        elif remaining and (cfg.max_group_size is None or len(subset) < cfg.max_group_size):
+            evals = tuple(
+                CandidateScore(f, score(subset + [f], subset), score(subset + [f], subset + [f])) for f in remaining
+            )
+            candidates = [c for c in evals if c.interaction > c.plain + cfg.epsilon]
+            best = max(candidates, key=lambda c: (c.interaction, -c.feature), default=None)
+        action = "close" if best is None else "add" if subset else "seed"
+        if best is not None:
             subset.append(best.feature)
             remaining.remove(best.feature)
-            steps.append(
-                DiscoveryStep("seed", best.feature, best.plain, None, tuple(subset), evals)
-            )
-            continue
-        if cfg.max_group_size is not None and len(subset) >= cfg.max_group_size:
+        scores = (None, None, None) if best is None else (best.feature, best.plain, best.interaction)
+        steps.append(DiscoveryStep(action, *scores, tuple(subset), evals))
+        if best is None:
             groups.append(subset)
-            steps.append(DiscoveryStep("close", None, None, None, tuple(subset), ()))
             subset = []
-            continue
-        evals = []
-        candidates = []
-        for f in remaining:
-            plain = score(subset + [f], subset)
-            inter = score(subset + [f], subset + [f])
-            evals.append(CandidateScore(f, plain, inter))
-            if inter > plain + cfg.epsilon:
-                candidates.append(evals[-1])
-        if candidates:
-            best = max(candidates, key=lambda c: (c.interaction, -c.feature))
-            subset.append(best.feature)
-            remaining.remove(best.feature)
-            steps.append(
-                DiscoveryStep(
-                    "add", best.feature, best.plain, best.interaction, tuple(subset), tuple(evals)
-                )
-            )
-        else:
-            groups.append(subset)
-            steps.append(DiscoveryStep("close", None, None, None, tuple(subset), tuple(evals)))
-            subset = []
-    if subset:
-        groups.append(subset)
-        steps.append(DiscoveryStep("close", None, None, None, tuple(subset), ()))
     partition = ConstraintPartition(tuple(tuple(g) for g in groups)).validate_for(ds.n_features)
     return partition, tuple(steps)
 

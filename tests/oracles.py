@@ -128,7 +128,6 @@ def reference_grow(X, g, h, params, partition):
     features one by one (`_reference_find_split`)."""
     records = []
     values = np.empty(X.shape[0])
-    used_group = None
     stack = [(np.arange(X.shape[0]), 0, tuple(range(X.shape[1])), -1, 0)]
     while stack:
         pos, depth, allowed, parent, side = stack.pop()
@@ -145,21 +144,21 @@ def reference_grow(X, g, h, params, partition):
             continue
         _, threshold, feature = found
         if partition is not None and depth == 0:
-            used_group = partition.group_index_of(feature)
-            allowed = tuple(sorted(partition.groups[used_group]))
+            allowed = tuple(sorted(partition.groups[partition.group_index_of(feature)]))
         records.append([feature, threshold, -1, -1, 0.0])
         goes_left = X[pos, feature] < threshold
         stack.append((pos[~goes_left], depth + 1, allowed, node_id, 3))
         stack.append((pos[goes_left], depth + 1, allowed, node_id, 2))
-    return Tree(np.array([tuple(r) for r in records], dtype=NODE), 0, used_group), values
+    return Tree(np.array([tuple(r) for r in records], dtype=NODE)), values
 
 
 def reference_leaf_values(tree, X):
-    """Leaf weight reached by each row of X in one tree: rows still on an
-    internal node move one level down per step (left iff x < threshold)."""
+    """Leaf weight reached by each row of X in one tree: rows start at the
+    root, node 0, and rows still on an internal node move one level down per
+    step (left iff x < threshold)."""
     feature, threshold = tree.nodes["feature"], tree.nodes["threshold"]
     left, right = tree.nodes["left"], tree.nodes["right"]
-    at = np.full(X.shape[0], tree.root, dtype=np.int64)
+    at = np.zeros(X.shape[0], dtype=np.int64)
     while True:
         active = np.nonzero(feature[at] >= 0)[0]
         if active.size == 0:
@@ -283,7 +282,7 @@ def tree_paths(tree):
         walk(node["left"], features | {node["feature"]})
         walk(node["right"], features | {node["feature"]})
 
-    walk(tree.root, frozenset())
+    walk(0, frozenset())
     return paths
 
 

@@ -117,7 +117,7 @@ def test_criterion_2_stump_oracle_equivalence():
                 assert len(tree.nodes) == 1
                 continue
             feature, threshold, w_left, w_right = oracle
-            root = tree.nodes[tree.root]
+            root = tree.nodes[0]
             assert root["feature"] == feature
             assert root["threshold"] == threshold
             engine_left = tree.nodes[root["left"]]["weight"]

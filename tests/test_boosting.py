@@ -2,7 +2,9 @@ import dataclasses
 import gc
 import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from interboost.boosting import (
     save_model,
     staged_raw_matrix,
     train,
+    used_group,
 )
 from interboost.data import DataError, Dataset, RowIndexSet, Task, replace_target, take_rows
 from interboost.discovery import ConstraintPartition, WrapperConfig
@@ -200,17 +203,18 @@ class TestGrowTree:
         tree = _grow(X, *gh, presort(X), _stump_params(max_depth=4), partition)[0]
         for features in tree_paths(tree):
             assert features <= {0} or features <= {1}
-        assert tree.used_group == 1  # x1 dominates the first split
+        assert used_group(tree, partition) == 1  # x1 dominates the first split
 
     def test_single_group_equals_unconstrained(self):
         ds = make_regression(150, 3, seed=5, target_fn=lambda X: X[:, 0] * X[:, 1] + X[:, 2])
         gh = grad_hess(Task.REGRESSION, ds.target, np.full(150, float(ds.target.mean())))
         params = _stump_params(max_depth=4, reg_lambda=1.0)
         free = _grow(ds.features, *gh, presort(ds.features), params, None)[0]
-        vacuous = _grow(ds.features, *gh, presort(ds.features), params, ConstraintPartition(((0, 1, 2),)))[0]
-        assert np.array_equal(free.nodes, vacuous.nodes)  # bookkeeping (used_group) may differ
-        assert free.used_group is None
-        assert vacuous.used_group == 0
+        one_group = ConstraintPartition(((0, 1, 2),))
+        vacuous = _grow(ds.features, *gh, presort(ds.features), params, one_group)[0]
+        assert np.array_equal(free.nodes, vacuous.nodes)
+        assert used_group(free, None) is None
+        assert used_group(vacuous, one_group) == 0
 
     def test_depth_one_matches_stump_oracle(self):
         rng = np.random.default_rng(7)
@@ -224,7 +228,7 @@ class TestGrowTree:
             if oracle is None:
                 assert len(tree.nodes) == 1
                 continue
-            root = tree.nodes[tree.root]
+            root = tree.nodes[0]
             assert (root["feature"], root["threshold"]) == (oracle[0], oracle[1])
             assert tree.nodes[root["left"]]["weight"] == oracle[2]
             assert tree.nodes[root["right"]]["weight"] == oracle[3]
@@ -258,7 +262,7 @@ class TestGrowTree:
         )
         params = _stump_params(reg_lambda, max_depth=max_depth, min_child_samples=min_child_samples)
         tree = _grow(X, g, h, presort(X), params, partition)[0]
-        stack = [(tree.root, np.arange(n_rows), 0, tuple(range(n_features)))]
+        stack = [(0, np.arange(n_rows), 0, tuple(range(n_features)))]
         while stack:
             node_id, R, depth, allowed = stack.pop()
             node = tree.nodes[node_id]
@@ -331,7 +335,6 @@ class TestGrowTree:
         tree, values = _grow(X, g, h, presort(X), params, partition)
         expected, expected_values = reference_grow(X, g, h, params, partition)
         assert tree.nodes.tobytes() == expected.nodes.tobytes()
-        assert tree.used_group == expected.used_group
         assert values.tobytes() == expected_values.tobytes()
 
 
@@ -506,7 +509,6 @@ class TestScaleInvariance:
 
 def _same_model(a, b):
     assert [t.nodes.tobytes() for t in a.trees] == [t.nodes.tobytes() for t in b.trees]
-    assert [t.used_group for t in a.trees] == [t.used_group for t in b.trees]
     assert [None if p is None else p.groups for p in a.constraint_log] == [
         None if p is None else p.groups for p in b.constraint_log
     ]
@@ -598,10 +600,21 @@ X_VALUES = THRESHOLDS + [np.nan, np.inf, -np.inf, np.nextafter(1e308, np.inf), n
 LEAF_WEIGHTS = [1e16, -1e16, 1.0, -0.1, 3.0, 1e-300, 0.3]
 
 
-def _random_tree(rng, n_features, n_internal, chain, n_unreachable):
+def _preorder(tree):
+    """Node ids in the order a depth-first walk from node 0, left child
+    first, meets them."""
+    order, stack = [], [0]
+    while stack:
+        order.append(stack.pop())
+        node = tree.nodes[order[-1]]
+        if node["feature"] >= 0:
+            stack += int(node["right"]), int(node["left"])
+    return order
+
+
+def _random_tree(rng, n_features, n_internal, chain):
     """A tree of `n_internal` splits, each on a random leaf (or always on the
-    newest one: a chain that deep), its node ids shuffled, so the root is
-    rarely node 0, with `n_unreachable` extra nodes that no walk reaches."""
+    newest one: a chain that deep), numbered in preorder like a grown tree."""
     def leaf():
         return [-1, 0.0, -1, -1, rng.choice(LEAF_WEIGHTS)]
 
@@ -612,16 +625,15 @@ def _random_tree(rng, n_features, n_internal, chain, n_unreachable):
         records[at] = [int(rng.integers(n_features)), rng.choice(THRESHOLDS), *children, 0.0]
         records += [leaf(), leaf()]
         leaves += children
-    n = len(records) + n_unreachable
-    for _ in range(n_unreachable):  # children anywhere, cycles included
-        records.append([int(rng.integers(n_features)), 0.5, *rng.integers(n, size=2), 0.0])
-    order = rng.permutation(n)  # record i becomes node order[i]
-    nodes = np.empty(n, dtype=NODE)
-    for i, (feature, threshold, left, right, weight) in enumerate(records):
+    order = _preorder(Tree(np.array([tuple(r) for r in records], dtype=NODE)))  # record ids in preorder
+    new_id = {record: node for node, record in enumerate(order)}
+    nodes = np.empty(len(records), dtype=NODE)
+    for node, record in enumerate(order):
+        feature, threshold, left, right, weight = records[record]
         if feature >= 0:
-            left, right = order[left], order[right]
-        nodes[order[i]] = (feature, threshold, left, right, weight)
-    return Tree(nodes, root=int(order[0]))
+            left, right = new_id[left], new_id[right]
+        nodes[node] = (feature, threshold, left, right, weight)
+    return Tree(nodes)
 
 
 class TestPredict:
@@ -641,17 +653,17 @@ class TestPredict:
         n_features=st.integers(1, 3),
         n_internal=st.integers(0, 12),
         chain=st.booleans(),
-        n_unreachable=st.integers(0, 3),
         rows=st.sampled_from(["none", "one", "few", "chunk-1", "chunk", "chunk+1"]),
         order=st.sampled_from(["C", "F"]),
         learning_rate=st.sampled_from([1.0, 0.3, 0.1]),
         base_score=st.sampled_from([0.0, 0.7, -1e16]),
     )
     def test_walk_matches_the_one_tree_oracle_bit_for_bit(
-        self, seed, n_trees, n_features, n_internal, chain, n_unreachable, rows, order, learning_rate, base_score
+        self, seed, n_trees, n_features, n_internal, chain, rows, order, learning_rate, base_score
     ):
         rng = np.random.default_rng(seed)
-        trees = [_random_tree(rng, n_features, n_internal, chain, n_unreachable) for _ in range(n_trees)]
+        trees = [_random_tree(rng, n_features, n_internal, chain) for _ in range(n_trees)]
+        assert all(_preorder(tree) == list(range(len(tree.nodes))) for tree in trees)
         ens = _hand_built_ensemble(trees, n_features, learning_rate, base_score)
         chunk = WALK_CELLS // max(1, n_trees)
         n_rows = {"none": 0, "one": 1, "few": 37, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}[rows]
@@ -664,7 +676,7 @@ class TestPredict:
         # 20 000 rows x 200 trees: a (rows, trees) matrix of node ids or
         # leaf weights alone takes 32 MB; the walk's row chunk needs about 3
         rng = np.random.default_rng(0)
-        trees = [_random_tree(rng, 4, 3, False, 0) for _ in range(200)]
+        trees = [_random_tree(rng, 4, 3, False) for _ in range(200)]
         ens = _hand_built_ensemble(trees, 4)
         X = rng.normal(size=(20_000, 4))
         tracemalloc.start()
@@ -731,7 +743,35 @@ class TestSerialization:
         save_model(ens, tmp_path / "m.json")
         back = load_model(tmp_path / "m.json")
         assert back.constraint_log[0].groups == ((0, 1), (2,))
-        assert back.trees[0].used_group == ens.trees[0].used_group
+        assert used_group(back.trees[0], back.constraint_log[0]) == used_group(ens.trees[0], ens.constraint_log[0]) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        schedule=st.sampled_from(["none", "fixed", "per_residual"]),
+        classification=st.booleans(),
+        max_depth=st.integers(1, 4),
+        n_trees=st.integers(0, 4),
+    )
+    def test_every_trained_model_round_trips_in_preorder(self, seed, schedule, classification, max_depth, n_trees):
+        if classification:
+            ds = make_classification(60, 4, seed, logit_fn=lambda X: 3 * X[:, 0] * X[:, 1] + X[:, 2])
+        else:
+            ds = make_regression(60, 4, seed, target_fn=lambda X: X[:, 0] * X[:, 1] + X[:, 2], noise_sd=0.1)
+        partition = ConstraintPartition(((0, 1), (2,), (3,)))
+        schedule = {
+            "none": NoConstraints(),
+            "fixed": FixedPartition(partition),
+            "per_residual": PerResidual(2, WrapperConfig(seed=seed % 7, epsilon=5e-3), partition),
+        }[schedule]
+        ens = train(ds, None, TrainParams(n_trees, max_depth, 0.4), schedule)
+        for tree in ens.trees:
+            assert _preorder(tree) == list(range(len(tree.nodes)))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "model.json", Path(tmp) / "again.json"
+            save_model(ens, first)
+            save_model(load_model(first), second)
+            assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("used_group", [2, -1, "0", True, 0.0, 1, None])  # tree 0 used group 0
     def test_used_group_must_index_its_partition(self, tmp_path, used_group):

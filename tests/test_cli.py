@@ -44,11 +44,19 @@ def _split_outside_used_group(model):
     feature alone, and move a split below the root to another feature."""
     tree, n = model["trees"][0], model["n_features"]
     nodes = tree["nodes"]
-    root = nodes[tree["root"]]
+    root = nodes[0]
     below = next(nodes[c] for c in (root["left"], root["right"]) if "feature" in nodes[c])
     below["feature"] = (root["feature"] + 1) % n
     model["constraint_log"][0] = [[root["feature"]], [f for f in range(n) if f != root["feature"]]]
     tree["used_group"] = 0
+
+
+def _relabel_root_children(model):
+    """Swap the ids of tree 0's root children: the same tree, out of preorder."""
+    nodes = model["trees"][0]["nodes"]
+    left, right = nodes[0]["left"], nodes[0]["right"]
+    nodes[left], nodes[right] = nodes[right], nodes[left]
+    nodes[0].update(left=right, right=left)
 
 
 class TestDiscoverCommand:
@@ -302,11 +310,16 @@ class TestTrainPredictCommands:
             (lambda m: m["trees"][1].update(used_group=0), "tree 1: used_group 0 does not index"),
             (lambda m: m["constraint_log"].__setitem__(0, [[0]]), "constraint groups must cover features"),
             (_split_outside_used_group, "outside used_group 0"),
+            (lambda m: m["trees"][0].update(root=1), "tree 0: root 1 is not node 0"),
+            (lambda m: m["trees"][1]["nodes"].append({"leaf": 0.5}), "tree 1: only nodes 0 to 6 of 8 are reachable"),
+            (_relabel_root_children, "is out of preorder"),
+            (lambda m: m["feature_names"].__setitem__(0, " " + m["feature_names"][0]), "leading or trailing whitespace"),
         ],
         ids=["root-cycle", "feature-range", "negative-feature", "child-range", "learning-rate", "nan-threshold",
              "repeated-feature-name", "feature-names-dict", "trees-dict", "trees-string", "nodes-dict",
              "constraint-log-dict", "constraint-log-short", "used-group-string", "used-group-unconstrained",
-             "constraint-log-partial", "split-outside-used-group"],
+             "constraint-log-partial", "split-outside-used-group", "root-not-zero", "unreachable-node",
+             "children-out-of-preorder", "padded-feature-name"],
     )
     def test_corrupt_model_is_data_error(self, tmp_path, data_csv, capsys, mutate, message):
         out = tmp_path / "out"

@@ -134,6 +134,12 @@ class TestDatasetInvariants:
             with pytest.raises(DataError, match="distinct strings"):
                 Dataset(np.ones((3, 2)), names, np.ones(3), Task.REGRESSION)
 
+    def test_feature_names_survive_a_csv_round_trip(self):
+        # read_csv strips header cells, so " a" would come back as "a"
+        for names in [(" a", "b"), ("a", " a"), ("a", "b\t")]:
+            with pytest.raises(DataError, match="leading or trailing whitespace"):
+                Dataset(np.ones((3, 2)), names, np.ones(3), Task.REGRESSION)
+
     def test_arrays_read_only(self):
         ds = Dataset(np.ones((2, 1)), ("a",), np.zeros(2), Task.REGRESSION)
         with pytest.raises(ValueError):

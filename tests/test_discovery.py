@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from interboost.boosting import PerResidual, TrainParams, train
+from interboost.boosting import PerResidual, TrainParams, train, used_group
 from interboost.data import DataError, Dataset, Task
 from interboost.discovery import (
     ConstraintPartition,
@@ -289,8 +289,9 @@ class TestScaleInvariance:
         scaled_ens = train(scaled, None, params, PerResidual(3, self.CFG, partition))
         groups = [None if p is None else p.groups for p in ens.constraint_log]
         assert [None if p is None else p.groups for p in scaled_ens.constraint_log] == groups
-        for tree, scaled_tree in zip(ens.trees, scaled_ens.trees, strict=True):
-            assert scaled_tree.used_group == tree.used_group
+        trees = zip(ens.trees, ens.constraint_log, scaled_ens.trees, scaled_ens.constraint_log, strict=True)
+        for tree, logged, scaled_tree, scaled_logged in trees:
+            assert used_group(scaled_tree, scaled_logged) == used_group(tree, logged)
             nodes, scaled_nodes = tree.nodes, scaled_tree.nodes
             for field in ("feature", "left", "right", "weight"):
                 np.testing.assert_array_equal(scaled_nodes[field], nodes[field])
