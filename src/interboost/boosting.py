@@ -23,9 +23,8 @@ its node table in depth-first preorder, left subtree first, so node 0 is
 the root and every node is reached from it exactly once.
 
 Training has no randomness, so the first t trees of a run depend only on
-the schedule's first t rounds: `train` can continue a prefix of another
-run (`prefix=`), and `staged_raw_matrix` gives the prediction after every
-number of trees from one summation loop.
+the schedule's first t rounds: `ens[:t]` is the model after t rounds, and
+`train` can continue such a prefix of another run (`prefix=`).
 
 Prediction walks every tree of an ensemble at once: the trees are laid out
 once per `Ensemble` in one flat node table (`FlatTrees`), and each walk step
@@ -39,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 import numpy as np
@@ -382,9 +380,9 @@ def _partition_for_round(
 
 def _check_prefix(prefix: Ensemble, ds: Dataset, params: TrainParams, base: float) -> None:
     """Raise ValueError unless `train` on `ds` with `params` can continue `prefix`."""
-    ours = (ds.task, ds.n_features, params.learning_rate, base)
-    if (prefix.task, prefix.n_features, prefix.params.learning_rate, prefix.base_score) != ours:
-        raise ValueError("prefix does not fit this training run: task, n_features, learning_rate or base score differ")
+    ours = (ds.task, ds.feature_names, params.learning_rate, base)
+    if (prefix.task, prefix.feature_names, prefix.params.learning_rate, prefix.base_score) != ours:
+        raise ValueError("prefix does not fit this training run: task, feature names, learning_rate or base score differ")
     if len(prefix.trees) > params.n_trees:
         raise ValueError(f"prefix has {len(prefix.trees)} trees, more than n_trees={params.n_trees}")
 
@@ -406,7 +404,7 @@ def train(
     its first rounds and boosts rounds len(prefix.trees)+1 .. n_trees under
     `schedule`. Prediction routes the training rows exactly as growing
     them did, so the raw predictions rebuilt from the prefix equal those of
-    the run that grew it. A prefix of another task, feature count,
+    the run that grew it. A prefix of another task, other feature names,
     learning rate or base score, or with more than n_trees trees, is a
     ValueError.
 
@@ -442,15 +440,7 @@ def train(
         raw = raw + params.learning_rate * contribution
         trees.append(tree)
         log.append(partition)
-    return Ensemble(
-        trees=tuple(trees),
-        params=params,
-        task=ds.task,
-        base_score=float(base),
-        n_features=ds.n_features,
-        feature_names=ds.feature_names,
-        constraint_log=tuple(log),
-    )
+    return dataclasses.replace(prefix, params=params, trees=tuple(trees), constraint_log=tuple(log))
 
 
 def _checked_features(ens: Ensemble, X: np.ndarray) -> np.ndarray:
@@ -483,33 +473,17 @@ def _leaf_weights(ens: Ensemble, X: np.ndarray) -> Iterator[tuple[slice, np.ndar
         yield rows, flat.weight[at]
 
 
-def _staged_sums(ens: Ensemble, weights: np.ndarray) -> Iterator[np.ndarray]:
-    """The base score, then raw = raw + learning_rate * weights[t] for each
-    tree t in order: every raw sum in the package comes from this loop, so
-    a stage equals the prediction of `ens[:t]` bit for bit."""
-    raw = np.full(weights.shape[1], ens.base_score)
-    yield raw
-    for tree_weights in weights:
-        raw = raw + ens.params.learning_rate * tree_weights
-        yield raw
-
-
-def staged_raw_matrix(ens: Ensemble, X: np.ndarray) -> Iterator[np.ndarray]:
-    """Raw predictions of the rows of X after 0, 1, ..., len(ens.trees)
-    trees. Holds the leaf weights of every (tree, row) cell at once."""
-    X = _checked_features(ens, X)
-    weights = np.empty((len(ens.trees), X.shape[0]))
-    for rows, chunk_weights in _leaf_weights(ens, X):
-        weights[:, rows] = chunk_weights
-    yield from _staged_sums(ens, weights)
-
-
 def predict_raw_matrix(ens: Ensemble, X: np.ndarray) -> np.ndarray:
-    """Raw predictions of the rows of X, summed one row chunk at a time."""
+    """Raw predictions of the rows of X: the base score, then
+    raw = raw + learning_rate * weights[t] for each tree t in order, one row
+    chunk at a time. `train` sums its rounds the same way, so the prediction
+    of `ens[:t]` is the raw sum after its round t bit for bit."""
     X = _checked_features(ens, X)
-    raw = np.empty(X.shape[0])
+    raw = np.full(X.shape[0], ens.base_score)
     for rows, chunk_weights in _leaf_weights(ens, X):
-        raw[rows] = deque(_staged_sums(ens, chunk_weights), maxlen=1).pop()
+        chunk_raw = raw[rows]  # a view: adding to it adds to raw
+        for tree_terms in ens.params.learning_rate * chunk_weights:
+            chunk_raw += tree_terms
     return raw
 
 

@@ -212,12 +212,21 @@ def checked_real(name: str, value):
 
 
 def checked_feature_names(names, n_features: int) -> tuple[str, ...]:
-    """`names` as a tuple if it holds `n_features` distinct strings, none with
-    leading or trailing whitespace (`read_csv` strips header cells, so such a
-    name would not survive `save_csv`); otherwise DataError."""
+    """`names` as a tuple if it holds `n_features` distinct strings that
+    `save_csv` then `read_csv` give back unchanged; otherwise DataError.
+    So no name has leading or trailing whitespace (`read_csv` strips header
+    cells), a leading byte-order mark (`read_csv` skips one at the start of
+    the file) or a carriage return (`save_csv` leaves it unquoted, so it
+    would end the header row)."""
     names = tuple(names)
-    if not all(isinstance(n, str) and n == n.strip() for n in names) or not len(set(names)) == len(names) == n_features:
-        raise DataError(f"feature names must be {n_features} distinct strings without leading or trailing whitespace")
+    readable = all(
+        isinstance(n, str) and n == n.strip() and not n.startswith("\ufeff") and "\r" not in n for n in names
+    )
+    if not readable or not len(set(names)) == len(names) == n_features:
+        raise DataError(
+            f"feature names must be {n_features} distinct strings without leading or trailing whitespace, "
+            "a leading byte-order mark or a carriage return"
+        )
     return names
 
 

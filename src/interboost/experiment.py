@@ -27,13 +27,12 @@ from .boosting import (
     PerResidual,
     TrainParams,
     predict,
-    staged_raw_matrix,
     train,
 )
-from .data import DataError, Dataset, kfold, train_test_split
+from .data import DataError, Dataset, kfold, take_rows, train_test_split
 from .data import checked_int, checked_real
 from .discovery import ConstraintPartition, WrapperConfig, discover_constraints
-from .linear import raw_to_prediction, score_for_task
+from .linear import score_for_task
 from .prng import mix_seed, permutation
 
 
@@ -69,23 +68,22 @@ def tune(ds: Dataset, grid: TuningGrid, k: int, seed: int) -> TrainParams:
 
     Training is deterministic, so the model of n trees is the first n trees
     of a longer run: each (depth, rate, fold) trains once at the largest
-    grid `n_trees`, and every grid size is scored from that run's staged
-    validation predictions."""
+    grid `n_trees`, and each grid size n scores that run's `ens[:n]` on the
+    fold's validation rows with `_test_score`, as `benchmark` scores its
+    variants on the test rows."""
     fold_rows = kfold(ds.n_rows, k, seed)
+    validation = [take_rows(ds, va.indices) for _, va in fold_rows]
     fold_scores: dict[tuple, list[float]] = {}
     for max_depth in grid.max_depth:
         for learning_rate in grid.learning_rate:
             params = TrainParams(grid.n_trees[-1], max_depth, learning_rate)
-            for tr, va in fold_rows:
+            for (tr, _), va_ds in zip(fold_rows, validation):
                 ens = train(ds, tr, params, NoConstraints())
-                y = ds.target[va.indices]
-                stages = staged_raw_matrix(ens, ds.features[va.indices])
-                for n_trees, raw in enumerate(stages):
-                    if n_trees in grid.n_trees:
-                        # a score that overflows is NaN, which no cell picks
-                        with np.errstate(over="ignore", invalid="ignore"):
-                            score = score_for_task(ds.task, y, raw_to_prediction(ds.task, raw))
-                        fold_scores.setdefault((n_trees, max_depth, learning_rate), []).append(score)
+                for n_trees in grid.n_trees:
+                    # a score that overflows is NaN, which no cell picks
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        score = _test_score(ens[:n_trees], va_ds)
+                    fold_scores.setdefault((n_trees, max_depth, learning_rate), []).append(score)
     best_score = -np.inf
     best_params = None
     for n_trees in grid.n_trees:

@@ -31,7 +31,6 @@ from interboost.boosting import (
     predict_matrix,
     predict_raw_matrix,
     save_model,
-    staged_raw_matrix,
     train,
     used_group,
 )
@@ -547,7 +546,7 @@ class TestPrefix:
     def test_stages_are_the_predictions_of_each_prefix(self):
         ds = self._ds()
         ens = train(ds, None, TrainParams(6, 3, 0.2))
-        stages = list(staged_raw_matrix(ens, ds.features))
+        stages = reference_stages(ens, ds.features)
         assert len(stages) == 7
         with pytest.raises(TypeError):
             ens[0]
@@ -556,7 +555,7 @@ class TestPrefix:
 
     @pytest.mark.parametrize(
         "change",
-        ["task", "n_features", "learning_rate", "base_score", "too_many_trees"],
+        ["task", "n_features", "feature_names", "learning_rate", "base_score", "too_many_trees"],
     )
     def test_prefix_that_does_not_fit_is_rejected(self, change):
         ds = self._ds()
@@ -568,6 +567,8 @@ class TestPrefix:
         elif change == "n_features":
             ds = Dataset(ds.features[:, :2], ds.feature_names[:2], ds.target, ds.task)
             prefix = dataclasses.replace(prefix, base_score=default_base_score(ds.task, ds.target))
+        elif change == "feature_names":
+            ds = Dataset(ds.features, tuple(f"z{i}" for i in range(ds.n_features)), ds.target, ds.task)
         elif change == "learning_rate":
             params = TrainParams(4, 2, 0.2)
         elif change == "base_score":
@@ -669,7 +670,7 @@ class TestPredict:
         n_rows = {"none": 0, "one": 1, "few": 37, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}[rows]
         X = np.asarray(rng.choice(X_VALUES, size=(n_rows, n_features)), order=order)
         expected = [stage.tobytes() for stage in reference_stages(ens, X)]
-        assert [stage.tobytes() for stage in staged_raw_matrix(ens, X)] == expected
+        assert [predict_raw_matrix(ens[:t], X).tobytes() for t in range(n_trees + 1)] == expected
         assert predict_raw_matrix(ens, X).tobytes() == expected[-1]
 
     def test_predict_memory_is_bounded_by_the_row_chunk(self):

@@ -314,12 +314,13 @@ class TestTrainPredictCommands:
             (lambda m: m["trees"][1]["nodes"].append({"leaf": 0.5}), "tree 1: only nodes 0 to 6 of 8 are reachable"),
             (_relabel_root_children, "is out of preorder"),
             (lambda m: m["feature_names"].__setitem__(0, " " + m["feature_names"][0]), "leading or trailing whitespace"),
+            (lambda m: m["feature_names"].__setitem__(0, "\ufeff" + m["feature_names"][0]), "byte-order mark"),
         ],
         ids=["root-cycle", "feature-range", "negative-feature", "child-range", "learning-rate", "nan-threshold",
              "repeated-feature-name", "feature-names-dict", "trees-dict", "trees-string", "nodes-dict",
              "constraint-log-dict", "constraint-log-short", "used-group-string", "used-group-unconstrained",
              "constraint-log-partial", "split-outside-used-group", "root-not-zero", "unreachable-node",
-             "children-out-of-preorder", "padded-feature-name"],
+             "children-out-of-preorder", "padded-feature-name", "bom-feature-name"],
     )
     def test_corrupt_model_is_data_error(self, tmp_path, data_csv, capsys, mutate, message):
         out = tmp_path / "out"

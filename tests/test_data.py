@@ -1,6 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from interboost import data
 from interboost.data import (
@@ -139,6 +143,44 @@ class TestDatasetInvariants:
         for names in [(" a", "b"), ("a", " a"), ("a", "b\t")]:
             with pytest.raises(DataError, match="leading or trailing whitespace"):
                 Dataset(np.ones((3, 2)), names, np.ones(3), Task.REGRESSION)
+
+    def test_a_leading_byte_order_mark_is_rejected(self):
+        # read_csv reads UTF-8 with or without a byte-order mark, so a first
+        # header cell "\ufeffa" would come back as "a"
+        for names in [("\ufeffa", "b"), ("a", "\ufeffb"), ("\ufeff", "b")]:
+            with pytest.raises(DataError, match="byte-order mark"):
+                Dataset(np.ones((3, 2)), names, np.ones(3), Task.REGRESSION)
+
+    def test_a_carriage_return_is_rejected(self):
+        # save_csv leaves "\r" unquoted, so the header row would end there
+        for names in [("a\rb", "c"), ("a", "\r")]:
+            with pytest.raises(DataError, match="carriage return"):
+                Dataset(np.ones((3, 2)), names, np.ones(3), Task.REGRESSION)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        names=st.lists(st.text(), min_size=1, max_size=3),
+        values=hnp.arrays(np.float64, (3, 4), elements=st.floats(allow_nan=False, allow_infinity=False)),
+        n_rows=st.integers(1, 3),
+        classification=st.booleans(),
+    )
+    @example(names=["\ufeffa", "b"], values=np.zeros((3, 4)), n_rows=1, classification=False)
+    @example(names=["a\rb"], values=np.zeros((3, 4)), n_rows=1, classification=False)
+    def test_every_accepted_dataset_survives_a_csv_round_trip(self, names, values, n_rows, classification):
+        task = Task.BINARY_CLASSIFICATION if classification else Task.REGRESSION
+        y = values[:n_rows, -1]
+        assume("target" not in names)
+        try:
+            ds = Dataset(values[:n_rows, : len(names)], tuple(names), (y > 0) * 1.0 if classification else y, task)
+        except DataError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "saved.csv"
+            save_csv(ds, path)
+            back = load_csv(path, "target", task)
+        assert back.feature_names == ds.feature_names
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.target.tobytes() == ds.target.tobytes()
 
     def test_arrays_read_only(self):
         ds = Dataset(np.ones((2, 1)), ("a",), np.zeros(2), Task.REGRESSION)

@@ -80,7 +80,7 @@ class TestTune:
 
 class TestStagedTune:
     """`tune` trains each (depth, rate, fold) once and scores every grid
-    size from staged sums; `reference_tune` trains every cell."""
+    size n on that run's `ens[:n]`; `reference_tune` trains every cell."""
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -1,14 +1,18 @@
 """The README's library example is the documented entry point to the
 package's public names, and its Scripts section is the documented
-end-to-end benchmark run; both must run as written."""
+end-to-end benchmark run; both must run as written, and every package
+name the README cites must exist."""
 
+import importlib
 import json
+import pkgutil
 import re
 import runpy
 import shlex
 import sys
 from pathlib import Path
 
+import interboost
 from interboost import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,6 +32,22 @@ def _block(section: str, language: str) -> str:
 def test_library_example_runs():
     code = _block(_section("Library example"), "python")
     exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
+
+
+def test_cited_module_names_exist():
+    # every `module.name` in backticks outside code blocks whose module is an
+    # interboost submodule, such as `data.kfold` or `boosting.WALK_CELLS`
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.DOTALL)
+    submodules = {module.name for module in pkgutil.iter_modules(interboost.__path__)}
+    cited = {
+        (module, name)
+        for span in re.findall(r"`([^`]+)`", text)
+        for module, name in re.findall(r"\b(\w+)\.(\w+)", span)
+        if module in submodules
+    }
+    assert cited, "the README cites no module names"
+    missing = [f"{m}.{n}" for m, n in sorted(cited) if not hasattr(importlib.import_module(f"interboost.{m}"), n)]
+    assert not missing, f"the README cites names that do not exist: {missing}"
 
 
 def test_synthetic_benchmark_commands_run(tmp_path, monkeypatch):
