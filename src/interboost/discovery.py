@@ -123,7 +123,7 @@ def discover_constraints_traced(
     ds: Dataset, cfg: WrapperConfig
 ) -> tuple[ConstraintPartition, tuple[DiscoveryStep, ...]]:
     """Like discover_constraints but also returns the per-step score log."""
-    score = FoldScorer(ds, cfg.k_folds, cfg.seed).score
+    score_many = FoldScorer(ds, cfg.k_folds, cfg.seed).score_many
 
     remaining = list(range(ds.n_features))
     groups: list[list[int]] = []
@@ -134,12 +134,13 @@ def discover_constraints_traced(
         # best feature (none left, the group full, or no candidate) it closes.
         evals, best = (), None
         if not subset:
-            evals = tuple(CandidateScore(f, score([f], []), None) for f in remaining)
+            scores = score_many([([f], []) for f in remaining])
+            evals = tuple(CandidateScore(f, plain, None) for f, plain in zip(remaining, scores))
             best = max(evals, key=lambda c: (c.plain, -c.feature))
         elif remaining and (cfg.max_group_size is None or len(subset) < cfg.max_group_size):
-            evals = tuple(
-                CandidateScore(f, score(subset + [f], subset), score(subset + [f], subset + [f])) for f in remaining
-            )
+            # each candidate's plain design, then its interaction design
+            scores = score_many([(subset + [f], scope) for f in remaining for scope in (subset, subset + [f])])
+            evals = tuple(map(CandidateScore, remaining, scores[::2], scores[1::2]))
             candidates = [c for c in evals if c.interaction > c.plain + cfg.epsilon]
             best = max(candidates, key=lambda c: (c.interaction, -c.feature), default=None)
         action = "close" if best is None else "add" if subset else "seed"

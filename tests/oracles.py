@@ -11,7 +11,8 @@ allowed feature again in every node; `reference_tune` trains every grid
 cell separately; `reference_leaf_values` walks one tree at a time, and
 `reference_stages` adds its trees up one by one; `reference_fit_logistic`
 evaluates each Newton iterate afresh for its gradient, its Hessian weights
-and its log-likelihood.
+and its log-likelihood; `reference_sigmoid` splits its input by sign with
+boolean masks.
 """
 
 from __future__ import annotations
@@ -203,6 +204,18 @@ def reference_tune(ds, grid, k, seed):
                     best_params = params
     assert best_params is not None
     return best_params
+
+
+def reference_sigmoid(z):
+    """`interboost.linear.sigmoid` on the masked halves: 1 / (1 + exp(-z))
+    where z >= 0, exp(z) / (1 + exp(z)) elsewhere (NaN included)."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def reference_fit_logistic(values, y):

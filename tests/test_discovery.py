@@ -13,10 +13,10 @@ from interboost.discovery import (
     discover_constraints_for_residuals,
     discover_constraints_traced,
 )
-from interboost.linear import cv_score_terms
+from interboost.linear import FoldScorer, cv_score_terms
 from interboost.synth import paired_products_dataset
 
-from conftest import make_regression
+from conftest import make_classification, make_regression
 
 # features 0 and 1 with and without their product column
 PLAIN_TERMS = ((0, 1), ())
@@ -148,6 +148,57 @@ class TestDiscovery:
         ds = make_regression(120, 8, seed=5, target_fn=lambda X: X[:, 0] * X[:, 1], noise_sd=0.1)
         discover_constraints(ds, WrapperConfig(seed=3))
         assert plans == [(120, 3, 3)]
+
+    @staticmethod
+    def _count_stacked_fits(monkeypatch):
+        """Record the number of designs in each stack that reaches the fits."""
+        import interboost.linear
+
+        stacks = []
+        for name in ("fit_ols", "fit_logistic"):
+            original = getattr(interboost.linear, name)
+
+            def counting(values, y, original=original):
+                stacks.append(len(values))
+                return original(values, y)
+
+            monkeypatch.setattr(interboost.linear, name, counting)
+        return stacks
+
+    @pytest.mark.parametrize(
+        "ds",
+        [
+            make_regression(120, 8, seed=5, target_fn=lambda X: X[:, 0] * X[:, 1] + X[:, 2] * X[:, 3], noise_sd=0.1),
+            make_classification(150, 6, seed=22, logit_fn=lambda X: 3 * X[:, 2] * X[:, 4]),
+        ],
+        ids=["regression", "classification"],
+    )
+    def test_each_distinct_design_is_fitted_once_per_fold(self, monkeypatch, ds):
+        stacks = self._count_stacked_fits(monkeypatch)
+        _, steps = discover_constraints_traced(ds, WrapperConfig(seed=3, epsilon=EPS))
+        scored, designs, group = 0, set(), []
+        for step in steps:
+            for c in step.candidates:
+                if step.action == "seed":
+                    designs.add(((c.feature,), ()))
+                else:
+                    features = tuple(group + [c.feature])
+                    designs.add((features, tuple(sorted(group)) if len(group) > 1 else ()))
+                    designs.add((features, tuple(sorted(features))))
+                scored += 1 if step.action == "seed" else 2
+            group = [] if step.action == "close" else list(step.subset)
+        assert sum(stacks) == 3 * len(designs) < 3 * scored  # the seed steps repeat
+
+    def test_a_scope_of_one_feature_shares_the_fit_of_the_empty_scope(self, monkeypatch):
+        stacks = self._count_stacked_fits(monkeypatch)
+        scorer = FoldScorer(make_regression(60, 3, seed=1), 3, 0)
+        designs = [([0, 1], [0]), ([0, 1], []), ([1, 0], []), ([1, 0], [1]), ([0, 1], [1, 0]), ([0, 1], [0, 1])]
+        scores = scorer.score_many(designs)
+        # per fold, one stack of ((0, 1), ()) and ((1, 0), ()), then ((0, 1), (0, 1)) alone
+        assert stacks == [2, 2, 2, 1, 1, 1]
+        assert scores[0] == scores[1] and scores[2] == scores[3] and scores[4] == scores[5]
+        assert scorer.score_many(designs[::-1]) == scores[::-1]
+        assert len(stacks) == 6
 
     def test_max_group_size_cap(self):
         ds = make_regression(

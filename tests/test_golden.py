@@ -41,15 +41,23 @@ CONFIG = {
 }
 
 
-def _table(task: Task, n_rows: int = 120, seed: int = 2) -> Dataset:
+def _table(task: Task, n_rows: int = 120, seed: int = 2, noise_sd: float = 0.1) -> Dataset:
     """x0*x1 + x2*x3 + 0.1*x4 + noise over six features on a grid of quarters
     in [-1, 1]; the classification target is the sign of that sum."""
     rng = np.random.default_rng(seed)
     X = rng.integers(-4, 5, size=(n_rows, 6)) / 4.0
-    y = X[:, 0] * X[:, 1] + X[:, 2] * X[:, 3] + 0.1 * X[:, 4] + rng.normal(0.0, 0.1, size=n_rows)
+    y = X[:, 0] * X[:, 1] + X[:, 2] * X[:, 3] + 0.1 * X[:, 4] + rng.normal(0.0, noise_sd, size=n_rows)
     if task is Task.BINARY_CLASSIFICATION:
         y = (y > 0.0).astype(np.float64)
     return Dataset(X, NAMES, y, task)
+
+
+def _duplicated_column_table(task: Task) -> Dataset:
+    """`_table` with x5 a copy of x0, so designs holding both are collinear."""
+    ds = _table(task)
+    X = ds.features.copy()
+    X[:, 5] = X[:, 0]
+    return Dataset(X, NAMES, ds.target, task)
 
 
 def run_matrix(root: Path) -> dict[str, str]:
@@ -66,13 +74,21 @@ def run_matrix(root: Path) -> dict[str, str]:
         data = inputs / f"{task.value}.csv"
         save_csv(_table(task), data, target_name="y")
 
-        def run(command: str, name: str, *flags) -> None:
+        def run(command: str, name: str, *flags, data: Path = data) -> None:
             argv = [command, "--config", config, "--out-dir", out / task.value / name, *flags]
             if command != "predict":
                 argv += ["--data", data, "--target", "y", "--task", task.value]
             assert cli_main([str(a) for a in argv]) == 0, f"{task.value} {name} failed"
 
         run("discover", "discover")
+        duplicated = inputs / f"{task.value}-duplicated.csv"
+        save_csv(_duplicated_column_table(task), duplicated, target_name="y")
+        run("discover", "discover-duplicated", data=duplicated)
+        if task is Task.BINARY_CLASSIFICATION:
+            # without noise, x0*x1 + x2*x3 + 0.1*x4 separates the classes
+            separable = inputs / "separable.csv"
+            save_csv(_table(task, noise_sd=0.0), separable, target_name="y")
+            run("discover", "discover-separable", data=separable)
         run("train", "train")
         run("train", "train-constraints", "--constraints", out / task.value / "discover" / "partition.json")
         run("train", "train-partial-x", "--partial-x", 2)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from interboost.data import Dataset, RowIndexSet, Task, kfold, take_rows
+import interboost.linear
+from interboost.data import Dataset, DataError, RowIndexSet, Task, kfold, take_rows
 from interboost.discovery import WrapperConfig, discover_constraints_traced
 from interboost.linear import (
     OLS_RIDGE,
@@ -22,7 +23,7 @@ from interboost.linear import (
     score_for_task,
     sigmoid,
 )
-from oracles import central_difference_grad, pinv_least_squares, reference_fit_logistic
+from oracles import central_difference_grad, pinv_least_squares, reference_fit_logistic, reference_sigmoid
 
 from conftest import make_classification, make_regression
 
@@ -272,6 +273,105 @@ class TestFitLogistic:
             fit_logistic(values, np.full(20, 0.5))
 
 
+class TestSigmoid:
+    @given(
+        st.lists(
+            st.one_of(st.floats(allow_nan=False), st.floats(700.0, 750.0), st.floats(-750.0, -700.0)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310])
+    @example([709.0, 709.78, 709.79, 710.0, -709.78, -709.79, 745.13, 745.14, -745.13, -745.14, -746.0])
+    def test_equals_the_masked_reference_bit_for_bit(self, values):
+        z = np.array(values)
+        assert sigmoid(z).tobytes() == reference_sigmoid(z).tobytes()
+
+    def test_nan_maps_to_nan(self):
+        z = np.array([np.nan, -np.nan, 0.0])
+        assert np.isnan(sigmoid(z)[:2]).all() and sigmoid(z)[2] == 0.5
+
+
+def _assert_stack_equals_each_design_alone(task, values, y):
+    """The stacked fit, predict and score of `values` (c, n, q) equal those
+    of each design fitted alone, bit for bit."""
+    model = fit_for_task(task, values, y)
+    prediction = predict(task, model, values)
+    scores = score_for_task(task, y, prediction)
+    n_iter = 0
+    for i, design in enumerate(values):
+        alone = fit_for_task(task, design, y)
+        assert np.array_equal(model.coefficients[i], alone.coefficients)
+        assert model.intercept[i] == alone.intercept
+        assert np.array_equal(prediction[i], predict(task, alone, design))
+        assert scores[i] == score_for_task(task, y, predict(task, alone, design))
+        if task is Task.BINARY_CLASSIFICATION:
+            assert model.fit_info.loglik_path[i] == alone.fit_info.loglik_path
+            n_iter += alone.fit_info.n_iter
+    if task is Task.BINARY_CLASSIFICATION:
+        assert model.fit_info.n_iter == n_iter and type(n_iter) is int
+    return model
+
+
+class TestStackedFits:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_stacks(self, seed):
+        rng = np.random.default_rng(seed)
+        c, n, q = int(rng.integers(1, 9)), int(rng.integers(3, 80)), int(rng.integers(1, 7))
+        values = rng.normal(size=(c, n, q))
+        _assert_stack_equals_each_design_alone(Task.REGRESSION, values, rng.normal(size=n))
+        labels = (values[0, :, 0] + rng.normal(size=n) > 0).astype(float)
+        _assert_stack_equals_each_design_alone(Task.BINARY_CLASSIFICATION, values, labels)
+
+    def test_a_singular_stack_is_solved_one_design_at_a_time(self, monkeypatch):
+        # a duplicated column of magnitude 1e10 loses the ridge to rounding,
+        # so the normal equations and the Hessian of that design are singular
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(4, 30, 3)) * 1e10
+        values[2, :, 2] = values[2, :, 0]
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        _assert_stack_equals_each_design_alone(Task.REGRESSION, values, rng.normal(size=30))
+        assert calls
+        calls.clear()
+        labels = (values[0, :, 1] > 0).astype(float)
+        _assert_stack_equals_each_design_alone(Task.BINARY_CLASSIFICATION, values, labels)
+        assert calls
+
+    def test_separable_designs_stop_at_different_iterations(self, monkeypatch):
+        # on separable labels, a duplicated column of magnitude 1e11 makes
+        # Newton stop where no halving improves; with the cap at 13, the
+        # unscaled duplicate stops on the cap, and the rest converge
+        rng = np.random.default_rng(0)
+        base = rng.normal(size=(27, 3))
+        labels = (base[:, 0] > 0).astype(float)
+        duplicated = np.column_stack([base, base[:, 0]])
+        values = np.stack([duplicated * 1e11, duplicated, duplicated * 1e-8, rng.normal(size=(27, 4))])
+        monkeypatch.setattr(interboost.linear, "NEWTON_MAX_ITER", 13)
+        model = _assert_stack_equals_each_design_alone(Task.BINARY_CLASSIFICATION, values, labels)
+        n_iters = [len(path) - 1 for path in model.fit_info.loglik_path]
+        assert n_iters[0] < 13 and n_iters[1] == 13 and len(set(n_iters)) > 2
+        A = _with_intercept(values[0])
+        theta = np.append(model.coefficients[0], model.intercept[0])
+        gradient = logistic_grad(A, labels, theta, sigmoid(A @ theta))
+        assert np.max(np.abs(gradient)) > 1e-8 * (1 + 27 / 2)  # stopped without converging
+
+    def test_a_design_on_the_iteration_cap(self):
+        # features of magnitude 1e-8 and labels they barely predict take all
+        # NEWTON_MAX_ITER iterations; the same labels on other designs do not
+        rng = np.random.default_rng(276)
+        n, q = int(rng.integers(3, 30)), int(rng.integers(1, 4))
+        tiny = rng.normal(size=(n, q)) * 10.0 ** rng.integers(-8, 12)
+        labels = (tiny[:, 0] + rng.normal(size=n) > 0).astype(float)
+        unit = tiny / tiny.std()
+        model = _assert_stack_equals_each_design_alone(
+            Task.BINARY_CLASSIFICATION, np.stack([tiny, unit, unit * 1e-8]), labels
+        )
+        n_iters = [len(path) - 1 for path in model.fit_info.loglik_path]
+        assert n_iters[0] == interboost.linear.NEWTON_MAX_ITER > max(n_iters[1:])
+
+
 class TestPredict:
     def test_zero_model_logistic_gives_half(self):
         ds = make_classification(10, 2, seed=0)
@@ -463,6 +563,74 @@ class TestFoldScorer:
                 checked += 1
             group = [] if step.action == "close" else list(step.subset)
         assert checked > 6
+
+
+def _scoring_table(kind, task):
+    """Five features, target x0*x1 + x2 (plus noise, except on the separable
+    table); classification labels its sign. `duplicated`: x4 copies x0;
+    `constant`: x4 is 2.5; `scaled`: x3 is multiplied by 2^600; `huge`: the
+    target is multiplied by 1e200."""
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(120, 5))
+    signal = X[:, 0] * X[:, 1] + X[:, 2]
+    y = signal + (0.0 if kind == "separable" else 0.3 * rng.normal(size=120))
+    if kind == "duplicated":
+        X[:, 4] = X[:, 0]
+    elif kind == "constant":
+        X[:, 4] = 2.5
+    elif kind == "scaled":
+        X[:, 3] = np.ldexp(X[:, 3], 600)
+    elif kind == "huge":
+        y = y * 1e200
+    if task is Task.BINARY_CLASSIFICATION:
+        y = (y > 0.0).astype(np.float64)
+    return Dataset(X, tuple(f"x{i}" for i in range(5)), y, task)
+
+
+# every design shape a discovery of five features scores, in its order
+SCORED_DESIGNS = (
+    [([f], []) for f in range(5)]
+    + [([a, b], scope) for a in range(5) for b in range(5) if a != b for scope in ([a], [a, b])]
+    + [([a, b, c], scope) for a, b, c in [(0, 1, 2), (2, 4, 0), (3, 1, 4)] for scope in ([a, b], [a, b, c])]
+    + [([4, 0, 1, 2], [4, 0, 1]), ([4, 0, 1, 2], [4, 0, 1, 2]), ([0], []), ([1, 0], [1])]
+)
+
+
+class TestScoreMany:
+    @pytest.mark.parametrize("task", list(Task), ids=lambda t: t.value)
+    @pytest.mark.parametrize("kind", ["duplicated", "constant", "separable", "scaled"])
+    def test_equals_the_reference_loop_bit_for_bit(self, kind, task):
+        ds = _scoring_table(kind, task)
+        expected = [reference_cv_score(ds, None, design, 3, 6) for design in SCORED_DESIGNS]
+        assert FoldScorer(ds, 3, 6).score_many(SCORED_DESIGNS) == expected
+
+    def test_a_target_too_large_raises_the_per_design_loops_error(self):
+        ds = _scoring_table("huge", Task.REGRESSION)
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = [reference_cv_score(ds, None, design, 3, 6) for design in SCORED_DESIGNS]
+        first = next(mean for mean in means if not np.isfinite(mean))
+        with pytest.raises(DataError) as raised:
+            FoldScorer(ds, 3, 6).score_many(SCORED_DESIGNS)
+        assert str(raised.value) == (
+            f"validation score {first} is not finite: a feature or the target is too large"
+        )
+
+    @pytest.mark.parametrize(
+        "ds",
+        [
+            make_regression(150, 7, seed=21, target_fn=lambda X: X[:, 0] * X[:, 3] + X[:, 1], noise_sd=0.1),
+            make_classification(150, 6, seed=22, logit_fn=lambda X: 3 * X[:, 2] * X[:, 4]),
+        ],
+        ids=["regression", "classification"],
+    )
+    @pytest.mark.parametrize("cells", [1, 1000], ids=["one-design-stacks", "small-stacks"])
+    def test_discovery_does_not_depend_on_the_stack_cap(self, monkeypatch, ds, cells):
+        cfg = WrapperConfig(k_folds=3, seed=4)
+        partition, steps = discover_constraints_traced(ds, cfg)
+        monkeypatch.setattr(interboost.linear, "STACK_CELLS", cells)
+        capped_partition, capped_steps = discover_constraints_traced(ds, cfg)
+        assert capped_partition.groups == partition.groups
+        assert capped_steps == steps
 
 
 if __name__ == "__main__":
