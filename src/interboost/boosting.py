@@ -354,7 +354,7 @@ def used_group(tree: Tree, partition: ConstraintPartition | None) -> int | None:
 
 def default_base_score(task: Task, y: np.ndarray) -> float:
     """Mean target for regression; log-odds of the clamped target mean otherwise."""
-    with np.errstate(over="ignore"):  # an overflowed mean is rejected by `train`
+    with np.errstate(over="ignore", invalid="ignore"):  # `train` rejects a mean that is not finite
         mean = float(np.mean(y))
     if task is Task.REGRESSION:
         return mean

@@ -8,12 +8,14 @@ every pair of `sorted(scope)` in lexicographic order. Features are
 standardized with statistics fitted on training rows, which keeps the
 normal equations well conditioned.
 
-`fit_ols` and `fit_logistic` take only the design values and the target:
-their ridges and Newton's stop rule are the module constants below.
-They, `predict` and `score_for_task` take one design's values `(n, q)` or a
-stack `(c, n, q)` of c designs over the same rows; each design of a stack
-gets the arithmetic it gets alone, bit for bit. `raw_to_prediction` is the
-link of each task, for these fits and for boosting's raw sums.
+A design's values `A` carry their intercept column: `materialize` gives
+one design `(n, q + 1)` with a last column of ones, and the fits, `predict`
+and `FoldScorer` take a stack `(c, n, q + 1)` of c such designs over the
+same rows (`A[None]` is a stack of one). Each design of a stack gets the
+arithmetic it gets in a stack of one, bit for bit. `fit_ols` and
+`fit_logistic` take only the stack and the target: their ridges and
+Newton's stop rule are the module constants below. `raw_to_prediction` is
+the link of each task, for these fits and for boosting's raw sums.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ STACK_CELLS = 2**16  # design cells (designs x rows x columns) in one stacked fi
 
 @dataclass(frozen=True)
 class FitInfo:
-    """Newton iterations and the log-likelihood path of a logistic fit; on a
-    stack, the iterations of all its designs and one path per design."""
+    """Newton iterations of a logistic fit, summed over the designs of its
+    stack, and one log-likelihood path per design."""
 
     n_iter: int
     loglik_path: tuple
@@ -64,12 +66,12 @@ class FitInfo:
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """One fit: coefficients aligned with the design's columns and a float
-    intercept. A stack's fit holds one row of coefficients and one intercept
-    per design."""
+    """The fit of a stack of c designs: coefficients (c, q), one row per
+    design aligned with its columns before the ones column, and c
+    intercepts."""
 
     coefficients: np.ndarray
-    intercept: float | np.ndarray
+    intercept: np.ndarray
     fit_info: FitInfo | None = None
 
 
@@ -97,9 +99,9 @@ def materialize(
     scope,
     standardization: dict[int, tuple[float, float]] | None = None,
 ) -> tuple[np.ndarray, dict[int, tuple[float, float]]]:
-    """The values of the design `(features, scope)` over the row indices
-    `rows` (None: all rows), and the standardization statistics that built
-    them.
+    """The values `(n, q + 1)` of the design `(features, scope)` over the
+    row indices `rows` (None: all rows), ones in the last column, and the
+    standardization statistics that built them.
 
     With `standardization=None` each feature's (mean, sample stddev) is
     fitted on these rows; otherwise the supplied (train-fitted) statistics
@@ -114,23 +116,8 @@ def materialize(
     if stats is None:
         stats = {f: _column_stats(ds.features[idx, f]) for f in features}
     std = {f: (ds.features[idx, f] - stats[f][0]) / stats[f][1] for f in features}
-    columns = _design_columns(std, features, scope)
-    values = np.column_stack(columns) if columns else np.empty((idx.size, 0))
+    values = np.column_stack(_design_columns(std, features, scope) + [np.ones(idx.size)])
     return values, stats
-
-
-def _as_stack(values) -> tuple[np.ndarray, bool]:
-    """`values` as a (c, n, q) stack, and whether it was one (n, q) design."""
-    values = np.asarray(values, dtype=np.float64)
-    return (values[None], True) if values.ndim == 2 else (values, False)
-
-
-def _with_intercept(values: np.ndarray) -> np.ndarray:
-    """The design values, one (n, q) or a (c, n, q) stack, with a last column of ones."""
-    A = np.empty(values.shape[:-1] + (values.shape[-1] + 1,))
-    A[..., :-1] = values
-    A[..., -1] = 1.0
-    return A
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -153,22 +140,13 @@ def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
         return theta
 
 
-def _model(theta: np.ndarray, one: bool, fit_info: FitInfo | None = None) -> LinearModel:
-    """The fit of a (c, q + 1) stack of solutions, intercepts last."""
-    if one:
-        return LinearModel(theta[0, :-1].copy(), float(theta[0, -1]), fit_info)
-    return LinearModel(theta[:, :-1].copy(), theta[:, -1].copy(), fit_info)
-
-
-def fit_ols(values: np.ndarray, y: np.ndarray) -> LinearModel:
+def fit_ols(A: np.ndarray, y: np.ndarray) -> LinearModel:
     """Ridge-stabilized least squares via the normal equations.
 
     Minimizes ||y - A theta||^2 + OLS_RIDGE * ||coefficients||^2 with the
     intercept unpenalized; the tiny ridge makes duplicated or collinear
     columns solvable without materially biasing scores.
     """
-    stack, one = _as_stack(values)
-    A = _with_intercept(stack)
     At = A.transpose(0, 2, 1)
     y = np.asarray(y, dtype=np.float64)
     # products that overflow give a non-finite score, which the scorer rejects
@@ -177,7 +155,8 @@ def fit_ols(values: np.ndarray, y: np.ndarray) -> LinearModel:
         b = At @ y
     diag = np.arange(A.shape[2] - 1)
     M[:, diag, diag] += OLS_RIDGE
-    return _model(_solve(M, b), one)
+    theta = _solve(M, b)
+    return LinearModel(theta[:, :-1], theta[:, -1])
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -196,9 +175,14 @@ def raw_to_prediction(task: Task, raw: np.ndarray) -> np.ndarray:
 
 
 def logistic_loglik(z: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Penalized Bernoulli log-likelihood at theta, given z = A @ theta; the
-    intercept (last entry of theta) is unpenalized. One value per design."""
-    ll = -np.sum(y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z), axis=-1)
+    """Penalized Bernoulli log-likelihood at theta, given z = A @ theta and
+    0/1 labels y; the intercept (last entry of theta) is unpenalized. One
+    value per design.
+
+    A row's loss is log(1 + exp(-z)) for label 1 and log(1 + exp(z)) for
+    label 0. At z = +-inf it is the limit: 0 where the sign of z agrees
+    with the label, +inf where it does not."""
+    ll = -np.sum(np.logaddexp(0.0, np.where(y == 1.0, -z, z)), axis=-1)
     return ll - 0.5 * LOGISTIC_RIDGE * np.sum(theta[..., :-1] ** 2, axis=-1)
 
 
@@ -209,7 +193,7 @@ def logistic_grad(A: np.ndarray, y: np.ndarray, theta: np.ndarray, p: np.ndarray
     return grad
 
 
-def fit_logistic(values: np.ndarray, y: np.ndarray) -> LinearModel:
+def fit_logistic(A: np.ndarray, y: np.ndarray) -> LinearModel:
     """Damped Newton ascent on the penalized log-likelihood.
 
     Each iteration halves the step (at most 30 times) until the penalized
@@ -221,8 +205,6 @@ def fit_logistic(values: np.ndarray, y: np.ndarray) -> LinearModel:
     stack share each numpy call, but each keeps its own step, stop test and
     iteration count.
     """
-    stack, one = _as_stack(values)
-    A = _with_intercept(stack)
     y = np.asarray(y, dtype=np.float64)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("logistic regression requires a 0/1 target")
@@ -273,22 +255,28 @@ def fit_logistic(values: np.ndarray, y: np.ndarray) -> LinearModel:
         n_iter[live] += 1
         p[live] = sigmoid(z[live])
         grad[live] = logistic_grad(A_live, y, theta[live], p[live])
-    paths = tuple(map(tuple, paths))
-    return _model(theta, one, FitInfo(int(n_iter.sum()), paths[0] if one else paths))
+    fit_info = FitInfo(int(n_iter.sum()), tuple(map(tuple, paths)))
+    return LinearModel(theta[:, :-1], theta[:, -1], fit_info)
 
 
-def predict(task: Task, model: LinearModel, values: np.ndarray) -> np.ndarray:
-    """Output of the task's model on design values (no intercept column)
-    built with the fit's standardization: the linear response of an OLS fit
-    for regression, the probability of a logistic fit for classification.
-    A stack's fit predicts on the matching stack of values."""
-    raw = _matvec(np.asarray(values, dtype=np.float64), model.coefficients)
-    return raw_to_prediction(task, raw + np.expand_dims(model.intercept, -1))
+def predict(task: Task, model: LinearModel, A: np.ndarray) -> np.ndarray:
+    """Output (c, n) of the task's model on the matching stack of designs
+    `A` (c, n, q + 1), built with the fit's standardization: the linear
+    response of an OLS fit for regression, the probability of a logistic
+    fit for classification."""
+    # coefficients times the columns, then the intercept added: A @ theta
+    # would round differently
+    raw = _matvec(A[..., :-1], model.coefficients)
+    return raw_to_prediction(task, raw + model.intercept[:, None])
 
 
 def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float | np.ndarray:
-    """R-squared of one prediction (n,), or of each row of a (c, n) stack."""
-    y_true = np.asarray(y_true, dtype=np.float64)
+    """R-squared of one prediction (n,), or of each row of a (c, n) stack.
+    Both are divided by 2^e, e the binary exponent of max |y_true|, as in
+    `_column_stats`: R-squared of 2^k * y is that of y, and no scale makes
+    the squares overflow."""
+    e = math.frexp(float(np.max(np.abs(y_true))))[1]
+    y_true, y_pred = np.ldexp(y_true, -e), np.ldexp(y_pred, -e)
     ss_res = np.sum((y_true - y_pred) ** 2, axis=-1)
     ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
     if ss_tot == 0.0:
@@ -313,20 +301,21 @@ def score_for_task(task: Task, y_true: np.ndarray, prediction: np.ndarray) -> fl
     return accuracy(y_true, prediction)
 
 
-def fit_for_task(task: Task, values: np.ndarray, y: np.ndarray) -> LinearModel:
+def fit_for_task(task: Task, A: np.ndarray, y: np.ndarray) -> LinearModel:
     if task is Task.REGRESSION:
-        return fit_ols(values, y)
-    return fit_logistic(values, y)
+        return fit_ols(A, y)
+    return fit_logistic(A, y)
 
 
 def _design_stack(std: np.ndarray, features: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Values (c, rows, columns) of c designs of one shape: the columns of
-    `features[i]`, then the products of `pairs[i]`; `std` holds one
-    standardized row per feature."""
+    """Values (c, rows, columns + 1) of c designs of one shape: the columns
+    of `features[i]`, the products of `pairs[i]`, then ones; `std` holds
+    one standardized row per feature."""
     c, n_features = features.shape
-    values = np.empty((c, std.shape[1], n_features + pairs.shape[1]))
+    values = np.empty((c, std.shape[1], n_features + pairs.shape[1] + 1))
     values[:, :, :n_features] = std[features].transpose(0, 2, 1)
-    values[:, :, n_features:] = (std[pairs[..., 0]] * std[pairs[..., 1]]).transpose(0, 2, 1)
+    values[:, :, n_features:-1] = (std[pairs[..., 0]] * std[pairs[..., 1]]).transpose(0, 2, 1)
+    values[:, :, -1] = 1.0
     return values
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from interboost.boosting import NODE, NoConstraints, TrainParams, Tree, _split_threshold, leaf_weight, predict_matrix, train
 from interboost.data import kfold
-from interboost.linear import _with_intercept, score_for_task, sigmoid
+from interboost.linear import score_for_task, sigmoid
 
 
 def brute_force_stump(X, g, h, reg_lambda, gamma=0.0, min_child_samples=1, min_child_hessian=0.0):
@@ -218,12 +218,12 @@ def reference_sigmoid(z):
     return out
 
 
-def reference_fit_logistic(values, y):
-    """`interboost.linear.fit_logistic` with every quantity recomputed from
-    theta where it is used. Returns (theta, loglik path, accepted step sizes);
-    the intercept is theta's last entry."""
+def reference_fit_logistic(A, y):
+    """`interboost.linear.fit_logistic` on one design `A` (n, q + 1), ones in
+    its last column, with every quantity recomputed from theta where it is
+    used, and the log-likelihood in its two-`logaddexp` form. Returns (theta,
+    loglik path, accepted step sizes); the intercept is theta's last entry."""
     ridge, tol, max_iter = 1e-6, 1e-8, 100  # fit_logistic's constants
-    A = _with_intercept(values)
 
     def loglik(theta):
         z = A @ theta

@@ -28,7 +28,6 @@ from interboost.data import Dataset, Task, load_csv, save_csv, train_test_split
 from interboost.discovery import ConstraintPartition, WrapperConfig, discover_constraints
 from interboost.experiment import TuningGrid, random_partition, tune
 from interboost.linear import (
-    _with_intercept,
     accuracy,
     fit_ols,
     logistic_grad,
@@ -140,9 +139,9 @@ def test_criterion_3_linear_model_oracles():
         if trial % 3 == 0 and p >= 2:
             A[:, -1] = A[:, 0]  # exact collinearity
         y = rng.normal(size=n)
-        model = fit_ols(A, y)
-        engine_fit = A @ model.coefficients + model.intercept
         with_ones = np.column_stack([A, np.ones(n)])
+        model = fit_ols(with_ones[None], y)
+        engine_fit = A @ model.coefficients[0] + model.intercept[0]
         oracle_fit = with_ones @ pinv_least_squares(with_ones, y)
         np.testing.assert_allclose(engine_fit, oracle_fit, atol=1e-6)
 
@@ -153,8 +152,7 @@ def test_criterion_3_linear_model_oracles():
         y = rng.integers(0, 2, size=n).astype(float)
         ds = Dataset(X, tuple(f"x{i}" for i in range(p)), y, Task.BINARY_CLASSIFICATION)
         features = tuple(range(p))
-        values, _ = materialize(ds, None, features, features if p >= 2 else ())
-        A = _with_intercept(values)
+        A, _ = materialize(ds, None, features, features if p >= 2 else ())
         for _ in range(10):
             theta = rng.normal(scale=0.7, size=A.shape[1])
             analytic = logistic_grad(A, y, theta, sigmoid(A @ theta))

@@ -23,16 +23,27 @@ def data_csv(tmp_path):
     return path
 
 
-@pytest.fixture
-def huge_target_csv(tmp_path):
-    """A 120-row regression table whose target, (x0*x1 + x2) * 1e200,
-    overflows when squared."""
+def _product_target_csv(path, scale):
+    """Write a 120-row regression table with target scale(x0*x1 + x2)."""
     rng = np.random.default_rng(6)
     X = rng.normal(size=(120, 3))
-    y = (X[:, 0] * X[:, 1] + X[:, 2]) * 1e200
-    path = tmp_path / "huge.csv"
+    y = scale(X[:, 0] * X[:, 1] + X[:, 2])
     save_csv(Dataset(X, ("a", "b", "c"), y, Task.REGRESSION), path, target_name="y")
     return path
+
+
+@pytest.fixture
+def huge_target_csv(tmp_path):
+    """The product table with its target times 1e200, which overflows
+    when squared."""
+    return _product_target_csv(tmp_path / "huge.csv", lambda y: y * 1e200)
+
+
+@pytest.fixture
+def extreme_target_csv(tmp_path):
+    """The product table with its target scaled to a largest magnitude of
+    1.7e308: its sums overflow both ways, so its mean is NaN."""
+    return _product_target_csv(tmp_path / "extreme.csv", lambda y: y / np.max(np.abs(y)) * 1.7e308)
 
 
 def run(*argv):
@@ -100,13 +111,14 @@ class TestDiscoverCommand:
         assert [0, 1] in json.loads(partition)
 
     @pytest.mark.filterwarnings("error")
-    def test_target_too_large_to_score_is_data_error(self, tmp_path, huge_target_csv, capsys):
-        # squared validation errors overflow, so fold scores would be NaN
+    def test_target_too_large_to_score_is_data_error(self, tmp_path, extreme_target_csv, capsys):
+        # the fits' sums over the target overflow, so fold scores are NaN
         out = tmp_path / "out"
-        code = run("discover", "--data", huge_target_csv, "--target", "y",
+        code = run("discover", "--data", extreme_target_csv, "--target", "y",
                    "--task", "regression", "--out-dir", out)
         assert code == 2
-        assert "not finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not finite" in err and "validation score nan" in err
         assert not (out / "discovery_log.json").exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
@@ -434,9 +446,10 @@ class TestBenchmarkCommand:
         assert run("benchmark", "--config", path) == 1
 
     @pytest.mark.filterwarnings("error")
-    def test_target_too_large_to_score_is_data_error(self, tmp_path, huge_target_csv, capsys):
-        assert run("benchmark", "--config", self._config(tmp_path, huge_target_csv)) == 2
-        assert "data error" in capsys.readouterr().err
+    def test_target_too_large_to_score_is_data_error(self, tmp_path, extreme_target_csv, capsys):
+        assert run("benchmark", "--config", self._config(tmp_path, extreme_target_csv)) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "base score nan" in err
         assert not (tmp_path / "bench" / "report.json").exists()
 
 
@@ -456,17 +469,52 @@ class TestTuneCommand:
         expected = tune(ds, TuningGrid((5, 9), (2,), (0.3,)), obj["k"], 2)
         assert TrainParams(**obj["params"]) == expected
 
-    @pytest.mark.filterwarnings("error")
-    def test_target_too_large_to_score_is_data_error(self, tmp_path, huge_target_csv, capsys):
-        # every fold score overflows to NaN, so no grid cell can be picked
+    def test_target_too_large_to_score_is_data_error(self, tmp_path, extreme_target_csv):
+        # the target's mean is NaN, so `train` rejects its base score; with
+        # every warning shown, none reaches stderr before the message
         out = tmp_path / "out"
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"grid": {"n_trees": [3, 6], "max_depth": [2], "learning_rate": [0.3]}}))
-        code = run("tune", "--data", huge_target_csv, "--target", "y", "--task", "regression",
-                   "--config", config, "--out-dir", out)
-        assert code == 2
-        assert "data error" in capsys.readouterr().err
+        src = Path(interboost.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "interboost.cli", "tune", "--data", str(extreme_target_csv),
+             "--target", "y", "--task", "regression", "--config", str(config), "--out-dir", str(out)],
+            stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2
+        assert "data error" in proc.stderr and "base score nan" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         assert not (out / "tuned_params.json").exists()
+
+
+class TestTargetScale:
+    """R-squared is taken on the target divided by a power of two, so a
+    target scaled by 2^k gets the same discovery and the same tuned pick."""
+
+    GRID = {"grid": {"n_trees": [3, 6], "max_depth": [1, 2], "learning_rate": [0.1, 0.3]}}
+
+    @classmethod
+    def _outputs(cls, out, data):
+        config = out / "cfg.json"
+        out.mkdir()
+        config.write_text(json.dumps(cls.GRID))
+        common = ("--data", data, "--target", "y", "--task", "regression", "--seed", 3, "--out-dir", out)
+        assert run("discover", *common) == 0
+        assert run("tune", *common, "--config", config) == 0
+        files = ("discovery_log.json", "partition.json", "tuned_params.json")
+        return {name: (out / name).read_bytes() for name in files}
+
+    @pytest.fixture(scope="class")
+    def unscaled(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("unscaled")
+        return self._outputs(tmp / "out", _product_target_csv(tmp / "plain.csv", lambda y: y))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-600, -1, 1, 200, 500, 507, 511, 514, 520, 900])
+    def test_discovery_and_tune_pick_are_unchanged(self, tmp_path, unscaled, k):
+        data = _product_target_csv(tmp_path / "scaled.csv", lambda y: np.ldexp(y, k))
+        assert self._outputs(tmp_path / "out", data) == unscaled
 
 
 class TestUsageErrors:

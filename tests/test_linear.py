@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,7 +11,7 @@ from interboost.linear import (
     OLS_RIDGE,
     FoldScorer,
     LinearModel,
-    _with_intercept,
+    _design_stack,
     accuracy,
     cv_score_terms,
     fit_for_task,
@@ -35,25 +37,38 @@ def _columns_of(ds, *terms):
     return np.column_stack([np.prod(std[:, list(t)], axis=1) for t in terms])
 
 
+def _without_ones(values):
+    """A design's values before its last column, which must be all ones."""
+    assert np.array_equal(values[..., -1], np.ones(values.shape[:-1]))
+    return values[..., :-1]
+
+
+def _with_ones(values):
+    """Design values (..., n, q) with a last column of ones appended."""
+    return np.concatenate([values, np.ones(values.shape[:-1] + (1,))], axis=-1)
+
+
 class TestExpandPairwise:
     def test_three_features_with_interactions(self):
         ds = make_regression(10, 3, seed=0)
         values, _ = materialize(ds, None, (0, 1, 2), (0, 1, 2))
         expected = _columns_of(ds, (0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
-        np.testing.assert_array_equal(values, expected)
+        np.testing.assert_array_equal(_without_ones(values), expected)
 
     def test_single_feature_has_no_products(self):
         ds = make_regression(10, 6, seed=0)
-        np.testing.assert_array_equal(materialize(ds, None, (5,), (5,))[0], _columns_of(ds, (5,)))
+        values, _ = materialize(ds, None, (5,), (5,))
+        np.testing.assert_array_equal(_without_ones(values), _columns_of(ds, (5,)))
 
     def test_without_interactions(self):
         ds = make_regression(10, 2, seed=0)
-        np.testing.assert_array_equal(materialize(ds, None, (0, 1), ())[0], _columns_of(ds, (0,), (1,)))
+        values, _ = materialize(ds, None, (0, 1), ())
+        np.testing.assert_array_equal(_without_ones(values), _columns_of(ds, (0,), (1,)))
 
     def test_subset_order_kept_products_lexicographic(self):
         ds = make_regression(10, 3, seed=0)
         values, _ = materialize(ds, None, (2, 0), (2, 0))
-        np.testing.assert_array_equal(values, _columns_of(ds, (2,), (0,), (0, 2)))
+        np.testing.assert_array_equal(_without_ones(values), _columns_of(ds, (2,), (0,), (0, 2)))
 
     def test_duplicate_rejected(self):
         ds = make_regression(10, 2, seed=0)
@@ -66,8 +81,8 @@ class TestExpandPairwise:
     def test_term_count(self, size):
         ds = make_regression(3, 20, seed=0)
         subset = tuple(range(size))
-        assert materialize(ds, None, subset, subset)[0].shape[1] == size + size * (size - 1) // 2
-        assert materialize(ds, None, subset, ())[0].shape[1] == size
+        assert materialize(ds, None, subset, subset)[0].shape[1] == size + size * (size - 1) // 2 + 1
+        assert materialize(ds, None, subset, ())[0].shape[1] == size + 1
 
 
 class TestMaterialize:
@@ -129,16 +144,16 @@ class TestFitOls:
         x = np.array([-1.0, 0.0, 1.0, 2.0])
         ds = Dataset(x[:, None], ("x0",), 2.0 * x, Task.REGRESSION)
         values, _ = materialize(ds, None, (0,), (), {0: (0.0, 1.0)})
-        model = fit_ols(values, ds.target)
-        assert abs(model.coefficients[0] - 2.0) < 1e-8
-        assert abs(model.intercept) < 1e-8
+        model = fit_ols(values[None], ds.target)
+        assert abs(model.coefficients[0, 0] - 2.0) < 1e-8
+        assert abs(model.intercept[0]) < 1e-8
 
     def test_constant_target(self):
         ds = make_regression(20, 3, seed=1, target_fn=lambda X: np.full(X.shape[0], 7.5))
         values, _ = materialize(ds, None, (0, 1, 2), (0, 1, 2))
-        model = fit_ols(values, ds.target)
+        model = fit_ols(values[None], ds.target)
         assert np.all(np.abs(model.coefficients) < 1e-8)
-        assert abs(model.intercept - 7.5) < 1e-8
+        assert abs(model.intercept[0] - 7.5) < 1e-8
 
     def test_duplicated_column_matches_pinv_oracle(self):
         # fitted values must match a minimum-norm SVD solve even though the
@@ -149,9 +164,9 @@ class TestFitOls:
             base = rng.normal(size=(n, 2))
             A = np.column_stack([base, base[:, 0]])  # duplicate first column
             y = rng.normal(size=n)
-            model = fit_ols(A, y)
-            engine_fit = A @ model.coefficients + model.intercept
-            with_ones = np.column_stack([A, np.ones(n)])
+            with_ones = _with_ones(A)
+            model = fit_ols(with_ones[None], y)
+            engine_fit = A @ model.coefficients[0] + model.intercept[0]
             oracle_fit = with_ones @ pinv_least_squares(with_ones, y)
             np.testing.assert_allclose(engine_fit, oracle_fit, atol=1e-6)
 
@@ -160,11 +175,12 @@ class TestFitOls:
         for seed in range(10):
             ds = make_regression(40, 3, seed=seed, target_fn=lambda X: X @ [1.0, -2.0, 0.5], noise_sd=0.3)
             values, _ = materialize(ds, None, (0, 1, 2), (0, 1, 2))
-            model = fit_ols(values, ds.target)
-            fitted = values @ model.coefficients + model.intercept
+            columns = _without_ones(values)
+            model = fit_ols(values[None], ds.target)
+            fitted = columns @ model.coefficients[0] + model.intercept[0]
             residual = ds.target - fitted
             np.testing.assert_allclose(
-                values.T @ residual, OLS_RIDGE * model.coefficients, atol=1e-6
+                columns.T @ residual, OLS_RIDGE * model.coefficients[0], atol=1e-6
             )
             assert abs(residual.sum()) < 1e-6
 
@@ -185,8 +201,7 @@ def _logistic_oracle_instance():
 
 
 def _rederive_logistic_oracle(steps=100_000, step=0.01):
-    values, y = _logistic_oracle_instance()
-    A = _with_intercept(values)
+    A, y = _logistic_oracle_instance()
     theta = np.zeros(A.shape[1])
     for _ in range(steps):
         theta += step * logistic_grad(A, y, theta, sigmoid(A @ theta))
@@ -195,10 +210,10 @@ def _rederive_logistic_oracle(steps=100_000, step=0.01):
 
 class TestFitLogistic:
     def test_matches_gradient_ascent_oracle(self):
-        values, y = _logistic_oracle_instance()
-        model = fit_logistic(values, y)
-        theta = np.append(model.coefficients, model.intercept)
-        engine_ll = logistic_loglik(_with_intercept(values) @ theta, y, theta)
+        A, y = _logistic_oracle_instance()
+        model = fit_logistic(A[None], y)
+        theta = np.append(model.coefficients[0], model.intercept[0])
+        engine_ll = logistic_loglik(A @ theta, y, theta)
         assert abs(engine_ll - _LOGISTIC_ORACLE_LL) <= 1e-6
 
     def test_separable_data_converges(self):
@@ -206,22 +221,21 @@ class TestFitLogistic:
         y = (x > 0).astype(float)
         ds = Dataset(x[:, None], ("x0",), y, Task.BINARY_CLASSIFICATION)
         values, _ = materialize(ds, None, (0,), ())
-        model = fit_logistic(values, y)
+        model = fit_logistic(values[None], y)
         assert np.all(np.isfinite(model.coefficients))
-        assert accuracy(y, predict(ds.task, model, values)) == 1.0
+        assert accuracy(y, predict(ds.task, model, values[None])[0]) == 1.0
 
     def test_all_ones_target(self):
         ds = make_classification(25, 2, seed=3)
         y = np.ones(25)
         values, _ = materialize(ds, None, (0, 1), ())
-        model = fit_logistic(values, y)
-        probs = sigmoid(values @ model.coefficients + model.intercept)
+        model = fit_logistic(values[None], y)
+        probs = sigmoid(_without_ones(values) @ model.coefficients[0] + model.intercept[0])
         assert np.all(probs > 0.5)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        values, y = _logistic_oracle_instance()
-        A = _with_intercept(values)
+        A, y = _logistic_oracle_instance()
         for _ in range(10):
             theta = rng.normal(scale=0.8, size=A.shape[1])
             analytic = logistic_grad(A, y, theta, sigmoid(A @ theta))
@@ -235,8 +249,8 @@ class TestFitLogistic:
         for seed in range(5):
             ds = make_classification(40, 3, seed=seed, logit_fn=lambda X: X[:, 0] - X[:, 1])
             values, _ = materialize(ds, None, (0, 1, 2), (0, 1, 2))
-            model = fit_logistic(values, ds.target)
-            path = np.array(model.fit_info.loglik_path)
+            model = fit_logistic(values[None], ds.target)
+            path = np.array(model.fit_info.loglik_path[0])
             assert np.all(np.diff(path) >= 0.0)
 
     def test_equals_reference_loop_bit_for_bit(self):
@@ -258,19 +272,43 @@ class TestFitLogistic:
         designs.append((X, (X[:, 0] + 0.3 * near.normal(size=16) > 0).astype(float)))
         halved = False
         for values, y in designs:
-            model = fit_logistic(values, y)
-            theta, path, steps = reference_fit_logistic(values, y)
-            assert np.array_equal(model.coefficients, theta[:-1])
-            assert model.intercept == theta[-1]
+            A = _with_ones(values)
+            model = fit_logistic(A[None], y)
+            theta, path, steps = reference_fit_logistic(A, y)
+            assert np.array_equal(model.coefficients[0], theta[:-1])
+            assert model.intercept[0] == theta[-1]
             assert model.fit_info.n_iter == len(steps)
-            assert model.fit_info.loglik_path == tuple(path)
+            assert model.fit_info.loglik_path == (tuple(path),)
             halved = halved or min(steps, default=1.0) < 1.0
         assert halved
 
+    @given(
+        st.lists(
+            st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.booleans()),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example([(np.inf, True), (-np.inf, False), (0.5, True)])
+    @example([(np.inf, False), (-np.inf, True), (-3.0, False)])
+    @example([(np.inf, True), (np.inf, False), (-np.inf, True), (-np.inf, False)])
+    def test_loglik_equals_the_two_logaddexp_form(self, rows):
+        # finite z: y * log(1 + e^-z) + (1 - y) * log(1 + e^z), bit for bit;
+        # z = +-inf: the limit, 0 if the sign agrees with the label, else inf
+        z = np.array([zi for zi, _ in rows])
+        y = np.array([float(label) for _, label in rows])
+        with np.errstate(invalid="ignore"):
+            two_calls = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
+        agrees = np.where(y == 1.0, z > 0, z < 0)
+        summands = np.where(np.isinf(z), np.where(agrees, 0.0, np.inf), two_calls)
+        theta = np.array([0.25])  # the intercept alone: no penalty
+        with np.errstate(over="ignore"):  # summands near the largest float
+            assert logistic_loglik(z, y, theta).tobytes() == (-np.sum(summands)).tobytes()
+
     def test_rejects_non_binary_target(self):
-        values, _ = _logistic_oracle_instance()
+        A, _ = _logistic_oracle_instance()
         with pytest.raises(ValueError):
-            fit_logistic(values, np.full(20, 0.5))
+            fit_logistic(A[None], np.full(20, 0.5))
 
 
 class TestSigmoid:
@@ -293,20 +331,24 @@ class TestSigmoid:
 
 
 def _assert_stack_equals_each_design_alone(task, values, y):
-    """The stacked fit, predict and score of `values` (c, n, q) equal those
-    of each design fitted alone, bit for bit."""
-    model = fit_for_task(task, values, y)
-    prediction = predict(task, model, values)
+    """The stacked fit, predict and score of `values` (c, n, q), given a
+    ones column, equal those of each design alone, in a stack of one, bit
+    for bit."""
+    A = _with_ones(values)
+    model = fit_for_task(task, A, y)
+    prediction = predict(task, model, A)
     scores = score_for_task(task, y, prediction)
     n_iter = 0
-    for i, design in enumerate(values):
+    for i in range(len(A)):
+        design = A[i : i + 1]
         alone = fit_for_task(task, design, y)
-        assert np.array_equal(model.coefficients[i], alone.coefficients)
-        assert model.intercept[i] == alone.intercept
-        assert np.array_equal(prediction[i], predict(task, alone, design))
-        assert scores[i] == score_for_task(task, y, predict(task, alone, design))
+        assert np.array_equal(model.coefficients[i], alone.coefficients[0])
+        assert model.intercept[i] == alone.intercept[0]
+        [alone_prediction] = predict(task, alone, design)
+        assert np.array_equal(prediction[i], alone_prediction)
+        assert scores[i] == score_for_task(task, y, alone_prediction)
         if task is Task.BINARY_CLASSIFICATION:
-            assert model.fit_info.loglik_path[i] == alone.fit_info.loglik_path
+            assert model.fit_info.loglik_path[i] == alone.fit_info.loglik_path[0]
             n_iter += alone.fit_info.n_iter
     if task is Task.BINARY_CLASSIFICATION:
         assert model.fit_info.n_iter == n_iter and type(n_iter) is int
@@ -352,7 +394,7 @@ class TestStackedFits:
         model = _assert_stack_equals_each_design_alone(Task.BINARY_CLASSIFICATION, values, labels)
         n_iters = [len(path) - 1 for path in model.fit_info.loglik_path]
         assert n_iters[0] < 13 and n_iters[1] == 13 and len(set(n_iters)) > 2
-        A = _with_intercept(values[0])
+        A = _with_ones(values[0])
         theta = np.append(model.coefficients[0], model.intercept[0])
         gradient = logistic_grad(A, labels, theta, sigmoid(A @ theta))
         assert np.max(np.abs(gradient)) > 1e-8 * (1 + 27 / 2)  # stopped without converging
@@ -372,27 +414,58 @@ class TestStackedFits:
         assert n_iters[0] == interboost.linear.NEWTON_MAX_ITER > max(n_iters[1:])
 
 
+class TestDesignStack:
+    @pytest.mark.parametrize("task", list(Task), ids=lambda t: t.value)
+    @pytest.mark.parametrize(
+        "designs",
+        [
+            [((0,), ()), ((3,), ()), ((4,), ())],
+            [((2, 0), (0, 2)), ((4, 1), (1, 4)), ((1, 3), (1, 3))],
+            [((1, 3, 0), (0, 1, 3)), ((0, 1, 2), (0, 1, 2))],
+            [((0, 1, 2, 3), (0, 2, 3)), ((4, 0, 1, 2), (0, 1, 4))],
+        ],
+        ids=["seeds", "pairs", "triples", "scope-subsets"],
+    )
+    def test_each_design_equals_materialize_bit_for_bit(self, task, designs):
+        # the scorer's stack and the per-design reference build the same
+        # values, ones last, on a fold's rows with its training statistics
+        ds = _scoring_table("constant", task)
+        scorer = FoldScorer(ds, 3, 6)
+        features = np.array([f for f, _ in designs], dtype=np.intp)
+        pairs = np.array(
+            [list(itertools.combinations(scope, 2)) for _, scope in designs], dtype=np.intp
+        ).reshape(len(designs), -1, 2)
+        for (tr, va), (train_std, val_std, _, _) in zip(kfold(ds.n_rows, 3, 6), scorer._folds):
+            train_stack = _design_stack(train_std, features, pairs)
+            val_stack = _design_stack(val_std, features, pairs)
+            for i, design in enumerate(designs):
+                values, stats = materialize(ds, tr.indices, *design)
+                assert train_stack[i].tobytes() == values.tobytes()
+                assert val_stack[i].tobytes() == materialize(ds, va.indices, *design, stats)[0].tobytes()
+                assert np.all(values[:, -1] == 1.0) and values.shape == train_stack[i].shape
+
+
 class TestPredict:
     def test_zero_model_logistic_gives_half(self):
         ds = make_classification(10, 2, seed=0)
         values, _ = materialize(ds, None, (0,), ())
-        model = LinearModel(np.zeros(1), 0.0)
-        np.testing.assert_array_equal(predict(ds.task, model, values), np.full(10, 0.5))
+        model = LinearModel(np.zeros((1, 1)), np.zeros(1))
+        np.testing.assert_array_equal(predict(ds.task, model, values[None]), np.full((1, 10), 0.5))
 
     def test_zero_coefficients_ols_gives_intercept(self):
         ds = make_regression(10, 2, seed=0)
         values, _ = materialize(ds, None, (0,), ())
-        model = fit_ols(values, np.full(10, 3.25))
-        np.testing.assert_allclose(predict(ds.task, model, values), np.full(10, 3.25), atol=1e-8)
+        model = fit_ols(values[None], np.full(10, 3.25))
+        np.testing.assert_allclose(predict(ds.task, model, values[None]), np.full((1, 10), 3.25), atol=1e-8)
 
     def test_linear_extrapolation(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         train = Dataset(x[:, None], ("x0",), 2.0 * x, Task.REGRESSION)
         values, stats = materialize(train, None, (0,), ())
-        model = fit_ols(values, train.target)
+        model = fit_ols(values[None], train.target)
         probe = Dataset(np.array([[5.0]]), ("x0",), np.array([0.0]), Task.REGRESSION)
         probe_values, _ = materialize(probe, None, (0,), (), stats)
-        np.testing.assert_allclose(predict(probe.task, model, probe_values), [10.0], atol=1e-7)
+        np.testing.assert_allclose(predict(probe.task, model, probe_values[None]), [[10.0]], atol=1e-7)
 
 
 class TestScores:
@@ -411,6 +484,26 @@ class TestScores:
     def test_train_mean_predictor_scores_zero(self):
         y = np.array([1.0, 2.0, 4.0])
         assert r_squared(y, np.full(3, y.mean())) == 0.0
+
+    @given(
+        # magnitudes whose 2^k multiples stay normal floats
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-100, 1e6), st.floats(-1e6, -1e-100)),
+            min_size=2,
+            max_size=30,
+        ).filter(any),
+        st.integers(-600, 900),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([0.3, -1.7, 2.9, 0.05], 510, 0)
+    @example([0.3, -1.7, 2.9, 0.05], -600, 0)
+    def test_r_squared_of_a_power_of_two_scale_is_unchanged(self, y, k, seed):
+        y = np.array(y)
+        prediction = y + np.random.default_rng(seed).normal(size=y.size)
+        expected = r_squared(y, prediction)
+        assert r_squared(np.ldexp(y, k), np.ldexp(prediction, k)) == expected
+        stack = np.stack([prediction, y])
+        assert r_squared(np.ldexp(y, k), np.ldexp(stack, k)).tolist() == r_squared(y, stack).tolist()
 
     def test_accuracy_tie_goes_to_class_one(self):
         assert accuracy(np.array([1.0]), np.array([0.5])) == 1.0
@@ -442,8 +535,8 @@ class TestCvScore:
         for with_products in (False, True):
             design = ((0, 1), (0, 1) if with_products else ())
             values, stats = materialize(ds, train_idx, *design)
-            model = fit_ols(values, y[train_idx])
-            pred = predict(ds.task, model, materialize(ds, val_idx, *design, stats)[0])
+            model = fit_ols(values[None], y[train_idx])
+            [pred] = predict(ds.task, model, materialize(ds, val_idx, *design, stats)[0][None])
             gaps.append(r_squared(y[val_idx], pred))
         oracle_gap = gaps[1] - gaps[0]
         assert oracle_gap > 0.3
@@ -473,8 +566,8 @@ def reference_cv_score(ds, rows, design, k, seed):
     for fold_train, fold_val in kfold(len(rows), k, seed):
         train_rows, val_rows = rows[fold_train.indices], rows[fold_val.indices]
         values, stats = materialize(ds, train_rows, *design)
-        model = fit_for_task(ds.task, values, ds.target[train_rows])
-        prediction = predict(ds.task, model, materialize(ds, val_rows, *design, stats)[0])
+        model = fit_for_task(ds.task, values[None], ds.target[train_rows])
+        [prediction] = predict(ds.task, model, materialize(ds, val_rows, *design, stats)[0][None])
         scores.append(score_for_task(ds.task, ds.target[val_rows], prediction))
     return float(np.mean(scores))
 
@@ -569,7 +662,8 @@ def _scoring_table(kind, task):
     """Five features, target x0*x1 + x2 (plus noise, except on the separable
     table); classification labels its sign. `duplicated`: x4 copies x0;
     `constant`: x4 is 2.5; `scaled`: x3 is multiplied by 2^600; `huge`: the
-    target is multiplied by 1e200."""
+    target is scaled to a largest magnitude of 1.7e308, so its sums overflow
+    (a power-of-two scale alone leaves R-squared as it is)."""
     rng = np.random.default_rng(8)
     X = rng.normal(size=(120, 5))
     signal = X[:, 0] * X[:, 1] + X[:, 2]
@@ -581,7 +675,7 @@ def _scoring_table(kind, task):
     elif kind == "scaled":
         X[:, 3] = np.ldexp(X[:, 3], 600)
     elif kind == "huge":
-        y = y * 1e200
+        y = y / np.max(np.abs(y)) * 1.7e308
     if task is Task.BINARY_CLASSIFICATION:
         y = (y > 0.0).astype(np.float64)
     return Dataset(X, tuple(f"x{i}" for i in range(5)), y, task)
