@@ -13,6 +13,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .boosting import (
     FixedPartition,
     NoConstraints,
@@ -171,7 +173,13 @@ def cmd_predict(args, config: dict) -> int:
     data_path = _require(args.data, "--data")
     ens = load_model(model_path)
     _, X = read_csv(data_path, ens.feature_names)
-    prediction = predict_matrix(ens, X)
+    with np.errstate(over="ignore"):  # an overflowed sum is refused below
+        prediction = predict_matrix(ens, X)
+    not_finite = np.flatnonzero(~np.isfinite(prediction))
+    if not_finite.size:
+        raise DataError(
+            f"prediction for row {not_finite[0] + 1} is not finite: the model's leaf weights are too large"
+        )
     lines = ["prediction"] + [format_real(v) for v in prediction]
     write_atomic(args.out_dir / "predictions.csv", "\n".join(lines) + "\n")
     print(f"wrote {len(prediction)} predictions to {args.out_dir / 'predictions.csv'}")

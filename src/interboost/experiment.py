@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -38,33 +39,29 @@ from .prng import mix_seed, permutation
 
 @dataclass(frozen=True)
 class TuningGrid:
+    """The cells `tune` tries, each checked as `TrainParams`. The axes become
+    distinct and ascending, so grid order is tie-break order."""
+
     n_trees: tuple[int, ...] = (50, 100, 200, 300)
     max_depth: tuple[int, ...] = (3, 4, 6)
     learning_rate: tuple[float, ...] = (0.05, 0.1, 0.3)
 
     def __post_init__(self):
-        for name in ("n_trees", "max_depth", "learning_rate"):
+        axes = ("n_trees", "max_depth", "learning_rate")
+        for name in axes:
             axis = getattr(self, name)
             if not isinstance(axis, (list, tuple)) or not axis:
                 raise ValueError(f"tuning grid axis {name} must be a nonempty list")
-            object.__setattr__(self, name, tuple(axis))
-        # TrainParams checks each field on its own, so checking every axis
-        # entry once makes every grid point valid: tune cannot fail part-way.
-        for n_trees in self.n_trees:
-            TrainParams(n_trees, self.max_depth[0], self.learning_rate[0])
-        for max_depth in self.max_depth:
-            TrainParams(self.n_trees[0], max_depth, self.learning_rate[0])
-        for learning_rate in self.learning_rate:
-            TrainParams(self.n_trees[0], self.max_depth[0], learning_rate)
-        # each axis distinct and ascending, so grid order is tie-break order
-        for name in ("n_trees", "max_depth", "learning_rate"):
+        for cell in itertools.product(self.n_trees, self.max_depth, self.learning_rate):
+            TrainParams(*cell)
+        for name in axes:
             object.__setattr__(self, name, tuple(sorted(dict.fromkeys(getattr(self, name)))))
 
 
 def tune(ds: Dataset, grid: TuningGrid, k: int, seed: int) -> TrainParams:
-    """Pick (n_trees, max_depth, learning_rate) by k-fold CV of unconstrained
-    boosting over all rows of `ds`; ties break toward fewer trees, then
-    shallower, then lower rate.
+    """The (n_trees, max_depth, learning_rate) of best finite mean score in
+    k-fold CV of unconstrained boosting on all rows of `ds`, the first tied
+    cell in grid order (fewer trees, shallower, lower rate), else DataError.
 
     Training is deterministic, so the model of n trees is the first n trees
     of a longer run: each (depth, rate, fold) trains once at the largest
@@ -74,28 +71,20 @@ def tune(ds: Dataset, grid: TuningGrid, k: int, seed: int) -> TrainParams:
     fold_rows = kfold(ds.n_rows, k, seed)
     validation = [take_rows(ds, va.indices) for _, va in fold_rows]
     fold_scores: dict[tuple, list[float]] = {}
-    for max_depth in grid.max_depth:
-        for learning_rate in grid.learning_rate:
-            params = TrainParams(grid.n_trees[-1], max_depth, learning_rate)
-            for (tr, _), va_ds in zip(fold_rows, validation):
-                ens = train(ds, tr, params, NoConstraints())
-                for n_trees in grid.n_trees:
-                    # a score that overflows is NaN, which no cell picks
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        score = _test_score(ens[:n_trees], va_ds)
-                    fold_scores.setdefault((n_trees, max_depth, learning_rate), []).append(score)
-    best_score = -np.inf
-    best_params = None
-    for n_trees in grid.n_trees:
-        for max_depth in grid.max_depth:
-            for learning_rate in grid.learning_rate:
-                mean_score = float(np.mean(fold_scores[n_trees, max_depth, learning_rate]))
-                if mean_score > best_score:
-                    best_score = mean_score
-                    best_params = TrainParams(n_trees, max_depth, learning_rate)
-    if best_params is None:
+    for max_depth, learning_rate in itertools.product(grid.max_depth, grid.learning_rate):
+        params = TrainParams(grid.n_trees[-1], max_depth, learning_rate)
+        for (tr, _), va_ds in zip(fold_rows, validation):
+            ens = train(ds, tr, params, NoConstraints())
+            for n_trees in grid.n_trees:
+                # a score that overflows is NaN, which no cell picks
+                with np.errstate(over="ignore", invalid="ignore"):
+                    score = _test_score(ens[:n_trees], va_ds)
+                fold_scores.setdefault((n_trees, max_depth, learning_rate), []).append(score)
+    means = {cell: float(np.mean(fold_scores[cell])) for cell in sorted(fold_scores)}  # grid order
+    best = max((cell for cell in means if means[cell] > -np.inf), key=means.get, default=None)
+    if best is None:
         raise DataError("no grid cell has a finite mean score: the targets are too large to score")
-    return best_params
+    return TrainParams(*best)
 
 
 def random_partition(n_features: int, n_groups: int, seed: int) -> ConstraintPartition:
@@ -123,7 +112,8 @@ class BenchmarkConfig:
     random_groups: int = 2
 
     def __post_init__(self):
-        checked_real("test_fraction", self.test_fraction)
+        if not 0.0 < checked_real("test_fraction", self.test_fraction) < 1.0:
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         checked_int("split_seed", self.split_seed)
         if checked_int("k", self.k) < 2:
             raise ValueError("k must be >= 2")

@@ -344,17 +344,12 @@ class FoldScorer:
             )
         self._scores: dict[tuple, float] = {}  # by canonical design
 
-    def score(self, features, scope) -> float:
-        """Mean validation score of the task-appropriate linear model over
-        the design `(features, scope)`: R-squared of an OLS fit for
-        regression, accuracy of a logistic fit for classification. A mean
-        that is not finite (features too large to standardize) is a
-        DataError."""
-        return self.score_many([(features, scope)])[0]
-
     def score_many(self, designs) -> list[float]:
-        """`score` of each design `(features, scope)`, in order. The
-        DataError names the first design whose mean is not finite."""
+        """Mean validation score of the task-appropriate linear model over
+        each design `(features, scope)`, in order: R-squared of an OLS fit
+        for regression, accuracy of a logistic fit for classification. A
+        mean that is not finite (features too large to standardize) is a
+        DataError, which names the first such design."""
         keys = []
         for features, scope in designs:
             if not features:
@@ -408,4 +403,4 @@ def cv_score_terms(
     the design `terms`, a pair `(features, scope)`, and the given rows (None:
     all rows). Standardization statistics come from each fold's training
     part only."""
-    return FoldScorer(ds if rows is None else take_rows(ds, rows.indices), k, seed).score(*terms)
+    return FoldScorer(ds if rows is None else take_rows(ds, rows.indices), k, seed).score_many([terms])[0]

@@ -14,6 +14,8 @@ from interboost.data import Dataset, Task, load_csv, save_csv
 from interboost.experiment import TuningGrid, tune
 from interboost.synth import paired_products_dataset
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture
 def data_csv(tmp_path):
@@ -287,6 +289,23 @@ class TestTrainPredictCommands:
         for line in lines[:5]:
             assert float(format(float(line), ".17g")) == float(line)
 
+    def test_overflowing_prediction_is_data_error(self, tmp_path, data_csv, capsys):
+        # every leaf is finite, but two trees of them sum past the largest float
+        out = tmp_path / "out"
+        assert run("train", "--data", data_csv, "--target", "y", "--task", "regression",
+                   "--n-trees", 2, "--max-depth", 1, "--learning-rate", 1, "--out-dir", out) == 0
+        model = json.loads((out / "model.json").read_text())
+        for tree in model["trees"]:
+            for node in tree["nodes"]:
+                if "leaf" in node:
+                    node["leaf"] = 1.5e308
+        (out / "model.json").write_text(json.dumps(model))
+        capsys.readouterr()
+        assert run("predict", "--model", out / "model.json", "--data", data_csv,
+                   "--out-dir", out) == 2
+        assert "prediction for row 1 is not finite" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
     def test_feature_mismatch_is_data_error(self, tmp_path, data_csv, tmp_csv):
         out = tmp_path / "out"
         run("train", "--data", data_csv, "--target", "y", "--task", "regression",
@@ -558,6 +577,10 @@ BAD_USER_FILES = {
                     {"grid": SMALL_GRID, "benchmark": {"random_runs": 2.5}}, 1, "random_runs 2.5"),
     "random-groups": ("benchmark", "config",
                       {"grid": SMALL_GRID, "benchmark": {"random_groups": 99}}, 2, "random_groups"),
+    "benchmark-test-fraction": ("benchmark", "config",
+                                {"grid": SMALL_GRID, "benchmark": {"test_fraction": 1.5}}, 1, "test_fraction"),
+    "tune-test-fraction": ("tune", "config",
+                           {"grid": SMALL_GRID, "benchmark": {"test_fraction": 0}}, 1, "test_fraction"),
     "repeated-header": ("train", "data", b"a,a,y\n1,2,3\n4,5,6\n", 2, "repeated header names ['a']"),
     "repeated-predict-header": ("predict", "data", b"x0,x1,x0\n1,2,3\n", 2,
                                 "repeated header names ['x0']"),

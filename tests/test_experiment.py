@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from interboost import boosting, experiment
 from interboost.boosting import FixedPartition, NoConstraints, PerResidual, TrainParams, predict, train
-from interboost.data import train_test_split
+from interboost.data import DataError, train_test_split
 from interboost.discovery import ConstraintPartition, WrapperConfig, discover_constraints
 from interboost.experiment import (
     BenchmarkConfig,
@@ -72,6 +72,30 @@ class TestTune:
         ]:
             params = tune(ds, TuningGrid(*axes), k=3, seed=0)
             assert (params.n_trees, params.max_depth, params.learning_rate) == expected
+
+    def test_pick_skips_non_finite_cells_and_keeps_the_first_tie(self, monkeypatch):
+        # scripted cell scores, in grid order: NaN and -inf cells first, then
+        # a lower finite cell and two tied ones; the first tie must win
+        scripted = {
+            (1, 1, 0.1): np.nan,
+            (1, 1, 0.3): -np.inf,
+            (1, 2, 0.1): 0.2,
+            (1, 2, 0.3): 0.5,
+            (2, 1, 0.1): 0.5,
+        }
+
+        def cell_of(ens):
+            return (len(ens.trees), ens.params.max_depth, ens.params.learning_rate)
+
+        monkeypatch.setattr(experiment, "_test_score", lambda ens, ds: scripted.get(cell_of(ens), 0.0))
+        ds = make_regression(30, 2, seed=1)
+        grid = TuningGrid((2, 1), (2, 1), (0.3, 0.1))
+        params = tune(ds, grid, k=3, seed=0)
+        assert (params.n_trees, params.max_depth, params.learning_rate) == (1, 2, 0.3)
+
+        monkeypatch.setattr(experiment, "_test_score", lambda ens, ds: np.nan)
+        with pytest.raises(DataError, match="no grid cell has a finite mean score"):
+            tune(ds, grid, k=3, seed=0)
 
     def test_grid_axes_are_distinct_and_ascending(self):
         grid = TuningGrid([10, 5, 10], (3, 2), (0.3, 0.1, 0.3))

@@ -28,6 +28,8 @@ import pytest
 from interboost.cli import main as cli_main
 from interboost.data import Dataset, Task, save_csv
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 GOLDEN = Path(__file__).with_name("golden_sha256.json")
 NAMES = tuple(f"x{i}" for i in range(6))
 

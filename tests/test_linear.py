@@ -73,7 +73,7 @@ class TestExpandPairwise:
     def test_duplicate_rejected(self):
         ds = make_regression(10, 2, seed=0)
         with pytest.raises(ValueError):
-            FoldScorer(ds, 3, 0).score((1, 1), ())
+            FoldScorer(ds, 3, 0).score_many([((1, 1), ())])
         with pytest.raises(ValueError):
             materialize(ds, None, (1, 1), ())
 
@@ -611,21 +611,21 @@ class TestFoldScorer:
         # columns cached for one design must not leak into another's score
         for design in DESIGNS + DESIGNS[::-1]:
             expected = reference_cv_score(ds, rows, design, 3, 11)
-            assert scorer.score(*design) == expected
+            assert scorer.score_many([design]) == [expected]
             assert cv_score_terms(ds, rows, design, 3, 11) == expected
 
     def test_rejects_bad_term_lists(self):
         scorer = FoldScorer(make_regression(30, 2, seed=0), 3, 0)
         with pytest.raises(ValueError, match="nonempty"):
-            scorer.score((), ())
+            scorer.score_many([((), ())])
         with pytest.raises(ValueError, match="out of range"):
-            scorer.score((2,), ())
+            scorer.score_many([((2,), ())])
         with pytest.raises(ValueError, match="no base column"):
-            scorer.score((0,), (0, 1))
+            scorer.score_many([((0,), (0, 1))])
         with pytest.raises(ValueError, match="duplicate"):
-            scorer.score((0, 0), ())
+            scorer.score_many([((0, 0), ())])
         with pytest.raises(ValueError, match="duplicate"):
-            scorer.score((0, 1), (1, 1))
+            scorer.score_many([((0, 1), (1, 1))])
 
     @pytest.mark.parametrize(
         "ds",
