@@ -62,7 +62,6 @@ class TrainParams:
     min_child_samples: int = 1
     min_child_hessian: float = 1e-6
     base_score: float | None = None  # None: mean target / log-odds of target mean
-    seed: int = 0
 
     def __post_init__(self):
         if checked_int("n_trees", self.n_trees) < 0:
@@ -79,7 +78,6 @@ class TrainParams:
             raise ValueError("min_child_hessian must be >= 0")
         if self.base_score is not None:
             checked_real("base_score", self.base_score)
-        checked_int("seed", self.seed)
 
 
 NODE = np.dtype(
@@ -185,7 +183,6 @@ class Ensemble:
     params: TrainParams
     task: Task
     base_score: float
-    n_features: int
     feature_names: tuple[str, ...]
     constraint_log: tuple[ConstraintPartition | None, ...]
 
@@ -424,7 +421,7 @@ def train(
     if not math.isfinite(base):
         raise DataError(f"base score {base} is not finite: the targets are too large")
     if prefix is None:
-        prefix = Ensemble((), params, ds.task, float(base), ds.n_features, ds.feature_names, ())
+        prefix = Ensemble((), params, ds.task, float(base), ds.feature_names, ())
     else:
         _check_prefix(prefix, ds, params, float(base))
     raw = predict_raw_matrix(prefix, X)
@@ -445,10 +442,8 @@ def train(
 
 def _checked_features(ens: Ensemble, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != ens.n_features:
-        raise DataError(
-            f"feature count mismatch: model expects {ens.n_features}, got {X.shape}"
-        )
+    if X.ndim != 2 or X.shape[1] != len(ens.feature_names):
+        raise DataError(f"feature count mismatch: model expects {len(ens.feature_names)}, got {X.shape}")
     return X
 
 
@@ -530,23 +525,15 @@ def _list(obj: dict, key: str) -> list:
 def _tree_from_obj(obj: dict, n_features: int, partition: ConstraintPartition | None) -> Tree:
     """Parse one tree in the layout `_grow` writes, checking each node once:
     children in range, features in [0, n_features), finite thresholds and
-    leaf weights, root 0, and a walk from the root, left child first, that
+    leaf weights, and a walk from node 0, the root, left child first, that
     meets node i at its step i and every node by its end (so prediction
-    cannot cycle). `used_group` is `used_group(tree, partition)`, which
-    holds every split of the tree."""
+    cannot cycle), with every split in `used_group(tree, partition)`."""
     n_nodes = len(_list(obj, "nodes"))
+    if not n_nodes:
+        raise DataError("nodes is empty: a tree has at least its root")
     nodes = [_node_from_obj(n, n_nodes, n_features) for n in obj["nodes"]]
-    root = checked_int("root", obj["root"])
-    if root != 0 or not nodes:
-        raise DataError(f"root {root} is not node 0 of {n_nodes} nodes: nodes are stored in preorder, root first")
     tree = Tree(np.array(nodes, dtype=NODE))
-    logged, group = obj["used_group"], used_group(tree, partition)
-    if logged is not None and (
-        partition is None or not 0 <= checked_int("used_group", logged) < len(partition.groups)
-    ):
-        raise DataError(f"used_group {logged} does not index the tree's constraint partition")
-    if logged != group:
-        raise DataError(f"used_group {logged} is not {group}, the group of the root's split")
+    group = used_group(tree, partition)
     step, stack = 0, [0]
     while stack:
         node_id = stack.pop()
@@ -558,7 +545,7 @@ def _tree_from_obj(obj: dict, n_features: int, partition: ConstraintPartition | 
         feature, _, left, right, _ = nodes[node_id]
         if feature >= 0:
             if group is not None and partition.group_index_of(feature) != group:
-                raise DataError(f"node {node_id} splits on feature {feature}, outside used_group {group}")
+                raise DataError(f"node {node_id} splits on feature {feature}, outside the root's group {group}")
             stack += (right, left)
     if step < n_nodes:
         raise DataError(f"only nodes 0 to {step - 1} of {n_nodes} are reachable from the root")
@@ -570,16 +557,8 @@ def ensemble_to_json_obj(ens: Ensemble) -> dict:
         "task": ens.task.value,
         "params": dataclasses.asdict(ens.params),
         "base_score": ens.base_score,
-        "n_features": ens.n_features,
         "feature_names": list(ens.feature_names),
-        "trees": [
-            {
-                "nodes": [_node_to_obj(n) for n in tree.nodes.tolist()],
-                "root": 0,
-                "used_group": used_group(tree, partition),
-            }
-            for tree, partition in zip(ens.trees, ens.constraint_log, strict=True)
-        ],
+        "trees": [{"nodes": [_node_to_obj(n) for n in tree.nodes.tolist()]} for tree in ens.trees],
         "constraint_log": [
             None if p is None else p.to_json_obj() for p in ens.constraint_log
         ],
@@ -590,8 +569,8 @@ def ensemble_from_json_obj(obj: dict) -> Ensemble:
     """Parse and validate a model document; every defect is a DataError."""
     try:
         params = TrainParams(**obj["params"])
-        n_features = checked_int("n_features", obj["n_features"])
-        names = checked_feature_names(_list(obj, "feature_names"), n_features)
+        n_features = len(_list(obj, "feature_names"))
+        names = checked_feature_names(obj["feature_names"], n_features)
         log = tuple(
             None if p is None else ConstraintPartition.from_json_obj(p, n_features)
             for p in _list(obj, "constraint_log")
@@ -610,7 +589,6 @@ def ensemble_from_json_obj(obj: dict) -> Ensemble:
             params=params,
             task=Task.parse(obj["task"]),
             base_score=float(checked_real("base_score", obj["base_score"])),
-            n_features=n_features,
             feature_names=names,
             constraint_log=log,
         )

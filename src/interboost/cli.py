@@ -84,14 +84,12 @@ def _present(values: dict) -> dict:
 
 
 def _build(cls, config: dict, name: str, defaults: dict, **overrides):
-    """`cls` built from `defaults`, then the keys of config section `name`
-    that are fields of `cls`, then `overrides` (flags and built sub-configs);
-    None in `defaults` or `overrides` means "not given". The dataclass
-    checks every value."""
-    fields = {f.name for f in dataclasses.fields(cls)}
-    section = {k: v for k, v in _section(config, name).items() if k in fields}
+    """`cls` built from `defaults`, then every key of config section `name`,
+    then `overrides` (flags and built sub-configs); None in `defaults` or
+    `overrides` means "not given". The dataclass checks every value, and a
+    key that is not one of its fields is its TypeError, so a config error."""
     try:
-        return cls(**{**_present(defaults), **section, **_present(overrides)})
+        return cls(**{**_present(defaults), **_section(config, name), **_present(overrides)})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name} config: {exc}") from exc
 
@@ -105,13 +103,12 @@ def _train_params(args, config: dict) -> TrainParams:
         TrainParams,
         config,
         "train",
-        {"n_trees": 100, "max_depth": 4, "learning_rate": 0.1, "seed": config.get("seed")},
+        {"n_trees": 100, "max_depth": 4, "learning_rate": 0.1},
         n_trees=args.n_trees,
         max_depth=args.max_depth,
         learning_rate=args.learning_rate,
         reg_lambda=args.reg_lambda,
         gamma=args.gamma,
-        seed=args.seed,
     )
 
 
@@ -128,8 +125,8 @@ def _benchmark_config(args, config: dict) -> BenchmarkConfig:
 
 
 def cmd_discover(args, config: dict) -> int:
-    ds = _load_dataset(args)
     cfg = _wrapper_config(args, config)
+    ds = _load_dataset(args)
     partition, steps = discover_constraints_traced(ds, cfg)
     write_json(args.out_dir / "partition.json", partition.to_json_obj())
     write_json(
@@ -151,13 +148,13 @@ def cmd_train(args, config: dict) -> int:
         raise ConfigError("--constraints and --partial-x are mutually exclusive")
     if args.partial_x is not None and args.partial_x < 1:  # PerResidual comes after discovery
         raise ConfigError(f"--partial-x must be >= 1, got {args.partial_x}")
-    ds = _load_dataset(args)
     params = _train_params(args, config)
+    wrapper_cfg = None if args.partial_x is None else _wrapper_config(args, config)
+    ds = _load_dataset(args)
     if args.constraints is not None:
         partition = read_json(args.constraints, DataError)
         schedule = FixedPartition(ConstraintPartition.from_json_obj(partition, ds.n_features))
-    elif args.partial_x is not None:
-        wrapper_cfg = _wrapper_config(args, config)
+    elif wrapper_cfg is not None:
         first = discover_constraints(ds, wrapper_cfg)
         schedule = PerResidual(args.partial_x, wrapper_cfg, first)
     else:
@@ -187,8 +184,8 @@ def cmd_predict(args, config: dict) -> int:
 
 
 def cmd_benchmark(args, config: dict) -> int:
-    ds = _load_dataset(args)
     cfg = _benchmark_config(args, config)
+    ds = _load_dataset(args)
     report = benchmark(ds, cfg, dataset_name=Path(args.data).stem)
     write_json(args.out_dir / "report.json", report)
     write_atomic(args.out_dir / "report.csv", report_to_csv(report))
@@ -201,11 +198,10 @@ def cmd_benchmark(args, config: dict) -> int:
 
 
 def cmd_tune(args, config: dict) -> int:
-    ds = _load_dataset(args)
     cfg = _benchmark_config(args, config)
+    ds = _load_dataset(args)
     seed = config.get("seed", 0) if args.seed is None else args.seed
     params = tune(ds, cfg.grid, cfg.k, seed)
-    # `seed` is the tuning-fold seed, kept apart from TrainParams.seed
     tuned = {"params": dataclasses.asdict(params), "k": cfg.k, "seed": seed}
     write_json(args.out_dir / "tuned_params.json", tuned)
     print(

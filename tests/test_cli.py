@@ -55,13 +55,20 @@ def run(*argv):
 def _split_outside_used_group(model):
     """Log tree 0 under a partition whose group 0 is its root's split
     feature alone, and move a split below the root to another feature."""
-    tree, n = model["trees"][0], model["n_features"]
-    nodes = tree["nodes"]
+    nodes, n = model["trees"][0]["nodes"], len(model["feature_names"])
     root = nodes[0]
     below = next(nodes[c] for c in (root["left"], root["right"]) if "feature" in nodes[c])
     below["feature"] = (root["feature"] + 1) % n
     model["constraint_log"][0] = [[root["feature"]], [f for f in range(n) if f != root["feature"]]]
-    tree["used_group"] = 0
+
+
+def _format_1(model):
+    """Add back what format 1 wrote and format 2 dropped: n_features, each
+    tree's root and used_group, and params.seed."""
+    model["n_features"] = len(model["feature_names"])
+    for tree in model["trees"]:
+        tree.update(root=0, used_group=None)
+    model["params"]["seed"] = 0
 
 
 def _relabel_root_children(model):
@@ -189,24 +196,25 @@ class TestTrainPredictCommands:
         assert ((out / "id" / "predictions.csv").read_bytes()
                 == (out / "plain" / "predictions.csv").read_bytes())
 
-    def test_config_precedence_and_values_as_written(self, tmp_path, data_csv):
-        # flag > section > top-level seed > default; values are not coerced
-        # and unknown section keys are ignored
+    def test_config_precedence_and_values_as_written(self, tmp_path, data_csv, capsys):
+        # flag > section > default; values are not coerced, and a section key
+        # that is not a field is a config error that names it
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({
-            "seed": 5, "train": {"n_trees": 3, "max_depth": 2, "reg_lambda": 1, "bogus": 0},
-        }))
         out = tmp_path / "out"
-        assert run("train", "--data", data_csv, "--target", "y", "--task", "regression",
-                   "--config", config, "--n-trees", 2, "--out-dir", out) == 0
+        train = ("train", "--data", data_csv, "--target", "y", "--task", "regression", "--config", config)
+        section = {"n_trees": 3, "max_depth": 2, "reg_lambda": 1}
+        for key, value in (("bogus", 0), ("seed", 9)):
+            config.write_text(json.dumps({"seed": 5, "train": {**section, key: value}}))
+            capsys.readouterr()
+            assert run(*train, "--n-trees", 2, "--out-dir", out) == 1
+            assert f"unexpected keyword argument '{key}'" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+        config.write_text(json.dumps({"seed": 5, "train": section}))
+        assert run(*train, "--n-trees", 2, "--out-dir", out) == 0
         params = json.loads((out / "model.json").read_text())["params"]
-        assert (params["n_trees"], params["max_depth"], params["seed"]) == (2, 2, 5)
+        assert (params["n_trees"], params["max_depth"]) == (2, 2) and "seed" not in params
         assert params["learning_rate"] == 0.1 and params["gamma"] == 0.0
         assert '"reg_lambda": 1,' in (out / "model.json").read_text()
-        config.write_text(json.dumps({"seed": 5, "train": {"seed": 9}}))
-        assert run("train", "--data", data_csv, "--target", "y", "--task", "regression",
-                   "--config", config, "--n-trees", 1, "--out-dir", out) == 0
-        assert json.loads((out / "model.json").read_text())["params"]["seed"] == 9
 
     def test_top_level_fields_stand_in_for_absent_flags(self, tmp_path, data_csv):
         # predict reads model, data and out_dir from the config; discover reads
@@ -337,21 +345,20 @@ class TestTrainPredictCommands:
             (lambda m: m["trees"][0].update(nodes={}), "nodes must be a list, got dict"),
             (lambda m: m.update(constraint_log={}), "constraint_log must be a list, got dict"),
             (lambda m: m["constraint_log"].pop(), "constraint_log has 1 entries for 2 trees"),
-            (lambda m: m["trees"][0].update(used_group="zz"), "used_group zz does not index"),
-            (lambda m: m["trees"][1].update(used_group=0), "tree 1: used_group 0 does not index"),
             (lambda m: m["constraint_log"].__setitem__(0, [[0]]), "constraint groups must cover features"),
-            (_split_outside_used_group, "outside used_group 0"),
-            (lambda m: m["trees"][0].update(root=1), "tree 0: root 1 is not node 0"),
+            (_split_outside_used_group, "outside the root's group 0"),
+            (lambda m: m["trees"][0].update(nodes=[]), "tree 0: nodes is empty"),
             (lambda m: m["trees"][1]["nodes"].append({"leaf": 0.5}), "tree 1: only nodes 0 to 6 of 8 are reachable"),
             (_relabel_root_children, "is out of preorder"),
+            (_format_1, "unexpected keyword argument 'seed'"),
             (lambda m: m["feature_names"].__setitem__(0, " " + m["feature_names"][0]), "leading or trailing whitespace"),
             (lambda m: m["feature_names"].__setitem__(0, "\ufeff" + m["feature_names"][0]), "byte-order mark"),
         ],
         ids=["root-cycle", "feature-range", "negative-feature", "child-range", "learning-rate", "nan-threshold",
              "repeated-feature-name", "feature-names-dict", "trees-dict", "trees-string", "nodes-dict",
-             "constraint-log-dict", "constraint-log-short", "used-group-string", "used-group-unconstrained",
-             "constraint-log-partial", "split-outside-used-group", "root-not-zero", "unreachable-node",
-             "children-out-of-preorder", "padded-feature-name", "bom-feature-name"],
+             "constraint-log-dict", "constraint-log-short",
+             "constraint-log-partial", "split-outside-used-group", "empty-nodes", "unreachable-node",
+             "children-out-of-preorder", "format-1", "padded-feature-name", "bom-feature-name"],
     )
     def test_corrupt_model_is_data_error(self, tmp_path, data_csv, capsys, mutate, message):
         out = tmp_path / "out"
@@ -581,6 +588,11 @@ BAD_USER_FILES = {
                                 {"grid": SMALL_GRID, "benchmark": {"test_fraction": 1.5}}, 1, "test_fraction"),
     "tune-test-fraction": ("tune", "config",
                            {"grid": SMALL_GRID, "benchmark": {"test_fraction": 0}}, 1, "test_fraction"),
+    "train-unknown-key": ("train", "config", {"train": {"n_tree": 5}}, 1, "'n_tree'"),
+    "train-seed": ("train", "config", {"train": {"seed": 9}}, 1, "'seed'"),
+    "wrapper-unknown-key": ("discover", "config", {"wrapper": {"k_fold": 3}}, 1, "'k_fold'"),
+    "grid-unknown-key": ("tune", "config", {"grid": {**SMALL_GRID, "depth": [2]}}, 1, "'depth'"),
+    "benchmark-unknown-key": ("tune", "config", {"grid": SMALL_GRID, "benchmark": {"kfolds": 3}}, 1, "'kfolds'"),
     "repeated-header": ("train", "data", b"a,a,y\n1,2,3\n4,5,6\n", 2, "repeated header names ['a']"),
     "repeated-predict-header": ("predict", "data", b"x0,x1,x0\n1,2,3\n", 2,
                                 "repeated header names ['x0']"),
@@ -616,6 +628,27 @@ def test_bad_user_file_exits_cleanly(
     capsys.readouterr()
     assert run(*argv) == code
     assert message in capsys.readouterr().err
+
+
+# (command, config, extra flags): a bad config or flag, with a data file
+# that does not exist; the config is checked first, so each exits 1
+BAD_CONFIG_MISSING_DATA = {
+    "train-n-trees": ("train", {}, ["--n-trees", -3]),
+    "benchmark-test-fraction": ("benchmark", {"benchmark": {"test_fraction": 1.5}}, []),
+    "tune-test-fraction": ("tune", {"benchmark": {"test_fraction": 1.5}}, []),
+    "discover-k-folds": ("discover", {"wrapper": {"k_folds": 1}}, []),
+}
+
+
+@pytest.mark.parametrize(
+    "command, config, flags", BAD_CONFIG_MISSING_DATA.values(), ids=BAD_CONFIG_MISSING_DATA.keys()
+)
+def test_bad_config_is_reported_before_the_data_is_read(tmp_path, capsys, command, config, flags):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run(command, "--data", tmp_path / "missing.csv", "--target", "y", "--task", "regression",
+               "--config", tmp_path / "cfg.json", "--out-dir", tmp_path / "out", *flags) == 1
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 # (train flags, exit code, message substring); each is refused before

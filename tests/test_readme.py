@@ -1,8 +1,10 @@
 """The README's library example is the documented entry point to the
 package's public names, and its Scripts section is the documented
 end-to-end benchmark run; both must run as written, and every package
-name the README cites must exist."""
+name the README cites must exist. Its example config must build, and its
+Model JSON table must list the fields `save_model` writes."""
 
+import dataclasses
 import importlib
 import json
 import pkgutil
@@ -14,6 +16,8 @@ from pathlib import Path
 
 import interboost
 from interboost import cli
+from interboost.boosting import TrainParams, ensemble_to_json_obj, train
+from interboost.synth import paired_products_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -64,3 +68,24 @@ def test_synthetic_benchmark_commands_run(tmp_path, monkeypatch):
     assert cli.main(bench[1:]) == 0
     out = Path(bench[bench.index("--out-dir") + 1])
     assert json.loads((out / "report.json").read_text(encoding="utf-8"))["dataset"] == "synthetic_paired"
+
+
+def test_example_config_builds():
+    config = json.loads(_block(_section("Command line"), "json"))
+    args = cli.build_parser().parse_args(["train"])
+    cli._train_params(args, config)
+    cli._wrapper_config(args, config)
+    cli._benchmark_config(args, config)
+
+
+def test_model_table_lists_the_written_fields():
+    table = README.read_text(encoding="utf-8").split("**Model JSON**", 1)[1].split("\n\n")[1]
+    rows = {
+        match.group(1): match.group(2)
+        for match in re.finditer(r"^\| `(\w+)`\s*\| (.*) \|$", table, re.MULTILINE)
+    }
+    ens = train(paired_products_dataset(40, seed=0), None, TrainParams(1, 1, 0.1))
+    assert list(rows) == list(ensemble_to_json_obj(ens))
+    # the names after "the `TrainParams` used:", less their notes in parentheses
+    named = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", rows["params"].split(":", 1)[1]))
+    assert named == [f.name for f in dataclasses.fields(TrainParams)]
