@@ -42,12 +42,17 @@ class _Parser(argparse.ArgumentParser):
 
 # Config fields that stand in for an absent flag of the same name.
 _TOP_LEVEL_FIELDS = ("data", "target", "task", "out_dir", "model")
+# Every key a config may hold: those fields, the master seed and the sections.
+_CONFIG_KEYS = (*_TOP_LEVEL_FIELDS, "seed", "wrapper", "grid", "train", "benchmark")
 
 
 def _load_config(path) -> dict:
     config = read_json(path, ConfigError)
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
+    for key in config:
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}; the keys are {', '.join(_CONFIG_KEYS)}")
     for key in _TOP_LEVEL_FIELDS:
         value = config.get(key, "")
         if not isinstance(value, str) or "\0" in value:
@@ -83,49 +88,44 @@ def _present(values: dict) -> dict:
     return {k: v for k, v in values.items() if v is not None}
 
 
-def _build(cls, config: dict, name: str, defaults: dict, **overrides):
+def _build(cls, config: dict, name: str, defaults: dict, flags: dict, **built):
     """`cls` built from `defaults`, then every key of config section `name`,
-    then `overrides` (flags and built sub-configs); None in `defaults` or
-    `overrides` means "not given". The dataclass checks every value, and a
-    key that is not one of its fields is its TypeError, so a config error."""
+    then `flags`; None in `defaults` or `flags` means "not given". The
+    sub-configs in `built` go in as keywords of their own. The dataclass
+    checks every value, and a key that is not one of its fields, or that
+    names one of `built`, is its TypeError, so a config error."""
     try:
-        return cls(**{**_present(defaults), **_section(config, name), **_present(overrides)})
+        return cls(**{**_present(defaults), **_section(config, name), **_present(flags)}, **built)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name} config: {exc}") from exc
 
 
-def _wrapper_config(args, config: dict) -> WrapperConfig:
-    return _build(WrapperConfig, config, "wrapper", {"seed": config.get("seed")}, seed=args.seed)
-
-
-def _train_params(args, config: dict) -> TrainParams:
-    return _build(
-        TrainParams,
-        config,
-        "train",
-        {"n_trees": 100, "max_depth": 4, "learning_rate": 0.1},
-        n_trees=args.n_trees,
-        max_depth=args.max_depth,
-        learning_rate=args.learning_rate,
-        reg_lambda=args.reg_lambda,
-        gamma=args.gamma,
+def _resolve(args) -> None:
+    """Fill `args` from its config, once, whatever the command: each
+    top-level field stands in for its absent flag, and every section is
+    built and checked, from defaults, then the section, then flags (train's
+    flags are absent on other commands). `tune_seed` is --seed, then the
+    top-level `seed`, then 0."""
+    config = _load_config(args.config) if args.config else {}
+    for key in _TOP_LEVEL_FIELDS:  # a flag wins over its config field
+        if getattr(args, key, None) is None:
+            setattr(args, key, config.get(key))
+    args.out_dir = Path(args.out_dir or ".")
+    seed = config.get("seed")
+    args.wrapper_cfg = _build(WrapperConfig, config, "wrapper", {"seed": seed}, {"seed": args.seed})
+    flags = {f: getattr(args, f, None) for f in ("n_trees", "max_depth", "learning_rate", "reg_lambda", "gamma")}
+    defaults = {"n_trees": 100, "max_depth": 4, "learning_rate": 0.1}
+    args.params = _build(TrainParams, config, "train", defaults, flags)
+    grid = _build(TuningGrid, config, "grid", {}, {})
+    args.benchmark_cfg = _build(
+        BenchmarkConfig, config, "benchmark", {"split_seed": seed}, {"split_seed": args.seed},
+        grid=grid, wrapper_cfg=args.wrapper_cfg,
     )
+    args.tune_seed = config.get("seed", 0) if args.seed is None else args.seed
 
 
-def _benchmark_config(args, config: dict) -> BenchmarkConfig:
-    return _build(
-        BenchmarkConfig,
-        config,
-        "benchmark",
-        {"split_seed": config.get("seed")},
-        split_seed=args.seed,
-        grid=_build(TuningGrid, config, "grid", {}),
-        wrapper_cfg=_wrapper_config(args, config),
-    )
-
-
-def cmd_discover(args, config: dict) -> int:
-    cfg = _wrapper_config(args, config)
+def cmd_discover(args) -> int:
+    cfg = args.wrapper_cfg
     ds = _load_dataset(args)
     partition, steps = discover_constraints_traced(ds, cfg)
     write_json(args.out_dir / "partition.json", partition.to_json_obj())
@@ -143,29 +143,27 @@ def cmd_discover(args, config: dict) -> int:
     return 0
 
 
-def cmd_train(args, config: dict) -> int:
+def cmd_train(args) -> int:
     if args.constraints is not None and args.partial_x is not None:
         raise ConfigError("--constraints and --partial-x are mutually exclusive")
     if args.partial_x is not None and args.partial_x < 1:  # PerResidual comes after discovery
         raise ConfigError(f"--partial-x must be >= 1, got {args.partial_x}")
-    params = _train_params(args, config)
-    wrapper_cfg = None if args.partial_x is None else _wrapper_config(args, config)
     ds = _load_dataset(args)
     if args.constraints is not None:
         partition = read_json(args.constraints, DataError)
         schedule = FixedPartition(ConstraintPartition.from_json_obj(partition, ds.n_features))
-    elif wrapper_cfg is not None:
-        first = discover_constraints(ds, wrapper_cfg)
-        schedule = PerResidual(args.partial_x, wrapper_cfg, first)
+    elif args.partial_x is not None:
+        first = discover_constraints(ds, args.wrapper_cfg)
+        schedule = PerResidual(args.partial_x, args.wrapper_cfg, first)
     else:
         schedule = NoConstraints()
-    ens = train(ds, None, params, schedule)
+    ens = train(ds, None, args.params, schedule)
     save_model(ens, args.out_dir / "model.json")
-    print(f"trained {params.n_trees} trees; wrote {args.out_dir / 'model.json'}")
+    print(f"trained {args.params.n_trees} trees; wrote {args.out_dir / 'model.json'}")
     return 0
 
 
-def cmd_predict(args, config: dict) -> int:
+def cmd_predict(args) -> int:
     model_path = _require(args.model, "--model")
     data_path = _require(args.data, "--data")
     ens = load_model(model_path)
@@ -183,10 +181,9 @@ def cmd_predict(args, config: dict) -> int:
     return 0
 
 
-def cmd_benchmark(args, config: dict) -> int:
-    cfg = _benchmark_config(args, config)
+def cmd_benchmark(args) -> int:
     ds = _load_dataset(args)
-    report = benchmark(ds, cfg, dataset_name=Path(args.data).stem)
+    report = benchmark(ds, args.benchmark_cfg, dataset_name=Path(args.data).stem)
     write_json(args.out_dir / "report.json", report)
     write_atomic(args.out_dir / "report.csv", report_to_csv(report))
     for v in report["variants"]:
@@ -197,12 +194,11 @@ def cmd_benchmark(args, config: dict) -> int:
     return 0
 
 
-def cmd_tune(args, config: dict) -> int:
-    cfg = _benchmark_config(args, config)
+def cmd_tune(args) -> int:
+    cfg = args.benchmark_cfg
     ds = _load_dataset(args)
-    seed = config.get("seed", 0) if args.seed is None else args.seed
-    params = tune(ds, cfg.grid, cfg.k, seed)
-    tuned = {"params": dataclasses.asdict(params), "k": cfg.k, "seed": seed}
+    params = tune(ds, cfg.grid, cfg.k, args.tune_seed)
+    tuned = {"params": dataclasses.asdict(params), "k": cfg.k, "seed": args.tune_seed}
     write_json(args.out_dir / "tuned_params.json", tuned)
     print(
         f"tuned: n_trees={params.n_trees} max_depth={params.max_depth} "
@@ -258,12 +254,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load_config(args.config) if args.config else {}
-        for key in _TOP_LEVEL_FIELDS:  # a flag wins over its config field
-            if getattr(args, key, None) is None:
-                setattr(args, key, config.get(key))
-        args.out_dir = Path(args.out_dir or ".")
-        return args.func(args, config)
+        _resolve(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

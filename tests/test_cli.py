@@ -593,6 +593,16 @@ BAD_USER_FILES = {
     "wrapper-unknown-key": ("discover", "config", {"wrapper": {"k_fold": 3}}, 1, "'k_fold'"),
     "grid-unknown-key": ("tune", "config", {"grid": {**SMALL_GRID, "depth": [2]}}, 1, "'depth'"),
     "benchmark-unknown-key": ("tune", "config", {"grid": SMALL_GRID, "benchmark": {"kfolds": 3}}, 1, "'kfolds'"),
+    "unknown-top-level-key": ("train", "config", {"wraper": {"k_folds": 1}}, 1, "'wraper'"),
+    "tune-train-section": ("tune", "config", {"grid": SMALL_GRID, "train": {"reg_lambda": -5}}, 1, "reg_lambda"),
+    "benchmark-train-section": ("benchmark", "config",
+                                {"grid": SMALL_GRID, "train": {"reg_lambda": -5}}, 1, "reg_lambda"),
+    "benchmark-grid-key": ("benchmark", "config",
+                           {"grid": SMALL_GRID, "benchmark": {"grid": "garbage"}}, 1, "'grid'"),
+    "benchmark-wrapper-cfg-key": ("benchmark", "config",
+                                  {"grid": SMALL_GRID, "benchmark": {"wrapper_cfg": {"k_folds": 3}}}, 1,
+                                  "'wrapper_cfg'"),
+    "predict-wrapper": ("predict", "config", {"wrapper": {"k_folds": 1}}, 1, "k_folds"),
     "repeated-header": ("train", "data", b"a,a,y\n1,2,3\n4,5,6\n", 2, "repeated header names ['a']"),
     "repeated-predict-header": ("predict", "data", b"x0,x1,x0\n1,2,3\n", 2,
                                 "repeated header names ['x0']"),
@@ -637,6 +647,7 @@ BAD_CONFIG_MISSING_DATA = {
     "benchmark-test-fraction": ("benchmark", {"benchmark": {"test_fraction": 1.5}}, []),
     "tune-test-fraction": ("tune", {"benchmark": {"test_fraction": 1.5}}, []),
     "discover-k-folds": ("discover", {"wrapper": {"k_folds": 1}}, []),
+    "discover-unknown-top-level-key": ("discover", {"trian": {"n_trees": 1}}, []),
 }
 
 
@@ -649,6 +660,36 @@ def test_bad_config_is_reported_before_the_data_is_read(tmp_path, capsys, comman
     assert run(command, "--data", tmp_path / "missing.csv", "--target", "y", "--task", "regression",
                "--config", tmp_path / "cfg.json", "--out-dir", tmp_path / "out", *flags) == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+# (--seed, config, (wrapper seed, split seed, tune fold seed)): the wrapper
+# and split seeds take the flag, then their section's key, then the
+# top-level `seed`, then 0; the tune fold seed has no section key, so
+# `benchmark.split_seed` does not reach it.
+SEED_PRECEDENCE = {
+    "flag": (7, {"seed": 3, "wrapper": {"seed": 5}, "benchmark": {"split_seed": 4}}, (7, 7, 7)),
+    "sections": (None, {"seed": 3, "wrapper": {"seed": 5}, "benchmark": {"split_seed": 4}}, (5, 4, 3)),
+    "top-level": (None, {"seed": 3}, (3, 3, 3)),
+    "split-seed-only": (None, {"benchmark": {"split_seed": 4}}, (0, 4, 0)),
+    "none": (None, {}, (0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("flag, config, expected", SEED_PRECEDENCE.values(), ids=SEED_PRECEDENCE.keys())
+def test_seed_precedence(tmp_path, data_csv, flag, config, expected):
+    fast = {"partial_x_list": [1], "random_runs": 1}
+    config = {"grid": SMALL_GRID, **config, "benchmark": {**fast, **config.get("benchmark", {})}}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    seed_flag = [] if flag is None else ["--seed", flag]
+    for command in ("discover", "benchmark", "tune"):
+        assert run(command, "--data", data_csv, "--target", "y", "--task", "regression", *seed_flag,
+                   "--config", tmp_path / "cfg.json", "--out-dir", tmp_path / command) == 0
+    log = json.loads((tmp_path / "discover" / "discovery_log.json").read_text())
+    seeds = json.loads((tmp_path / "benchmark" / "report.json").read_text())["seeds"]
+    tuned = json.loads((tmp_path / "tune" / "tuned_params.json").read_text())
+    wrapper, split, fold = expected
+    assert (log["seed"], seeds["wrapper_seed"]) == (wrapper, wrapper)
+    assert (seeds["split_seed"], tuned["seed"]) == (split, fold)
 
 
 # (train flags, exit code, message substring); each is refused before

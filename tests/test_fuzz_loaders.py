@@ -2,19 +2,27 @@
 valid config, partition, model and data CSV. Whatever the damage, the CLI
 ends with exit 0, 1 or 2: never exit 3 (an internal error) and never a hang.
 A damaged model that still loads predicts what the one-tree-at-a-time
-oracle walk gives for it: never a silent wrong answer."""
+oracle walk gives for it: never a silent wrong answer. A key that is not in
+the config schema, at top level or in any section, is a config error that
+names it, for every command."""
 
+import contextlib
+import copy
+import dataclasses
+import io
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from interboost.boosting import load_model
+from interboost.boosting import TrainParams, load_model
 from interboost.cli import main
 from interboost.data import Dataset, Task, format_real, read_csv, save_csv
+from interboost.discovery import WrapperConfig
+from interboost.experiment import BenchmarkConfig, TuningGrid
 from interboost.linear import raw_to_prediction
 from oracles import reference_stages
 
@@ -80,3 +88,41 @@ def test_damaged_file_never_ends_in_internal_error(valid, kind, data):
             expected = raw_to_prediction(ens.task, reference_stages(ens, X)[-1])
             written = (Path(tmp) / "out" / "predictions.csv").read_text().splitlines()
             assert written == ["prediction"] + [format_real(v) for v in expected]
+
+
+SECTIONS = {"wrapper": WrapperConfig, "grid": TuningGrid, "train": TrainParams, "benchmark": BenchmarkConfig}
+# the keys each place in a config may hold; `benchmark` takes its grid and
+# wrapper settings from their own sections
+SCHEMA = {
+    None: {"data", "target", "task", "out_dir", "model", "seed", *SECTIONS},
+    **{name: {f.name for f in dataclasses.fields(cls)} for name, cls in SECTIONS.items()},
+}
+SCHEMA["benchmark"] -= {"grid", "wrapper_cfg"}
+FULL_CONFIG = {
+    "target": "y", "task": "regression", "seed": 3,
+    "wrapper": {"k_folds": 3, "epsilon": 1e-6},
+    "grid": {"n_trees": [2], "max_depth": [2], "learning_rate": [0.3]},
+    "train": {"n_trees": 2, "reg_lambda": 1.0},
+    "benchmark": {"k": 3, "partial_x_list": [1]},
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(place=st.sampled_from(list(SCHEMA)), key=st.text(max_size=12))
+def test_unknown_config_key_is_named_by_every_command(place, key):
+    # the data path does not exist, so no data is read: the config is
+    # checked first, whatever the command
+    assume(key not in SCHEMA[place])
+    config = copy.deepcopy(FULL_CONFIG)
+    (config if place is None else config[place])[key] = 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path, missing = Path(tmp) / "config.json", str(Path(tmp) / "missing")
+        path.write_text(json.dumps(config))
+        for command in ("discover", "train", "predict", "benchmark", "tune"):
+            argv = [command, "--config", str(path), "--data", missing, "--out-dir", str(Path(tmp) / "out")]
+            if command == "predict":
+                argv += ["--model", missing]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(argv) == 1
+            assert f"'{key}'" in err.getvalue() or repr(key) in err.getvalue()

@@ -1,8 +1,9 @@
 """The README's library example is the documented entry point to the
 package's public names, and its Scripts section is the documented
 end-to-end benchmark run; both must run as written, and every package
-name the README cites must exist. Its example config must build, and its
-Model JSON table must list the fields `save_model` writes."""
+name the README cites must exist. Its example config must load and build
+with no unknown key, and its Model JSON table must list the fields
+`save_model` writes."""
 
 import dataclasses
 import importlib
@@ -17,6 +18,7 @@ from pathlib import Path
 import interboost
 from interboost import cli
 from interboost.boosting import TrainParams, ensemble_to_json_obj, train
+from interboost.experiment import TuningGrid
 from interboost.synth import paired_products_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,12 +72,14 @@ def test_synthetic_benchmark_commands_run(tmp_path, monkeypatch):
     assert json.loads((out / "report.json").read_text(encoding="utf-8"))["dataset"] == "synthetic_paired"
 
 
-def test_example_config_builds():
-    config = json.loads(_block(_section("Command line"), "json"))
-    args = cli.build_parser().parse_args(["train"])
-    cli._train_params(args, config)
-    cli._wrapper_config(args, config)
-    cli._benchmark_config(args, config)
+def test_example_config_builds(tmp_path):
+    path = tmp_path / "example.json"
+    path.write_text(_block(_section("Command line"), "json"), encoding="utf-8")
+    args = cli.build_parser().parse_args(["train", "--config", str(path)])
+    cli._resolve(args)
+    config = json.loads(path.read_text(encoding="utf-8"))
+    assert args.params == TrainParams(**config["train"])
+    assert args.benchmark_cfg.grid == TuningGrid(**config["grid"])
 
 
 def test_model_table_lists_the_written_fields():
