@@ -19,8 +19,9 @@ discovery against the current negative gradients for each of the first x
 trees.
 
 A tree has one layout, from growth through prediction to the model file:
-its node table in depth-first preorder, left subtree first, so node 0 is
-the root and every node is reached from it exactly once.
+its nodes in depth-first preorder, left subtree first, so node 0 is the
+root. The file holds that list without child ids, and the loader works
+them out.
 
 Training has no randomness, so the first t trees of a run depend only on
 the schedule's first t rounds: `ens[:t]` is the model after t rounds, and
@@ -495,25 +496,8 @@ def predict(ens: Ensemble, ds: Dataset) -> np.ndarray:
 
 
 def _node_to_obj(node: tuple) -> dict:
-    feature, threshold, left, right, weight = node
-    if feature < 0:
-        return {"leaf": weight}
-    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
-
-
-def _node_from_obj(obj: dict, n_nodes: int, n_features: int) -> tuple:
-    if "leaf" in obj:
-        return (-1, 0.0, -1, -1, checked_real("leaf weight", obj["leaf"]))
-    feature = checked_int("feature", obj["feature"])
-    if not 0 <= feature < n_features:
-        raise DataError(f"feature {feature} out of range for {n_features} features")
-    children = []
-    for key in ("left", "right"):
-        child = checked_int(f"{key} child", obj[key])
-        if not 0 <= child < n_nodes:
-            raise DataError(f"{key} child {child} out of range for {n_nodes} nodes")
-        children.append(child)
-    return (feature, checked_real("threshold", obj["threshold"]), *children, 0.0)
+    feature, threshold, _, _, weight = node
+    return {"leaf": weight} if feature < 0 else {"feature": feature, "threshold": threshold}
 
 
 def _list(obj: dict, key: str) -> list:
@@ -522,33 +506,50 @@ def _list(obj: dict, key: str) -> list:
     return obj[key]
 
 
+def _only(obj: dict, keys: tuple[str, ...], what: str) -> dict:
+    """`obj`, refused when it holds a key other than `keys`."""
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise DataError(f"unknown {what} key {unknown[0]!r}; a {what} holds {', '.join(keys)}")
+    return obj
+
+
 def _tree_from_obj(obj: dict, n_features: int, partition: ConstraintPartition | None) -> Tree:
-    """Parse one tree in the layout `_grow` writes, checking each node once:
-    children in range, features in [0, n_features), finite thresholds and
-    leaf weights, and a walk from node 0, the root, left child first, that
-    meets node i at its step i and every node by its end (so prediction
-    cannot cycle), with every split in `used_group(tree, partition)`."""
-    n_nodes = len(_list(obj, "nodes"))
-    if not n_nodes:
+    """Parse one tree from its node list, read once in `_grow`'s preorder:
+    after a split comes its left child, and after a leaf the right child of
+    the latest split still waiting for one. So the loader works out every
+    child id, and no list describes a cycle; a node after the tree is
+    complete, or an end while a split still waits, is refused. A node holds
+    exactly `leaf`, or exactly `feature` (in [0, n_features)) and
+    `threshold`, all finite, and every split lies in `used_group(tree, partition)`."""
+    records: list[list] = []
+    waiting = [(-1, 0)]  # (split id, its record's field for the child: 2 left, 3 right); -1 for the root
+    for node_id, node in enumerate(_list(_only(obj, ("nodes",), "tree"), "nodes")):
+        if not waiting:
+            raise DataError(f"node {node_id} comes after the tree is complete")
+        parent, side = waiting.pop()
+        if parent >= 0:
+            records[parent][side] = node_id
+        keys = sorted(node) if isinstance(node, dict) else type(node).__name__
+        if keys == ["leaf"]:
+            records.append([-1, 0.0, -1, -1, checked_real("leaf weight", node["leaf"])])
+        elif keys == ["feature", "threshold"]:
+            feature = checked_int("feature", node["feature"])
+            if not 0 <= feature < n_features:
+                raise DataError(f"node {node_id}: feature {feature} out of range for {n_features} features")
+            records.append([feature, checked_real("threshold", node["threshold"]), -1, -1, 0.0])
+            waiting += [(node_id, 3), (node_id, 2)]
+        else:
+            raise DataError(f"node {node_id} holds {keys}: a node holds exactly leaf, or exactly feature and threshold")
+    if not records:
         raise DataError("nodes is empty: a tree has at least its root")
-    nodes = [_node_from_obj(n, n_nodes, n_features) for n in obj["nodes"]]
-    tree = Tree(np.array(nodes, dtype=NODE))
+    if waiting:
+        raise DataError(f"nodes end while node {waiting[-1][0]} waits for a child")
+    tree = Tree(np.array([tuple(r) for r in records], dtype=NODE))
     group = used_group(tree, partition)
-    step, stack = 0, [0]
-    while stack:
-        node_id = stack.pop()
-        if node_id < step:  # nodes 0 .. step-1 are already met
-            raise DataError(f"node {node_id} is reached twice from the root")
-        if node_id > step:
-            raise DataError(f"node {node_id} is out of preorder: the walk from the root meets it at step {step}")
-        step += 1
-        feature, _, left, right, _ = nodes[node_id]
-        if feature >= 0:
-            if group is not None and partition.group_index_of(feature) != group:
-                raise DataError(f"node {node_id} splits on feature {feature}, outside the root's group {group}")
-            stack += (right, left)
-    if step < n_nodes:
-        raise DataError(f"only nodes 0 to {step - 1} of {n_nodes} are reachable from the root")
+    for node_id, feature in enumerate(tree.nodes["feature"].tolist()):
+        if group is not None and feature >= 0 and partition.group_index_of(feature) != group:
+            raise DataError(f"node {node_id} splits on feature {feature}, outside the root's group {group}")
     return tree
 
 
@@ -569,6 +570,7 @@ def ensemble_from_json_obj(obj: dict) -> Ensemble:
     """Parse and validate a model document; every defect is a DataError."""
     try:
         params = TrainParams(**obj["params"])
+        _only(obj, ("task", "params", "base_score", "feature_names", "trees", "constraint_log"), "model")
         n_features = len(_list(obj, "feature_names"))
         names = checked_feature_names(obj["feature_names"], n_features)
         log = tuple(

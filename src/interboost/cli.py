@@ -111,17 +111,17 @@ def _resolve(args) -> None:
         if getattr(args, key, None) is None:
             setattr(args, key, config.get(key))
     args.out_dir = Path(args.out_dir or ".")
-    seed = config.get("seed")
-    args.wrapper_cfg = _build(WrapperConfig, config, "wrapper", {"seed": seed}, {"seed": args.seed})
+    seed, seed_flag = config.get("seed"), getattr(args, "seed", None)  # predict has no --seed
+    args.wrapper_cfg = _build(WrapperConfig, config, "wrapper", {"seed": seed}, {"seed": seed_flag})
     flags = {f: getattr(args, f, None) for f in ("n_trees", "max_depth", "learning_rate", "reg_lambda", "gamma")}
     defaults = {"n_trees": 100, "max_depth": 4, "learning_rate": 0.1}
     args.params = _build(TrainParams, config, "train", defaults, flags)
     grid = _build(TuningGrid, config, "grid", {}, {})
     args.benchmark_cfg = _build(
-        BenchmarkConfig, config, "benchmark", {"split_seed": seed}, {"split_seed": args.seed},
+        BenchmarkConfig, config, "benchmark", {"split_seed": seed}, {"split_seed": seed_flag},
         grid=grid, wrapper_cfg=args.wrapper_cfg,
     )
-    args.tune_seed = config.get("seed", 0) if args.seed is None else args.seed
+    args.tune_seed = config.get("seed", 0) if seed_flag is None else seed_flag
 
 
 def cmd_discover(args) -> int:
@@ -129,15 +129,9 @@ def cmd_discover(args) -> int:
     ds = _load_dataset(args)
     partition, steps = discover_constraints_traced(ds, cfg)
     write_json(args.out_dir / "partition.json", partition.to_json_obj())
-    write_json(
-        args.out_dir / "discovery_log.json",
-        {
-            "seed": cfg.seed,
-            "k_folds": cfg.k_folds,
-            "epsilon": cfg.epsilon,
-            "steps": [dataclasses.asdict(s) for s in steps],
-        },
-    )
+    log = {"seed": cfg.seed, "k_folds": cfg.k_folds, "epsilon": cfg.epsilon, "max_group_size": cfg.max_group_size}
+    log["steps"] = [dataclasses.asdict(s) for s in steps]
+    write_json(args.out_dir / "discovery_log.json", log)
     print(f"partition: {partition.to_json_obj()}")
     print(f"wrote {args.out_dir / 'partition.json'} and {args.out_dir / 'discovery_log.json'}")
     return 0
@@ -148,6 +142,8 @@ def cmd_train(args) -> int:
         raise ConfigError("--constraints and --partial-x are mutually exclusive")
     if args.partial_x is not None and args.partial_x < 1:  # PerResidual comes after discovery
         raise ConfigError(f"--partial-x must be >= 1, got {args.partial_x}")
+    if args.seed is not None and args.partial_x is None:
+        raise ConfigError("--seed seeds the discovery of --partial-x, so train takes it only with --partial-x")
     ds = _load_dataset(args)
     if args.constraints is not None:
         partition = read_json(args.constraints, DataError)
@@ -207,12 +203,13 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
+def _add_shared_flags(sub: argparse.ArgumentParser, seeded: bool = True) -> None:
     sub.add_argument("--data", help="path to the dataset CSV")
     sub.add_argument("--target", help="name of the target column")
     sub.add_argument("--task", choices=[t.value for t in Task], help="prediction task")
     sub.add_argument("--config", help="JSON config file; flags override its fields")
-    sub.add_argument("--seed", type=int, help="master seed (overrides config seeds)")
+    if seeded:  # predict has nothing to seed
+        sub.add_argument("--seed", type=int, help="master seed (overrides config seeds)")
     sub.add_argument("--out-dir", help="directory for output files (default: .)")
 
 
@@ -236,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = commands.add_parser("predict", help="predict with a trained model")
-    _add_shared_flags(p)
+    _add_shared_flags(p, seeded=False)
     p.add_argument("--model", help="model JSON written by train")
     p.set_defaults(func=cmd_predict)
 

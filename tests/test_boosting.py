@@ -23,6 +23,7 @@ from interboost.boosting import (
     _grow,
     default_base_score,
     presort,
+    ensemble_from_json_obj,
     ensemble_to_json_obj,
     grad_hess,
     leaf_weight,
@@ -745,15 +746,8 @@ class TestSerialization:
         assert back.constraint_log[0].groups == ((0, 1), (2,))
         assert used_group(back.trees[0], back.constraint_log[0]) == used_group(ens.trees[0], ens.constraint_log[0]) == 0
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        schedule=st.sampled_from(["none", "fixed", "per_residual"]),
-        classification=st.booleans(),
-        max_depth=st.integers(1, 4),
-        n_trees=st.integers(0, 4),
-    )
-    def test_every_trained_model_round_trips_in_preorder(self, seed, schedule, classification, max_depth, n_trees):
+    @staticmethod
+    def _schedule_model(seed, schedule, classification, max_depth, n_trees):
         if classification:
             ds = make_classification(60, 4, seed, logit_fn=lambda X: 3 * X[:, 0] * X[:, 1] + X[:, 2])
         else:
@@ -764,14 +758,52 @@ class TestSerialization:
             "fixed": FixedPartition(partition),
             "per_residual": PerResidual(2, WrapperConfig(seed=seed % 7, epsilon=5e-3), partition),
         }[schedule]
-        ens = train(ds, None, TrainParams(n_trees, max_depth, 0.4), schedule)
+        return train(ds, None, TrainParams(n_trees, max_depth, 0.4), schedule)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        schedule=st.sampled_from(["none", "fixed", "per_residual"]),
+        classification=st.booleans(),
+        max_depth=st.integers(1, 4),
+        n_trees=st.integers(0, 4),
+    )
+    def test_every_trained_model_round_trips_in_preorder(self, seed, schedule, classification, max_depth, n_trees):
+        ens = self._schedule_model(seed, schedule, classification, max_depth, n_trees)
         for tree in ens.trees:
             assert _preorder(tree) == list(range(len(tree.nodes)))
+        for tree in ensemble_to_json_obj(ens)["trees"]:
+            assert all(sorted(node) in (["leaf"], ["feature", "threshold"]) for node in tree["nodes"])
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp) / "model.json", Path(tmp) / "again.json"
             save_model(ens, first)
-            save_model(load_model(first), second)
+            back = load_model(first)
+            save_model(back, second)
             assert first.read_bytes() == second.read_bytes()
+        assert [tree.nodes.tolist() for tree in back.trees] == [tree.nodes.tolist() for tree in ens.trees]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        schedule=st.sampled_from(["none", "fixed", "per_residual"]),
+        classification=st.booleans(),
+        max_depth=st.integers(1, 4),
+        append=st.booleans(),
+        data=st.data(),
+    )
+    def test_a_tree_cut_short_or_run_on_is_refused(self, seed, schedule, classification, max_depth, append, data):
+        """Without child ids, a node list is one tree exactly: dropping its
+        last node leaves a split waiting (or no root), and a leaf after it
+        comes after the tree is complete."""
+        obj = ensemble_to_json_obj(self._schedule_model(seed, schedule, classification, max_depth, 3))
+        t = data.draw(st.integers(0, len(obj["trees"]) - 1), label="tree")
+        nodes = obj["trees"][t]["nodes"]
+        if append:
+            nodes.append({"leaf": 0.5})
+        else:
+            nodes.pop()
+        with pytest.raises(DataError, match=f"tree {t}: "):
+            ensemble_from_json_obj(obj)
 
     def test_malformed_model_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import interboost
 from interboost.boosting import load_model, predict_matrix, train, TrainParams
 from interboost.cli import main
 from interboost.data import Dataset, Task, load_csv, save_csv
+from interboost.discovery import WrapperConfig
 from interboost.experiment import TuningGrid, tune
 from interboost.synth import paired_products_dataset
 
@@ -52,12 +54,22 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def _right_child(nodes, split):
+    """Id of a split's right child in a preorder node list: the node after
+    its left subtree, which starts at split + 1."""
+    at, open_subtrees = split + 1, 1
+    while open_subtrees:
+        open_subtrees += 1 if "feature" in nodes[at] else -1
+        at += 1
+    return at
+
+
 def _split_outside_used_group(model):
     """Log tree 0 under a partition whose group 0 is its root's split
     feature alone, and move a split below the root to another feature."""
     nodes, n = model["trees"][0]["nodes"], len(model["feature_names"])
     root = nodes[0]
-    below = next(nodes[c] for c in (root["left"], root["right"]) if "feature" in nodes[c])
+    below = next(nodes[c] for c in (1, _right_child(nodes, 0)) if "feature" in nodes[c])
     below["feature"] = (root["feature"] + 1) % n
     model["constraint_log"][0] = [[root["feature"]], [f for f in range(n) if f != root["feature"]]]
 
@@ -71,12 +83,19 @@ def _format_1(model):
     model["params"]["seed"] = 0
 
 
-def _relabel_root_children(model):
-    """Swap the ids of tree 0's root children: the same tree, out of preorder."""
-    nodes = model["trees"][0]["nodes"]
-    left, right = nodes[0]["left"], nodes[0]["right"]
-    nodes[left], nodes[right] = nodes[right], nodes[left]
-    nodes[0].update(left=right, right=left)
+def _format_2(model):
+    """Add back the child ids that format 2 wrote in every split and format
+    3 works out: the left child is the next node."""
+    for tree in model["trees"]:
+        nodes = tree["nodes"]
+        for i, node in enumerate(nodes):
+            if "feature" in node:
+                node.update(left=i + 1, right=_right_child(nodes, i))
+
+
+def _leaf_with_split_keys(model):
+    """Give tree 0's last node, a leaf, a split's keys as well."""
+    model["trees"][0]["nodes"][-1].update(feature=0, threshold=0.5, left=0, right=0)
 
 
 class TestDiscoverCommand:
@@ -89,6 +108,16 @@ class TestDiscoverCommand:
         assert json.loads((out / "partition.json").read_text()) == [[0]]
         log = json.loads((out / "discovery_log.json").read_text())
         assert log["steps"][0]["action"] == "seed"
+
+    def test_log_records_every_wrapper_setting(self, tmp_path, data_csv):
+        wrapper = {"k_folds": 4, "epsilon": 1e-3, "max_group_size": 1}
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": 9, "wrapper": wrapper}))
+        out = tmp_path / "out"
+        assert run("discover", "--data", data_csv, "--target", "y", "--task", "regression",
+                   "--config", tmp_path / "cfg.json", "--out-dir", out) == 0
+        log = json.loads((out / "discovery_log.json").read_text())
+        settings = {key: value for key, value in log.items() if key != "steps"}
+        assert settings == dataclasses.asdict(WrapperConfig(seed=9, **wrapper))
 
     def test_rerun_is_byte_identical(self, tmp_path, data_csv):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -331,10 +360,8 @@ class TestTrainPredictCommands:
     @pytest.mark.parametrize(
         "mutate, message",
         [
-            (lambda m: m["trees"][0]["nodes"][0].update(left=0), "node 0 is reached twice"),
             (lambda m: m["trees"][0]["nodes"][0].update(feature=99), "feature 99 out of range"),
             (lambda m: m["trees"][0]["nodes"][0].update(feature=-5), "feature -5 out of range"),
-            (lambda m: m["trees"][0]["nodes"][0].update(right=10**6), "right child 1000000 out of range"),
             (lambda m: m["params"].update(learning_rate=5), "learning_rate"),
             (lambda m: m["trees"][1]["nodes"][0].update(threshold=float("nan")), "threshold nan is not finite"),
             (lambda m: m["feature_names"].__setitem__(1, m["feature_names"][0]), "distinct strings"),
@@ -348,17 +375,22 @@ class TestTrainPredictCommands:
             (lambda m: m["constraint_log"].__setitem__(0, [[0]]), "constraint groups must cover features"),
             (_split_outside_used_group, "outside the root's group 0"),
             (lambda m: m["trees"][0].update(nodes=[]), "tree 0: nodes is empty"),
-            (lambda m: m["trees"][1]["nodes"].append({"leaf": 0.5}), "tree 1: only nodes 0 to 6 of 8 are reachable"),
-            (_relabel_root_children, "is out of preorder"),
+            (lambda m: m["trees"][1]["nodes"].append({"leaf": 0.5}), "tree 1: node 7 comes after the tree is complete"),
+            (lambda m: m["trees"][0]["nodes"].pop(), "tree 0: nodes end while node"),
             (_format_1, "unexpected keyword argument 'seed'"),
+            (_format_2, "tree 0: node 0 holds ['feature', 'left', 'right', 'threshold']"),
+            (lambda m: m.update(n_trees=len(m["trees"])), "unknown model key 'n_trees'"),
+            (lambda m: m["trees"][0].update(depth=2), "tree 0: unknown tree key 'depth'"),
+            (_leaf_with_split_keys, "holds ['feature', 'leaf', 'left', 'right', 'threshold']"),
             (lambda m: m["feature_names"].__setitem__(0, " " + m["feature_names"][0]), "leading or trailing whitespace"),
             (lambda m: m["feature_names"].__setitem__(0, "\ufeff" + m["feature_names"][0]), "byte-order mark"),
         ],
-        ids=["root-cycle", "feature-range", "negative-feature", "child-range", "learning-rate", "nan-threshold",
+        ids=["feature-range", "negative-feature", "learning-rate", "nan-threshold",
              "repeated-feature-name", "feature-names-dict", "trees-dict", "trees-string", "nodes-dict",
              "constraint-log-dict", "constraint-log-short",
-             "constraint-log-partial", "split-outside-used-group", "empty-nodes", "unreachable-node",
-             "children-out-of-preorder", "format-1", "padded-feature-name", "bom-feature-name"],
+             "constraint-log-partial", "split-outside-used-group", "empty-nodes", "node-after-complete-tree",
+             "last-node-dropped", "format-1", "format-2", "model-key", "tree-key", "leaf-with-split-keys",
+             "padded-feature-name", "bom-feature-name"],
     )
     def test_corrupt_model_is_data_error(self, tmp_path, data_csv, capsys, mutate, message):
         out = tmp_path / "out"
@@ -700,6 +732,8 @@ BAD_TRAIN_FLAGS = {
     "empty-constraints": (["--constraints", ""], 2, "No such file"),
     "empty-constraints-and-partial-x": (["--constraints", "", "--partial-x", 2], 1,
                                         "mutually exclusive"),
+    "seed-without-partial-x": (["--seed", 99], 1, "train takes it only with --partial-x"),
+    "seed-with-constraints": (["--seed", 99, "--constraints", ""], 1, "train takes it only with --partial-x"),
 }
 
 
@@ -714,6 +748,17 @@ def test_bad_train_flag_exits_cleanly(tmp_path, data_csv, capsys, monkeypatch, f
                "--n-trees", 2, "--out-dir", out, *flags) == code
     assert message in capsys.readouterr().err
     assert not (out / "model.json").exists()
+
+
+def test_predict_takes_no_seed(tmp_path, data_csv, capsys):
+    # prediction has no randomness, so a seed there would change nothing
+    assert run("train", "--data", data_csv, "--target", "y", "--task", "regression",
+               "--n-trees", 2, "--out-dir", tmp_path) == 0
+    capsys.readouterr()
+    assert run("predict", "--model", tmp_path / "model.json", "--data", data_csv, "--seed", 5,
+               "--out-dir", tmp_path) == 1
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert not (tmp_path / "predictions.csv").exists()
 
 
 def test_non_string_data_path_does_not_read_stdin(tmp_path):

@@ -7,8 +7,9 @@ floats on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names each changed digest. The digests hold for the numpy they were
-made with (`np.linalg.solve`'s bits depend on its LAPACK build), so on
+which prints the name of each digest it changes (or adds or drops) and
+how many it keeps, before it writes. The digests hold for the numpy they
+were made with (`np.linalg.solve`'s bits depend on its LAPACK build), so on
 another numpy the test skips.
 
 Every feature of the tables is a multiple of 1/4, so every split threshold
@@ -117,5 +118,11 @@ def test_cli_outputs_match_the_golden_digests(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_matrix(Path(tmp))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))["sha256"]
+    for name in sorted(old.keys() | digests.keys()):
+        if old.get(name) != digests.get(name):
+            print(f"changes {name}", file=sys.stderr)
+    kept = sum(old.get(name) == digest for name, digest in digests.items())
+    print(f"keeps {kept} of {len(digests)} digests", file=sys.stderr)
     GOLDEN.write_text(json.dumps({"numpy": np.__version__, "sha256": digests}, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)
