@@ -20,8 +20,8 @@ trees.
 
 A tree has one layout, from growth through prediction to the model file:
 its nodes in depth-first preorder, left subtree first, so node 0 is the
-root. The file holds that list without child ids, and the loader works
-them out.
+root. Neither memory nor the file holds child ids; `FlatTrees`, which
+lays the trees out for prediction, works them out.
 
 Training has no randomness, so the first t trees of a run depend only on
 the schedule's first t rounds: `ens[:t]` is the model after t rounds, and
@@ -85,8 +85,6 @@ NODE = np.dtype(
     [
         ("feature", np.int64),
         ("threshold", np.float64),
-        ("left", np.int64),
-        ("right", np.int64),
         ("weight", np.float64),
     ]
 )
@@ -96,11 +94,11 @@ NODE = np.dtype(
 class Tree:
     """Binary regression tree: `nodes` is a read-only NODE structured array
     with one record per node id, in depth-first preorder with the left
-    subtree first, so node 0 is the root.
+    subtree first: node 0 is the root, and a split's left child is the next
+    node and its right child the node after its left subtree.
 
-    A leaf has feature -1, children -1, threshold 0.0 and its weight; an
-    internal node has feature >= 0, its threshold and child ids, and weight
-    0.0.
+    A leaf has feature -1, threshold 0.0 and its weight; a split has
+    feature >= 0, its threshold and weight 0.0.
     """
 
     nodes: np.ndarray
@@ -141,12 +139,15 @@ WALK_CELLS = 2**16  # (tree, row) cells in one chunk of a prediction walk
 
 @dataclass(frozen=True, eq=False)
 class FlatTrees:
-    """Every tree of an ensemble in one read-only node table.
+    """Every tree of an ensemble in one read-only node table, with child ids.
 
-    Tree t's nodes are numbered on from the end of tree t-1's, its child ids
-    shifted to match, so `root[t]`, its root, is where its nodes start. A leaf loops to itself
-    (feature 0, left = right = its own id), so a walk step moves every cell
-    without a mask and a cell on a leaf stays there."""
+    Tree t's nodes are numbered on from the end of tree t-1's, so `root[t]`
+    is where its nodes start. A split's left child is the next node; its
+    right child is the next node at the split's level (the sum of +1 per
+    split and -1 per leaf over the nodes before), since the left subtree
+    between them lies above it, so one sort by level, then id, finds them all.
+    A leaf loops to itself (feature 0, left = right = its own id), so a walk
+    step moves every cell without a mask and a cell on a leaf stays there."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -160,18 +161,20 @@ class FlatTrees:
     def of(cls, trees: tuple[Tree, ...]) -> FlatTrees:
         nodes = np.concatenate([np.empty(0, dtype=NODE), *(tree.nodes for tree in trees)])
         sizes = np.array([len(tree.nodes) for tree in trees], dtype=np.int64)
-        starts = np.cumsum(sizes) - sizes
-        shift = np.repeat(starts, sizes)
         is_leaf = nodes["feature"] < 0
         own = np.arange(len(nodes))
+        step = np.where(is_leaf, -1, 1)
+        by_level = np.lexsort((own, np.cumsum(step) - step))  # by level, then node id
+        after = np.empty_like(own)  # the next node at the same level, for all but the last (a leaf)
+        after[by_level[:-1]] = by_level[1:]
         flat = cls(
             feature=np.where(is_leaf, 0, nodes["feature"]),
             threshold=np.ascontiguousarray(nodes["threshold"]),
-            left=np.where(is_leaf, own, nodes["left"] + shift),
-            right=np.where(is_leaf, own, nodes["right"] + shift),
+            left=np.where(is_leaf, own, own + 1),
+            right=np.where(is_leaf, own, after),
             weight=np.ascontiguousarray(nodes["weight"]),
             is_leaf=is_leaf,
-            root=starts,
+            root=np.cumsum(sizes) - sizes,
         )
         for array in vars(flat).values():
             array.setflags(write=False)
@@ -286,10 +289,9 @@ def _grow(
     of the rows of X (see module doc for constraint rules); also returns
     each row's leaf weight. `presorted` is `presort(X)`, the root's block.
     A child's block is a stable boolean filter of its parent's, which keeps
-    each feature sorted with ties in row order, so no node sorts. Node ids
-    are in depth-first preorder: the stack pushes a node's right child
-    before its left one, and each popped child writes its id into its
-    parent's record.
+    each feature sorted with ties in row order, so no node sorts. Nodes are
+    recorded in depth-first preorder: the stack pushes a node's right child
+    before its left one.
 
     Splits are scored on ldexp(g, -e), its largest |g| in [0.5, 1), against
     ldexp(gamma, -2e), so squared sums of g neither overflow nor sink into
@@ -303,23 +305,19 @@ def _grow(
     with np.errstate(over="ignore"):  # a gamma past the largest float allows no split
         scan_g, gamma = np.ldexp(g, -e), np.ldexp(params.gamma, -2 * e)
     n = X.shape[0]
-    records: list[list] = []
+    records: list[tuple] = []
     values = np.empty(n)
     in_left = np.zeros(n, dtype=bool)  # valid on the rows of the node being split
-    # (row ids ascending, block rows, block values (None at max_depth), depth,
-    #  allowed features, parent id, parent's field for this child: 2 left, 3 right)
-    stack = [(np.arange(n), *presorted, 0, tuple(range(X.shape[1])), -1, 0)]
+    # (row ids ascending, block rows, block values (None at max_depth), depth, allowed features)
+    stack = [(np.arange(n), *presorted, 0, tuple(range(X.shape[1])))]
     while stack:
-        pos, rows, xs, depth, allowed, parent, side = stack.pop()
-        node_id = len(records)
-        if parent >= 0:
-            records[parent][side] = node_id
+        pos, rows, xs, depth, allowed = stack.pop()
         found = None
         if depth < params.max_depth:
             found = _find_split(xs, rows, scan_g, h, allowed, params, gamma)
         if found is None:
             weight = leaf_weight(float(g[pos].sum()), float(h[pos].sum()), params.reg_lambda)
-            records.append([-1, 0.0, -1, -1, weight])
+            records.append((-1, 0.0, weight))
             values[pos] = weight
             continue
         _, threshold, feature = found
@@ -327,7 +325,7 @@ def _grow(
             # ascending order keeps the lower-feature-index tie-break exact
             allowed = tuple(sorted(partition.groups[partition.group_index_of(feature)]))
             rows, xs = rows[list(allowed)], xs[list(allowed)]
-        records.append([feature, threshold, -1, -1, 0.0])
+        records.append((feature, threshold, 0.0))
         goes_left = X[pos, feature] < threshold
         blocks = [(None, None), (None, None)]  # children at max_depth become leaves: no block
         if depth + 1 < params.max_depth:
@@ -338,9 +336,9 @@ def _grow(
                 (rows.take(at).reshape(k, -1), xs.take(at).reshape(k, -1))
                 for at in (np.flatnonzero(~block_left), np.flatnonzero(block_left))
             ]
-        for (side, picked), block in zip(((3, ~goes_left), (2, goes_left)), blocks):
-            stack.append((pos[picked], *block, depth + 1, allowed, node_id, side))
-    return Tree(np.array([tuple(r) for r in records], dtype=NODE)), values
+        for picked, block in zip((~goes_left, goes_left), blocks):
+            stack.append((pos[picked], *block, depth + 1, allowed))
+    return Tree(np.array(records, dtype=NODE)), values
 
 
 def used_group(tree: Tree, partition: ConstraintPartition | None) -> int | None:
@@ -496,7 +494,7 @@ def predict(ens: Ensemble, ds: Dataset) -> np.ndarray:
 
 
 def _node_to_obj(node: tuple) -> dict:
-    feature, threshold, _, _, weight = node
+    feature, threshold, weight = node
     return {"leaf": weight} if feature < 0 else {"feature": feature, "threshold": threshold}
 
 
@@ -515,37 +513,38 @@ def _only(obj: dict, keys: tuple[str, ...], what: str) -> dict:
 
 
 def _tree_from_obj(obj: dict, n_features: int, partition: ConstraintPartition | None) -> Tree:
-    """Parse one tree from its node list, read once in `_grow`'s preorder:
-    after a split comes its left child, and after a leaf the right child of
-    the latest split still waiting for one. So the loader works out every
-    child id, and no list describes a cycle; a node after the tree is
-    complete, or an end while a split still waits, is refused. A node holds
-    exactly `leaf`, or exactly `feature` (in [0, n_features)) and
-    `threshold`, all finite, and every split lies in `used_group(tree, partition)`."""
-    records: list[list] = []
-    waiting = [(-1, 0)]  # (split id, its record's field for the child: 2 left, 3 right); -1 for the root
+    """Parse one tree from its node list in `_grow`'s preorder, checking
+    that the list is exactly one complete tree: each node fills the slot of
+    the latest split still waiting for a child (the root's slot first), so
+    a node after the tree is complete, or an end while a split still waits,
+    is refused. A node holds exactly `leaf`, or exactly `feature` (in
+    [0, n_features)) and `threshold`, all finite, and every split lies in
+    `used_group(tree, partition)`. Each error names the node."""
+    records: list[tuple] = []
+    waiting = [-1]  # ids of the splits still waiting for a child, one entry per child; -1 for the root
     for node_id, node in enumerate(_list(_only(obj, ("nodes",), "tree"), "nodes")):
         if not waiting:
             raise DataError(f"node {node_id} comes after the tree is complete")
-        parent, side = waiting.pop()
-        if parent >= 0:
-            records[parent][side] = node_id
+        waiting.pop()
         keys = sorted(node) if isinstance(node, dict) else type(node).__name__
-        if keys == ["leaf"]:
-            records.append([-1, 0.0, -1, -1, checked_real("leaf weight", node["leaf"])])
-        elif keys == ["feature", "threshold"]:
-            feature = checked_int("feature", node["feature"])
-            if not 0 <= feature < n_features:
-                raise DataError(f"node {node_id}: feature {feature} out of range for {n_features} features")
-            records.append([feature, checked_real("threshold", node["threshold"]), -1, -1, 0.0])
-            waiting += [(node_id, 3), (node_id, 2)]
-        else:
+        if keys not in (["leaf"], ["feature", "threshold"]):
             raise DataError(f"node {node_id} holds {keys}: a node holds exactly leaf, or exactly feature and threshold")
+        try:
+            if keys == ["leaf"]:
+                records.append((-1, 0.0, checked_real("leaf weight", node["leaf"])))
+                continue
+            feature = checked_int("feature", node["feature"])
+            records.append((feature, checked_real("threshold", node["threshold"]), 0.0))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"node {node_id}: {exc}") from exc
+        if not 0 <= feature < n_features:
+            raise DataError(f"node {node_id}: feature {feature} out of range for {n_features} features")
+        waiting += [node_id, node_id]
     if not records:
         raise DataError("nodes is empty: a tree has at least its root")
     if waiting:
-        raise DataError(f"nodes end while node {waiting[-1][0]} waits for a child")
-    tree = Tree(np.array([tuple(r) for r in records], dtype=NODE))
+        raise DataError(f"nodes end while node {waiting[-1]} waits for a child")
+    tree = Tree(np.array(records, dtype=NODE))
     group = used_group(tree, partition)
     for node_id, feature in enumerate(tree.nodes["feature"].tolist()):
         if group is not None and feature >= 0 and partition.group_index_of(feature) != group:

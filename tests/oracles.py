@@ -12,7 +12,8 @@ cell separately; `reference_leaf_values` walks one tree at a time, and
 `reference_stages` adds its trees up one by one; `reference_fit_logistic`
 evaluates each Newton iterate afresh for its gradient, its Hessian weights
 and its log-likelihood; `reference_sigmoid` splits its input by sign with
-boolean masks.
+boolean masks. `reference_children` reads a tree's child ids recursively,
+where the library sorts every node by its level.
 """
 
 from __future__ import annotations
@@ -129,28 +130,45 @@ def reference_grow(X, g, h, params, partition):
     features one by one (`_reference_find_split`)."""
     records = []
     values = np.empty(X.shape[0])
-    stack = [(np.arange(X.shape[0]), 0, tuple(range(X.shape[1])), -1, 0)]
+    stack = [(np.arange(X.shape[0]), 0, tuple(range(X.shape[1])))]
     while stack:
-        pos, depth, allowed, parent, side = stack.pop()
-        node_id = len(records)
-        if parent >= 0:
-            records[parent][side] = node_id
+        pos, depth, allowed = stack.pop()
         found = None
         if depth < params.max_depth:
             found = _reference_find_split(X, pos, g[pos], h[pos], allowed, params)
         if found is None:
             weight = leaf_weight(float(g[pos].sum()), float(h[pos].sum()), params.reg_lambda)
-            records.append([-1, 0.0, -1, -1, weight])
+            records.append((-1, 0.0, weight))
             values[pos] = weight
             continue
         _, threshold, feature = found
         if partition is not None and depth == 0:
             allowed = tuple(sorted(partition.groups[partition.group_index_of(feature)]))
-        records.append([feature, threshold, -1, -1, 0.0])
+        records.append((feature, threshold, 0.0))
         goes_left = X[pos, feature] < threshold
-        stack.append((pos[~goes_left], depth + 1, allowed, node_id, 3))
-        stack.append((pos[goes_left], depth + 1, allowed, node_id, 2))
-    return Tree(np.array([tuple(r) for r in records], dtype=NODE)), values
+        stack.append((pos[~goes_left], depth + 1, allowed))
+        stack.append((pos[goes_left], depth + 1, allowed))
+    return Tree(np.array(records, dtype=NODE)), values
+
+
+def reference_children(tree):
+    """(left, right): the child ids of every node of `tree`, -1 at a leaf,
+    read recursively from its preorder node list, where a subtree is its
+    root, then its left subtree, then its right one. Asserts that the list
+    is exactly one tree."""
+    feature = tree.nodes["feature"]
+    left, right = np.full(len(feature), -1), np.full(len(feature), -1)
+
+    def subtree_end(node_id):
+        """Id of the node after the subtree whose root is `node_id`."""
+        if feature[node_id] < 0:
+            return node_id + 1
+        left[node_id] = node_id + 1
+        right[node_id] = subtree_end(node_id + 1)
+        return subtree_end(right[node_id])
+
+    assert subtree_end(0) == len(feature), "nodes run on after the tree is complete"
+    return left, right
 
 
 def reference_leaf_values(tree, X):
@@ -158,7 +176,7 @@ def reference_leaf_values(tree, X):
     root, node 0, and rows still on an internal node move one level down per
     step (left iff x < threshold)."""
     feature, threshold = tree.nodes["feature"], tree.nodes["threshold"]
-    left, right = tree.nodes["left"], tree.nodes["right"]
+    left, right = reference_children(tree)
     at = np.zeros(X.shape[0], dtype=np.int64)
     while True:
         active = np.nonzero(feature[at] >= 0)[0]
@@ -286,14 +304,15 @@ def central_difference_grad(fn, x, step=1e-5):
 def tree_paths(tree):
     """Sets of split features along each root-to-leaf path."""
     paths = []
+    feature = tree.nodes["feature"].tolist()
+    left, right = reference_children(tree)
 
     def walk(node_id, features):
-        node = tree.nodes[node_id]
-        if node["feature"] < 0:
+        if feature[node_id] < 0:
             paths.append(features)
             return
-        walk(node["left"], features | {node["feature"]})
-        walk(node["right"], features | {node["feature"]})
+        walk(left[node_id], features | {feature[node_id]})
+        walk(right[node_id], features | {feature[node_id]})
 
     walk(0, frozenset())
     return paths

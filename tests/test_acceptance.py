@@ -41,6 +41,7 @@ from oracles import (
     brute_force_stump,
     central_difference_grad,
     pinv_least_squares,
+    reference_children,
     reference_leaf_values,
 )
 
@@ -119,8 +120,9 @@ def test_criterion_2_stump_oracle_equivalence():
             root = tree.nodes[0]
             assert root["feature"] == feature
             assert root["threshold"] == threshold
-            engine_left = tree.nodes[root["left"]]["weight"]
-            engine_right = tree.nodes[root["right"]]["weight"]
+            left, right = reference_children(tree)
+            engine_left = tree.nodes[left[0]]["weight"]
+            engine_right = tree.nodes[right[0]]["weight"]
             if tol is None:
                 assert engine_left == w_left and engine_right == w_right
             else:

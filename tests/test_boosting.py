@@ -14,6 +14,7 @@ from interboost.boosting import (
     WALK_CELLS,
     Ensemble,
     FixedPartition,
+    FlatTrees,
     NODE,
     NoConstraints,
     PerResidual,
@@ -43,6 +44,7 @@ from oracles import (
     brute_force_best_split,
     brute_force_stump,
     direct_split_gain,
+    reference_children,
     reference_grow,
     reference_leaf_values,
     reference_stages,
@@ -229,9 +231,10 @@ class TestGrowTree:
                 assert len(tree.nodes) == 1
                 continue
             root = tree.nodes[0]
+            left, right = reference_children(tree)
             assert (root["feature"], root["threshold"]) == (oracle[0], oracle[1])
-            assert tree.nodes[root["left"]]["weight"] == oracle[2]
-            assert tree.nodes[root["right"]]["weight"] == oracle[3]
+            assert tree.nodes[left[0]]["weight"] == oracle[2]
+            assert tree.nodes[right[0]]["weight"] == oracle[3]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -262,6 +265,7 @@ class TestGrowTree:
         )
         params = _stump_params(reg_lambda, max_depth=max_depth, min_child_samples=min_child_samples)
         tree = _grow(X, g, h, presort(X), params, partition)[0]
+        left, right = reference_children(tree)
         stack = [(0, np.arange(n_rows), 0, tuple(range(n_features)))]
         while stack:
             node_id, R, depth, allowed = stack.pop()
@@ -281,8 +285,8 @@ class TestGrowTree:
             if partition is not None and depth == 0:
                 allowed = next(group for group in partition.groups if feature in group)
             goes_left = X[R, feature] < threshold
-            stack.append((node["left"], R[goes_left], depth + 1, allowed))
-            stack.append((node["right"], R[~goes_left], depth + 1, allowed))
+            stack.append((left[node_id], R[goes_left], depth + 1, allowed))
+            stack.append((right[node_id], R[~goes_left], depth + 1, allowed))
 
 
     @settings(max_examples=200, deadline=None)
@@ -336,6 +340,7 @@ class TestGrowTree:
         expected, expected_values = reference_grow(X, g, h, params, partition)
         assert tree.nodes.tobytes() == expected.nodes.tobytes()
         assert values.tobytes() == expected_values.tobytes()
+        assert reference_leaf_values(tree, X).tobytes() == values.tobytes()  # each row's path, read back
 
 
 class TestTrain:
@@ -496,7 +501,7 @@ class TestScaleInvariance:
         scaled = train(replace_target(ds, np.ldexp(ds.target, k), ds.task), None, params)
         assert scaled.base_score == math.ldexp(plain.base_score, k)
         for a, b in zip(plain.trees, scaled.trees, strict=True):
-            for field in ("feature", "threshold", "left", "right"):
+            for field in ("feature", "threshold"):
                 assert a.nodes[field].tobytes() == b.nodes[field].tobytes()
             assert np.ldexp(a.nodes["weight"], k).tobytes() == b.nodes["weight"].tobytes()
         assert sum(len(tree.nodes) for tree in plain.trees) > 6  # the trees did split
@@ -601,51 +606,34 @@ X_VALUES = THRESHOLDS + [np.nan, np.inf, -np.inf, np.nextafter(1e308, np.inf), n
 LEAF_WEIGHTS = [1e16, -1e16, 1.0, -0.1, 3.0, 1e-300, 0.3]
 
 
-def _preorder(tree):
-    """Node ids in the order a depth-first walk from node 0, left child
-    first, meets them."""
-    order, stack = [], [0]
-    while stack:
-        order.append(stack.pop())
-        node = tree.nodes[order[-1]]
-        if node["feature"] >= 0:
-            stack += int(node["right"]), int(node["left"])
-    return order
-
-
 def _random_tree(rng, n_features, n_internal, chain):
-    """A tree of `n_internal` splits, each on a random leaf (or always on the
-    newest one: a chain that deep), numbered in preorder like a grown tree."""
-    def leaf():
-        return [-1, 0.0, -1, -1, rng.choice(LEAF_WEIGHTS)]
+    """A tree of `n_internal` splits, written in preorder like a grown tree:
+    a split's left subtree holds a random share of the splits below it (or
+    none, so the right children make a chain that deep)."""
+    records = []
 
-    records, leaves = [leaf()], [0]
-    for _ in range(n_internal):
-        at = leaves.pop(-1 if chain else int(rng.integers(len(leaves))))
-        children = [len(records), len(records) + 1]
-        records[at] = [int(rng.integers(n_features)), rng.choice(THRESHOLDS), *children, 0.0]
-        records += [leaf(), leaf()]
-        leaves += children
-    order = _preorder(Tree(np.array([tuple(r) for r in records], dtype=NODE)))  # record ids in preorder
-    new_id = {record: node for node, record in enumerate(order)}
-    nodes = np.empty(len(records), dtype=NODE)
-    for node, record in enumerate(order):
-        feature, threshold, left, right, weight = records[record]
-        if feature >= 0:
-            left, right = new_id[left], new_id[right]
-        nodes[node] = (feature, threshold, left, right, weight)
-    return Tree(nodes)
+    def subtree(n_splits):
+        if n_splits == 0:
+            records.append((-1, 0.0, rng.choice(LEAF_WEIGHTS)))
+            return
+        records.append((int(rng.integers(n_features)), rng.choice(THRESHOLDS), 0.0))
+        n_left = 0 if chain else int(rng.integers(n_splits))
+        subtree(n_left)
+        subtree(n_splits - 1 - n_left)
+
+    subtree(n_internal)
+    return Tree(np.array(records, dtype=NODE))
 
 
 class TestPredict:
     def test_tree_nodes_are_read_only(self):
-        nodes = np.array([(-1, 0.0, -1, -1, 1.0)], dtype=NODE)
+        nodes = np.array([(-1, 0.0, 1.0)], dtype=NODE)
         tree = Tree(nodes)
         with pytest.raises(ValueError, match="read-only"):
             tree.nodes["weight"][0] = 2.0
         trained = train(make_regression(30, 2, seed=0), None, TrainParams(2, 2, 0.5)).trees[0]
         with pytest.raises(ValueError, match="read-only"):
-            trained.nodes[0] = (-1, 0.0, -1, -1, 2.0)
+            trained.nodes[0] = (-1, 0.0, 2.0)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -664,7 +652,6 @@ class TestPredict:
     ):
         rng = np.random.default_rng(seed)
         trees = [_random_tree(rng, n_features, n_internal, chain) for _ in range(n_trees)]
-        assert all(_preorder(tree) == list(range(len(tree.nodes))) for tree in trees)
         ens = _hand_built_ensemble(trees, n_features, learning_rate, base_score)
         chunk = WALK_CELLS // max(1, n_trees)
         n_rows = {"none": 0, "one": 1, "few": 37, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}[rows]
@@ -672,6 +659,22 @@ class TestPredict:
         expected = [stage.tobytes() for stage in reference_stages(ens, X)]
         assert [predict_raw_matrix(ens[:t], X).tobytes() for t in range(n_trees + 1)] == expected
         assert predict_raw_matrix(ens, X).tobytes() == expected[-1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shapes=st.lists(st.tuples(st.integers(0, 30), st.booleans()), max_size=6))
+    def test_flat_child_ids_match_the_recursive_reader(self, seed, shapes):
+        # no trees, single leaves (0 splits), chains and bushy trees, in one table
+        rng = np.random.default_rng(seed)
+        trees = tuple(_random_tree(rng, 3, n_internal, chain) for n_internal, chain in shapes)
+        left, right, roots = [], [], []
+        for tree in trees:
+            start = len(left)
+            roots.append(start)
+            for node_id, (l, r) in enumerate(zip(*reference_children(tree))):
+                left.append(start + (node_id if l < 0 else l))  # a leaf loops to itself
+                right.append(start + (node_id if r < 0 else r))
+        flat = FlatTrees.of(trees)
+        assert (flat.left.tolist(), flat.right.tolist(), flat.root.tolist()) == (left, right, roots)
 
     def test_predict_memory_is_bounded_by_the_row_chunk(self):
         # 20 000 rows x 200 trees: a (rows, trees) matrix of node ids or
@@ -691,7 +694,7 @@ class TestPredict:
     def test_boundary_value_routes_right(self):
         # routing is strict "<": x == threshold goes right
         nodes = np.array(
-            [(0, 2.0, 1, 2, 0.0), (-1, 0.0, -1, -1, -1.0), (-1, 0.0, -1, -1, +1.0)],
+            [(0, 2.0, 0.0), (-1, 0.0, -1.0), (-1, 0.0, +1.0)],
             dtype=NODE,
         )
         tree = Tree(nodes)
@@ -771,7 +774,7 @@ class TestSerialization:
     def test_every_trained_model_round_trips_in_preorder(self, seed, schedule, classification, max_depth, n_trees):
         ens = self._schedule_model(seed, schedule, classification, max_depth, n_trees)
         for tree in ens.trees:
-            assert _preorder(tree) == list(range(len(tree.nodes)))
+            reference_children(tree)  # asserts that the node list is exactly one tree
         for tree in ensemble_to_json_obj(ens)["trees"]:
             assert all(sorted(node) in (["leaf"], ["feature", "threshold"]) for node in tree["nodes"])
         with tempfile.TemporaryDirectory() as tmp:

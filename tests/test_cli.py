@@ -363,7 +363,10 @@ class TestTrainPredictCommands:
             (lambda m: m["trees"][0]["nodes"][0].update(feature=99), "feature 99 out of range"),
             (lambda m: m["trees"][0]["nodes"][0].update(feature=-5), "feature -5 out of range"),
             (lambda m: m["params"].update(learning_rate=5), "learning_rate"),
-            (lambda m: m["trees"][1]["nodes"][0].update(threshold=float("nan")), "threshold nan is not finite"),
+            (lambda m: m["trees"][1]["nodes"][4].update(threshold=float("nan")),
+             "tree 1: node 4: threshold nan is not finite"),
+            (lambda m: m["trees"][1]["nodes"][5].update(leaf="w"), "tree 1: node 5: leaf weight 'w' is not a number"),
+            (lambda m: m["trees"][1]["nodes"][1].update(feature="x"), "tree 1: node 1: feature 'x' is not an integer"),
             (lambda m: m["feature_names"].__setitem__(1, m["feature_names"][0]), "distinct strings"),
             (lambda m: m.update(feature_names={n: i for i, n in enumerate(reversed(m["feature_names"]))}),
              "feature_names must be a list, got dict"),
@@ -385,7 +388,7 @@ class TestTrainPredictCommands:
             (lambda m: m["feature_names"].__setitem__(0, " " + m["feature_names"][0]), "leading or trailing whitespace"),
             (lambda m: m["feature_names"].__setitem__(0, "\ufeff" + m["feature_names"][0]), "byte-order mark"),
         ],
-        ids=["feature-range", "negative-feature", "learning-rate", "nan-threshold",
+        ids=["feature-range", "negative-feature", "learning-rate", "nan-threshold", "bad-leaf-weight", "bad-feature",
              "repeated-feature-name", "feature-names-dict", "trees-dict", "trees-string", "nodes-dict",
              "constraint-log-dict", "constraint-log-short",
              "constraint-log-partial", "split-outside-used-group", "empty-nodes", "node-after-complete-tree",

@@ -344,7 +344,7 @@ class TestScaleInvariance:
         for tree, logged, scaled_tree, scaled_logged in trees:
             assert used_group(scaled_tree, scaled_logged) == used_group(tree, logged)
             nodes, scaled_nodes = tree.nodes, scaled_tree.nodes
-            for field in ("feature", "left", "right", "weight"):
+            for field in ("feature", "weight"):
                 np.testing.assert_array_equal(scaled_nodes[field], nodes[field])
             on_2 = nodes["feature"] == 2
             expected = np.where(on_2, np.ldexp(nodes["threshold"], k), nodes["threshold"])
