@@ -185,7 +185,11 @@ def cmd_benchmark(args) -> int:
     for v in report["variants"]:
         change = v["percent_change_from_baseline"]
         change = "n/a" if change is None else f"{change:+.4f}%"
-        print(f"{v['variant']:>20}  score={v['test_score']:.6f}  change={change}")
+        line = f"{v['variant']:>20}  score={v['test_score']:.6f}  change={change}"
+        if "runs" in v:  # runs with equal groups share one trained model
+            groupings = {ConstraintPartition.from_json_obj(r["groups"]).canonical() for r in v["runs"]}
+            line += f"  ({len(v['runs'])} runs, {len(groupings)} distinct groupings)"
+        print(line)
     print(f"wrote {args.out_dir / 'report.json'} and {args.out_dir / 'report.csv'}")
     return 0
 

@@ -63,6 +63,12 @@ class ConstraintPartition:
     def group_index_of(self, feature: int) -> int:
         return self._lookup[feature]
 
+    def canonical(self) -> tuple[tuple[int, ...], ...]:
+        """The groups as sets: each sorted, in sorted order. Partitions with
+        equal canonical forms grow the same trees, since growth reads a
+        group only as the sorted features of the root split's group."""
+        return tuple(sorted(tuple(sorted(g)) for g in self.groups))
+
     def to_json_obj(self) -> list[list[int]]:
         return [list(g) for g in self.groups]
 

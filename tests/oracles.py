@@ -4,11 +4,13 @@ Everything here deliberately avoids the library's own code paths: stump
 search enumerates every candidate with direct sums instead of prefix
 scans, least squares goes through an explicit SVD pseudo-inverse, and
 gradients are checked by central finite differences. `reference_grow`,
-`reference_tune`, `reference_leaf_values` and `reference_fit_logistic` are
-the exceptions: they are the simpler forms that the library must match bit
-for bit, so they share its building blocks. `reference_grow` sorts every
-allowed feature again in every node; `reference_tune` trains every grid
-cell separately; `reference_leaf_values` walks one tree at a time, and
+`reference_tune`, `reference_benchmark`, `reference_leaf_values` and
+`reference_fit_logistic` are the exceptions: they are the simpler forms
+that the library must match bit for bit, so they share its building
+blocks. `reference_grow` sorts every allowed feature again in every node;
+`reference_tune` trains every grid cell separately; `reference_benchmark`
+trains every variant and every random run from scratch;
+`reference_leaf_values` walks one tree at a time, and
 `reference_stages` adds its trees up one by one; `reference_fit_logistic`
 evaluates each Newton iterate afresh for its gradient, its Hessian weights
 and its log-likelihood; `reference_sigmoid` splits its input by sign with
@@ -18,11 +20,27 @@ where the library sorts every node by its level.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
-from interboost.boosting import NODE, NoConstraints, TrainParams, Tree, _split_threshold, leaf_weight, predict_matrix, train
-from interboost.data import kfold
+from interboost.boosting import (
+    NODE,
+    FixedPartition,
+    NoConstraints,
+    PerResidual,
+    TrainParams,
+    Tree,
+    _split_threshold,
+    leaf_weight,
+    predict_matrix,
+    train,
+)
+from interboost.data import kfold, train_test_split
+from interboost.discovery import discover_constraints
+from interboost.experiment import random_partition
 from interboost.linear import score_for_task, sigmoid
+from interboost.prng import mix_seed
 
 
 def brute_force_stump(X, g, h, reg_lambda, gamma=0.0, min_child_samples=1, min_child_hessian=0.0):
@@ -222,6 +240,52 @@ def reference_tune(ds, grid, k, seed):
                     best_params = params
     assert best_params is not None
     return best_params
+
+
+def reference_benchmark(ds, cfg, dataset_name="dataset"):
+    """`interboost.experiment.benchmark` without shared work: tuning by
+    `reference_tune`, then each variant, each `interaction_x` and each
+    random run trains its own model from scratch."""
+    train_ds, test_ds = train_test_split(ds, cfg.test_fraction, cfg.split_seed)
+    tune_seed = mix_seed(cfg.split_seed, 1)
+    params = reference_tune(train_ds, cfg.grid, cfg.k, tune_seed)
+    partition = discover_constraints(train_ds, cfg.wrapper_cfg)
+
+    def score(schedule):
+        prediction = predict_matrix(train(train_ds, None, params, schedule), test_ds.features)
+        return score_for_task(test_ds.task, test_ds.target, prediction)
+
+    baseline = score(NoConstraints())
+
+    def entry(name, constraint, test_score, **runs):
+        change = None if baseline == 0.0 else (test_score - baseline) / abs(baseline) * 100.0
+        return dict(variant=name, constraint=constraint, test_score=test_score,
+                    percent_change_from_baseline=change, **runs)
+
+    groups = [list(g) for g in partition.groups]
+    variants = [
+        entry("baseline", None, baseline),
+        entry("full_interaction", {"partition": groups}, score(FixedPartition(partition))),
+    ]
+    for x in cfg.partial_x_list:
+        constraint = {"first_x": x, "first_tree_partition": groups}
+        variants.append(entry(f"interaction_{x}", constraint, score(PerResidual(x, cfg.wrapper_cfg, partition))))
+    seeds = [mix_seed(cfg.split_seed, 2, i) for i in range(cfg.random_runs)]
+    runs = []
+    for seed in seeds:
+        drawn = random_partition(train_ds.n_features, cfg.random_groups, seed)
+        runs.append(dict(seed=seed, groups=[list(g) for g in drawn.groups], test_score=score(FixedPartition(drawn))))
+    mean = float(np.mean([run["test_score"] for run in runs]))
+    constraint = {"n_groups": cfg.random_groups, "n_runs": cfg.random_runs}
+    variants.append(entry("random_interaction", constraint, mean, runs=runs))
+    return {
+        "dataset": dataset_name,
+        "task": ds.task.value,
+        "tuned_params": asdict(params),
+        "seeds": {"split_seed": cfg.split_seed, "tune_seed": tune_seed,
+                  "wrapper_seed": cfg.wrapper_cfg.seed, "random_seeds": seeds},
+        "variants": variants,
+    }
 
 
 def reference_sigmoid(z):

@@ -447,6 +447,33 @@ class TestTrain:
             if partition is not None:
                 assert_paths_respect_partition(tree, partition)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        classification=st.booleans(),
+        n_features=st.integers(1, 6),
+        max_depth=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_fixed_partition_reads_its_groups_as_sets(self, seed, classification, n_features, max_depth, data):
+        """Reordering the groups of a `FixedPartition`, and the features in
+        each group, grows the same trees bit for bit; `experiment.benchmark`
+        scores equal groups once on this."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(80, n_features))
+        X[:, 1:2] = X[:, :1]  # feature 1 copies feature 0, so equal gains meet the lower-index tie-break
+        y = X[:, 0] * X[:, -1] + X[:, -1] + rng.normal(0.0, 0.1, size=80)
+        task = Task.BINARY_CLASSIFICATION if classification else Task.REGRESSION
+        ds = Dataset(X, tuple(f"x{f}" for f in range(n_features)), (y > 0) * 1.0 if classification else y, task)
+        labels = data.draw(st.lists(st.integers(0, n_features - 1), min_size=n_features, max_size=n_features))
+        groups = [tuple(f for f in range(n_features) if labels[f] == label) for label in sorted(set(labels))]
+        shuffled = [data.draw(st.permutations(group)) for group in data.draw(st.permutations(groups))]
+        params = TrainParams(3, max_depth, 0.5)
+        ordered = train(ds, None, params, FixedPartition(ConstraintPartition(tuple(groups))))
+        reordered = train(ds, None, params, FixedPartition(ConstraintPartition(tuple(map(tuple, shuffled)))))
+        assert [t.nodes.tobytes() for t in reordered.trees] == [t.nodes.tobytes() for t in ordered.trees]
+        assert predict(reordered, ds).tobytes() == predict(ordered, ds).tobytes()
+
 
 class TestTrainingRows:
     """`rows` picks the training set of `ds`; None trains on all of it."""

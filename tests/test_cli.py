@@ -485,6 +485,8 @@ class TestBenchmarkCommand:
         assert len(csv_lines) == 1 + len(names)
         stdout = capsys.readouterr().out
         assert "baseline" in stdout and "change=" in stdout
+        groupings = {tuple(sorted(map(tuple, map(sorted, r["groups"])))) for r in report["variants"][-1]["runs"]}
+        assert f"(2 runs, {len(groupings)} distinct groupings)" in stdout
 
     def test_same_config_twice_is_byte_identical(self, tmp_path, data_csv):
         config_a = self._config(tmp_path, data_csv, "a")

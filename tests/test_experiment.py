@@ -24,7 +24,7 @@ from interboost.linear import score_for_task
 from interboost.synth import paired_products_dataset
 
 from conftest import make_classification, make_regression
-from oracles import reference_tune
+from oracles import reference_benchmark, reference_tune
 
 
 class TestTune:
@@ -210,13 +210,13 @@ class TestVariantSchedules:
         assert all(p is not None for p in ens.constraint_log)
 
     def test_full_with_single_group_matches_baseline(self):
-        ds = self._ds()
-        single = ConstraintPartition(((0, 1, 2),))
-        constrained = train(ds, None, self._params(), FixedPartition(single))
-        free = train(ds, None, self._params(), NoConstraints())
-        for a, b in zip(constrained.trees, free.trees):
-            assert np.array_equal(a.nodes, b.nodes)
-        np.testing.assert_array_equal(predict(constrained, ds), predict(free, ds))
+        # so `benchmark` scores a one-group partition as the baseline
+        single = ConstraintPartition(((2, 0, 1),))
+        for ds in (self._ds(), make_classification(150, 3, seed=8, logit_fn=lambda X: 3 * X[:, 0] * X[:, 1])):
+            constrained = train(ds, None, self._params(), FixedPartition(single))
+            free = train(ds, None, self._params(), NoConstraints())
+            assert [a.nodes.tobytes() for a in constrained.trees] == [b.nodes.tobytes() for b in free.trees]
+            assert predict(constrained, ds).tobytes() == predict(free, ds).tobytes()
 
 
 class TestPercentChange:
@@ -339,6 +339,38 @@ class TestForkedPartialRuns:
             schedule = PerResidual(x, cfg.wrapper_cfg, ConstraintPartition(tuple(map(tuple, base_partition))))
             prediction = predict(train(train_ds, None, tuned, schedule), test_ds)
             assert partial[f"interaction_{x}"] == score_for_task(test_ds.task, test_ds.target, prediction)
+
+
+class TestSharedScores:
+    """`benchmark` trains one model per distinct canonical partition, one
+    group counting as no constraint, and reports what training every run
+    from scratch reports."""
+
+    @pytest.mark.parametrize("random_groups", [1, 2, 6])
+    def test_equal_groups_train_once(self, monkeypatch, random_groups):
+        trained = []
+
+        def counting_train(ds, rows, params, schedule=NoConstraints(), prefix=None):
+            if rows is None and prefix is None and not isinstance(schedule, PerResidual):  # not tuning or interaction_x
+                trained.append(None if isinstance(schedule, NoConstraints) else schedule.partition.canonical())
+            return train(ds, rows, params, schedule, prefix)
+
+        monkeypatch.setattr(experiment, "train", counting_train)
+        ds = paired_products_dataset(160, seed=2)
+        cfg = dataclasses.replace(
+            _tiny_benchmark_config(), grid=TuningGrid((4,), (2,), (0.3,)), partial_x_list=(2,),
+            random_runs=4, random_groups=random_groups,
+        )
+        report = benchmark(ds, cfg)
+        full, random = report["variants"][1], report["variants"][-1]
+        runs = {ConstraintPartition.from_json_obj(run["groups"]).canonical() for run in random["runs"]}
+        if random_groups == 6:
+            assert runs == {((0,), (1,), (2,), (3,), (4,), (5,))}
+        full_groups = ConstraintPartition.from_json_obj(full["constraint"]["partition"]).canonical()
+        fixed = ({full_groups} | runs) - {((0, 1, 2, 3, 4, 5),)}
+        assert trained[0] is None  # the baseline
+        assert sorted(trained[1:]) == sorted(fixed)  # each distinct constraint once
+        assert report == reference_benchmark(ds, cfg)
 
 
 class TestConfigValidation:
