@@ -316,7 +316,8 @@ def _grow(
         if depth < params.max_depth:
             found = _find_split(xs, rows, scan_g, h, allowed, params, gamma)
         if found is None:
-            weight = leaf_weight(float(g[pos].sum()), float(h[pos].sum()), params.reg_lambda)
+            with np.errstate(over="ignore"):  # `train` refuses a weight that is not finite
+                weight = leaf_weight(float(g[pos].sum()), float(h[pos].sum()), params.reg_lambda)
             records.append((-1, 0.0, weight))
             values[pos] = weight
             continue

@@ -113,7 +113,7 @@ def _resolve(args) -> None:
     args.out_dir = Path(args.out_dir or ".")
     seed, seed_flag = config.get("seed"), getattr(args, "seed", None)  # predict has no --seed
     args.wrapper_cfg = _build(WrapperConfig, config, "wrapper", {"seed": seed}, {"seed": seed_flag})
-    flags = {f: getattr(args, f, None) for f in ("n_trees", "max_depth", "learning_rate", "reg_lambda", "gamma")}
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(TrainParams)}
     defaults = {"n_trees": 100, "max_depth": 4, "learning_rate": 0.1}
     args.params = _build(TrainParams, config, "train", defaults, flags)
     grid = _build(TuningGrid, config, "grid", {}, {})
@@ -129,8 +129,7 @@ def cmd_discover(args) -> int:
     ds = _load_dataset(args)
     partition, steps = discover_constraints_traced(ds, cfg)
     write_json(args.out_dir / "partition.json", partition.to_json_obj())
-    log = {"seed": cfg.seed, "k_folds": cfg.k_folds, "epsilon": cfg.epsilon, "max_group_size": cfg.max_group_size}
-    log["steps"] = [dataclasses.asdict(s) for s in steps]
+    log = {**dataclasses.asdict(cfg), "steps": [dataclasses.asdict(s) for s in steps]}
     write_json(args.out_dir / "discovery_log.json", log)
     print(f"partition: {partition.to_json_obj()}")
     print(f"wrote {args.out_dir / 'partition.json'} and {args.out_dir / 'discovery_log.json'}")

@@ -88,8 +88,10 @@ class ConstraintPartition:
 
 @dataclass(frozen=True)
 class WrapperConfig:
-    k_folds: int = 3
+    """The wrapper's settings, in the order `discovery_log.json` gives them."""
+
     seed: int = 0
+    k_folds: int = 3
     epsilon: float = 1e-6
     max_group_size: int | None = None
 
@@ -172,14 +174,8 @@ def discover_constraints_for_residuals(
     ds: Dataset, residual_target: np.ndarray, cfg: WrapperConfig
 ) -> ConstraintPartition:
     """Discovery against a residual vector, one entry per row of `ds`,
-    instead of the original target.
-
-    Residuals are continuous even for classification tasks, so scoring
-    always takes the regression (least squares / R-squared) path.
+    instead of the original target; `Dataset` refuses one of another
+    length. Residuals are continuous even for classification tasks, so
+    scoring always takes the regression (least squares / R-squared) path.
     """
-    residual_target = np.asarray(residual_target, dtype=np.float64)
-    if residual_target.shape != (ds.n_rows,):
-        raise ValueError(
-            f"residual target length {residual_target.shape} does not match {ds.n_rows} rows"
-        )
     return discover_constraints(replace_target(ds, residual_target, Task.REGRESSION), cfg)

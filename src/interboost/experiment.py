@@ -121,6 +121,9 @@ class BenchmarkConfig:
         object.__setattr__(self, "partial_x_list", tuple(self.partial_x_list))
         if any(checked_int("partial_x_list entry", x) < 1 for x in self.partial_x_list):
             raise ValueError("partial_x_list entries must be >= 1")
+        repeated = [x for i, x in enumerate(self.partial_x_list) if x in self.partial_x_list[:i]]
+        if repeated:
+            raise ValueError(f"partial_x_list repeats the entry {repeated[0]}")
         if (
             checked_int("random_runs", self.random_runs) < 1
             or checked_int("random_groups", self.random_groups) < 1

@@ -58,10 +58,9 @@ STACK_CELLS = 2**16  # design cells (designs x rows x columns) in one stacked fi
 @dataclass(frozen=True)
 class FitInfo:
     """Newton iterations of a logistic fit, summed over the designs of its
-    stack, and one log-likelihood path per design."""
+    stack."""
 
     n_iter: int
-    loglik_path: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +215,6 @@ def fit_logistic(A: np.ndarray, y: np.ndarray) -> LinearModel:
     grad = logistic_grad(A, y, theta, p)
     threshold = NEWTON_TOL * (1.0 + np.max(np.abs(grad), axis=-1))
     ll = logistic_loglik(z, y, theta)
-    paths = [[value] for value in ll.tolist()]
     n_iter = np.zeros(c, dtype=int)
     live, A_live = np.arange(c), A  # the designs still iterating, and their values
     while True:
@@ -250,13 +248,10 @@ def fit_logistic(A: np.ndarray, y: np.ndarray) -> LinearModel:
             improved = np.ones(live.size, dtype=bool)
             improved[trying] = False
             live, A_live = live[improved], A_live[improved]
-        for i in live.tolist():
-            paths[i].append(float(ll[i]))
         n_iter[live] += 1
         p[live] = sigmoid(z[live])
         grad[live] = logistic_grad(A_live, y, theta[live], p[live])
-    fit_info = FitInfo(int(n_iter.sum()), tuple(map(tuple, paths)))
-    return LinearModel(theta[:, :-1], theta[:, -1], fit_info)
+    return LinearModel(theta[:, :-1], theta[:, -1], FitInfo(int(n_iter.sum())))
 
 
 def predict(task: Task, model: LinearModel, A: np.ndarray) -> np.ndarray:
@@ -348,8 +343,8 @@ class FoldScorer:
         """Mean validation score of the task-appropriate linear model over
         each design `(features, scope)`, in order: R-squared of an OLS fit
         for regression, accuracy of a logistic fit for classification. A
-        mean that is not finite (features too large to standardize) is a
-        DataError, which names the first such design."""
+        mean that is not finite (a feature or the target too large) is a
+        DataError, which gives the first such mean."""
         keys = []
         for features, scope in designs:
             if not features:

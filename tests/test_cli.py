@@ -118,6 +118,7 @@ class TestDiscoverCommand:
         log = json.loads((out / "discovery_log.json").read_text())
         settings = {key: value for key, value in log.items() if key != "steps"}
         assert settings == dataclasses.asdict(WrapperConfig(seed=9, **wrapper))
+        assert list(log) == [f.name for f in dataclasses.fields(WrapperConfig)] + ["steps"]
 
     def test_rerun_is_byte_identical(self, tmp_path, data_csv):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -416,11 +417,11 @@ class TestExtremeValues:
     of float64 must still give a model that routes rows as it scored them,
     or a data error at `train`."""
 
-    def _stump(self, tmp_path, tmp_csv, x_values, y_values):
+    def _stump(self, tmp_path, tmp_csv, x_values, y_values, *flags):
         text = "x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(x_values, y_values))
         data, out = tmp_csv(text), tmp_path / "out"
         code = run("train", "--data", data, "--target", "y", "--task", "regression",
-                   "--n-trees", 1, "--max-depth", 1, "--out-dir", out)
+                   "--n-trees", 1, "--max-depth", 1, "--out-dir", out, *flags)
         return data, out, code
 
     @pytest.mark.parametrize(
@@ -446,6 +447,16 @@ class TestExtremeValues:
         _, out, code = self._stump(tmp_path, tmp_csv, [1.0, 2.0], [1.2e308, 1.5e308])
         assert code == 2
         assert "not finite" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    @pytest.mark.filterwarnings("error")  # the message comes without numpy's overflow warning
+    def test_overflowing_leaf_sum_is_data_error(self, tmp_path, tmp_csv, capsys):
+        # from a base score of 0, each leaf's gradient sum passes the largest float
+        config = tmp_csv(json.dumps({"train": {"base_score": 0.0}}), "cfg.json")
+        y = [1.5e308, 1.5e308, -1.5e308, -1.5e308]
+        _, out, code = self._stump(tmp_path, tmp_csv, [0.0, 1.0, 2.0, 3.0], y, "--config", config)
+        assert code == 2
+        assert "tree 1 has a leaf weight that is not finite" in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
     @pytest.mark.filterwarnings("error")
@@ -640,6 +651,11 @@ BAD_USER_FILES = {
                                   {"grid": SMALL_GRID, "benchmark": {"wrapper_cfg": {"k_folds": 3}}}, 1,
                                   "'wrapper_cfg'"),
     "predict-wrapper": ("predict", "config", {"wrapper": {"k_folds": 1}}, 1, "k_folds"),
+    "config-array": ("discover", "config", [], 1, "config must be a JSON object"),
+    "wrapper-array": ("discover", "config", {"wrapper": []}, 1, "must be an object"),
+    "repeated-partial-x": ("benchmark", "config",
+                           {"grid": SMALL_GRID, "benchmark": {"partial_x_list": [2, 2, 1]}}, 1,
+                           "partial_x_list repeats the entry 2"),
     "repeated-header": ("train", "data", b"a,a,y\n1,2,3\n4,5,6\n", 2, "repeated header names ['a']"),
     "repeated-predict-header": ("predict", "data", b"x0,x1,x0\n1,2,3\n", 2,
                                 "repeated header names ['x0']"),

@@ -323,7 +323,7 @@ class TestForkedPartialRuns:
         monkeypatch.setattr(boosting, "discover_constraints_for_residuals", counting_discover)
         ds = paired_products_dataset(160, seed=2)
         cfg = dataclasses.replace(
-            _tiny_benchmark_config(), grid=TuningGrid((4,), (2,), (0.3,)), partial_x_list=(2, 6, 3, 2), random_runs=1
+            _tiny_benchmark_config(), grid=TuningGrid((4,), (2,), (0.3,)), partial_x_list=(2, 6, 3), random_runs=1
         )
         report = benchmark(ds, cfg)
         tuned = TrainParams(**report["tuned_params"])
@@ -333,7 +333,7 @@ class TestForkedPartialRuns:
         train_ds, test_ds = train_test_split(ds, cfg.test_fraction, cfg.split_seed)
         base_partition = report["variants"][1]["constraint"]["partition"]
         partial = report["variants"][2:-1]
-        assert [v["variant"] for v in partial] == ["interaction_2", "interaction_6", "interaction_3", "interaction_2"]
+        assert [v["variant"] for v in partial] == ["interaction_2", "interaction_6", "interaction_3"]
         partial = {v["variant"]: v["test_score"] for v in partial}
         for x in (2, 6, 3):
             schedule = PerResidual(x, cfg.wrapper_cfg, ConstraintPartition(tuple(map(tuple, base_partition))))
@@ -394,6 +394,8 @@ class TestConfigValidation:
     def test_bad_benchmark_config(self):
         with pytest.raises(ValueError):
             BenchmarkConfig(partial_x_list=(0,))
+        with pytest.raises(ValueError, match="repeats the entry 2"):
+            BenchmarkConfig(partial_x_list=(2, 1, 2))
         with pytest.raises(ValueError):
             BenchmarkConfig(random_runs=0)
         with pytest.raises(ValueError):

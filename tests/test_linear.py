@@ -245,13 +245,17 @@ class TestFitLogistic:
             denom = max(float(np.max(np.abs(analytic))), 1e-12)
             assert float(np.max(np.abs(analytic - numeric))) / denom <= 1e-4
 
-    def test_loglik_path_monotone(self):
+    def test_loglik_ascends_along_the_iterates(self):
+        # fit_logistic takes the oracle's iterates, whose path ascends
         for seed in range(5):
             ds = make_classification(40, 3, seed=seed, logit_fn=lambda X: X[:, 0] - X[:, 1])
             values, _ = materialize(ds, None, (0, 1, 2), (0, 1, 2))
             model = fit_logistic(values[None], ds.target)
-            path = np.array(model.fit_info.loglik_path[0])
+            theta, path, steps = reference_fit_logistic(values, ds.target)
             assert np.all(np.diff(path) >= 0.0)
+            assert np.array_equal(model.coefficients[0], theta[:-1])
+            assert model.intercept[0] == theta[-1]
+            assert model.fit_info.n_iter == len(steps)
 
     def test_equals_reference_loop_bit_for_bit(self):
         # fit_logistic reuses each iterate's A @ theta and sigmoid; the
@@ -274,11 +278,10 @@ class TestFitLogistic:
         for values, y in designs:
             A = _with_ones(values)
             model = fit_logistic(A[None], y)
-            theta, path, steps = reference_fit_logistic(A, y)
+            theta, _, steps = reference_fit_logistic(A, y)
             assert np.array_equal(model.coefficients[0], theta[:-1])
             assert model.intercept[0] == theta[-1]
             assert model.fit_info.n_iter == len(steps)
-            assert model.fit_info.loglik_path == (tuple(path),)
             halved = halved or min(steps, default=1.0) < 1.0
         assert halved
 
@@ -333,12 +336,13 @@ class TestSigmoid:
 def _assert_stack_equals_each_design_alone(task, values, y):
     """The stacked fit, predict and score of `values` (c, n, q), given a
     ones column, equal those of each design alone, in a stack of one, bit
-    for bit."""
+    for bit. Returns the stacked model and, for classification, each
+    design's Newton iterations alone."""
     A = _with_ones(values)
     model = fit_for_task(task, A, y)
     prediction = predict(task, model, A)
     scores = score_for_task(task, y, prediction)
-    n_iter = 0
+    n_iters = []
     for i in range(len(A)):
         design = A[i : i + 1]
         alone = fit_for_task(task, design, y)
@@ -348,11 +352,10 @@ def _assert_stack_equals_each_design_alone(task, values, y):
         assert np.array_equal(prediction[i], alone_prediction)
         assert scores[i] == score_for_task(task, y, alone_prediction)
         if task is Task.BINARY_CLASSIFICATION:
-            assert model.fit_info.loglik_path[i] == alone.fit_info.loglik_path[0]
-            n_iter += alone.fit_info.n_iter
+            n_iters.append(alone.fit_info.n_iter)
     if task is Task.BINARY_CLASSIFICATION:
-        assert model.fit_info.n_iter == n_iter and type(n_iter) is int
-    return model
+        assert model.fit_info.n_iter == sum(n_iters) and type(model.fit_info.n_iter) is int
+    return model, n_iters
 
 
 class TestStackedFits:
@@ -391,8 +394,7 @@ class TestStackedFits:
         duplicated = np.column_stack([base, base[:, 0]])
         values = np.stack([duplicated * 1e11, duplicated, duplicated * 1e-8, rng.normal(size=(27, 4))])
         monkeypatch.setattr(interboost.linear, "NEWTON_MAX_ITER", 13)
-        model = _assert_stack_equals_each_design_alone(Task.BINARY_CLASSIFICATION, values, labels)
-        n_iters = [len(path) - 1 for path in model.fit_info.loglik_path]
+        model, n_iters = _assert_stack_equals_each_design_alone(Task.BINARY_CLASSIFICATION, values, labels)
         assert n_iters[0] < 13 and n_iters[1] == 13 and len(set(n_iters)) > 2
         A = _with_ones(values[0])
         theta = np.append(model.coefficients[0], model.intercept[0])
@@ -407,10 +409,9 @@ class TestStackedFits:
         tiny = rng.normal(size=(n, q)) * 10.0 ** rng.integers(-8, 12)
         labels = (tiny[:, 0] + rng.normal(size=n) > 0).astype(float)
         unit = tiny / tiny.std()
-        model = _assert_stack_equals_each_design_alone(
+        _, n_iters = _assert_stack_equals_each_design_alone(
             Task.BINARY_CLASSIFICATION, np.stack([tiny, unit, unit * 1e-8]), labels
         )
-        n_iters = [len(path) - 1 for path in model.fit_info.loglik_path]
         assert n_iters[0] == interboost.linear.NEWTON_MAX_ITER > max(n_iters[1:])
 
 
