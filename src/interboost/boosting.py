@@ -109,12 +109,16 @@ class Tree:
 
 @dataclass(frozen=True)
 class NoConstraints:
-    pass
+    def for_round(self, tree_number: int, train_ds: Dataset, g: np.ndarray | None) -> None:
+        return None
 
 
 @dataclass(frozen=True)
 class FixedPartition:
     partition: ConstraintPartition
+
+    def for_round(self, tree_number: int, train_ds: Dataset, g: np.ndarray | None) -> ConstraintPartition:
+        return self.partition
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,17 @@ class PerResidual:
         if checked_int("first_x", self.first_x) < 1:
             raise ValueError("first_x must be >= 1")
 
+    def for_round(self, tree_number: int, train_ds: Dataset, g: np.ndarray | None) -> ConstraintPartition | None:
+        if tree_number == 1:
+            return self.first_tree_partition
+        if tree_number <= self.first_x:
+            return discover_constraints_for_residuals(train_ds, -g, self.wrapper_cfg)
+        return None
 
+
+# A schedule's `for_round(tree_number, train_ds, g)` is the partition of that
+# round (None: unconstrained); `g` holds the round's gradients on `train_ds`,
+# the training set, and round 1 never reads it.
 ConstraintSchedule = NoConstraints | FixedPartition | PerResidual
 
 
@@ -359,22 +373,6 @@ def default_base_score(task: Task, y: np.ndarray) -> float:
     return math.log(p / (1.0 - p))
 
 
-def _partition_for_round(
-    schedule: ConstraintSchedule, tree_number: int, train_ds: Dataset, g: np.ndarray
-) -> ConstraintPartition | None:
-    """The partition of round `tree_number`; `PerResidual` runs residual
-    discovery on `train_ds`, the training set."""
-    if isinstance(schedule, NoConstraints):
-        return None
-    if isinstance(schedule, FixedPartition):
-        return schedule.partition
-    if tree_number == 1:
-        return schedule.first_tree_partition
-    if tree_number <= schedule.first_x:
-        return discover_constraints_for_residuals(train_ds, -g, schedule.wrapper_cfg)
-    return None
-
-
 def _check_prefix(prefix: Ensemble, ds: Dataset, params: TrainParams, base: float) -> None:
     """Raise ValueError unless `train` on `ds` with `params` can continue `prefix`."""
     ours = (ds.task, ds.feature_names, params.learning_rate, base)
@@ -412,10 +410,9 @@ def train(
         if len(rows) and rows.indices[-1] >= ds.n_rows:
             raise DataError(f"row index {int(rows.indices[-1])} out of range for {ds.n_rows} rows")
         ds = take_rows(ds, rows.indices)
-    if isinstance(schedule, FixedPartition):
-        schedule.partition.validate_for(ds.n_features)
-    elif isinstance(schedule, PerResidual):
-        schedule.first_tree_partition.validate_for(ds.n_features)
+    first = schedule.for_round(1, ds, None)
+    if first is not None:
+        first.validate_for(ds.n_features)
     X, y = ds.features, ds.target
     base = params.base_score if params.base_score is not None else default_base_score(ds.task, y)
     if not math.isfinite(base):
@@ -430,7 +427,7 @@ def train(
     log = list(prefix.constraint_log)
     for tree_number in range(len(trees) + 1, params.n_trees + 1):
         g, h = grad_hess(ds.task, y, raw)
-        partition = _partition_for_round(schedule, tree_number, ds, g)
+        partition = schedule.for_round(tree_number, ds, g)
         tree, contribution = _grow(X, g, h, presorted, params, partition)
         if not np.all(np.isfinite(contribution)):
             raise DataError(f"tree {tree_number} has a leaf weight that is not finite: the targets are too large")

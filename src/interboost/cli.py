@@ -81,7 +81,7 @@ def _require(value, what: str):
 def _load_dataset(args):
     data_path = _require(args.data, "--data")
     target = _require(args.target, "--target")
-    return load_csv(data_path, target, Task.parse(_require(args.task, "--task")))
+    return load_csv(data_path, target, _require(args.task, "--task"))
 
 
 def _present(values: dict) -> dict:
@@ -104,13 +104,17 @@ def _resolve(args) -> None:
     """Fill `args` from its config, once, whatever the command: each
     top-level field stands in for its absent flag, and every section is
     built and checked, from defaults, then the section, then flags (train's
-    flags are absent on other commands). `tune_seed` is --seed, then the
-    top-level `seed`, then 0."""
+    flags are absent on other commands). `task` becomes a `Task`.
+    `tune_seed` is --seed, then the top-level `seed`, then 0."""
     config = _load_config(args.config) if args.config else {}
     for key in _TOP_LEVEL_FIELDS:  # a flag wins over its config field
         if getattr(args, key, None) is None:
             setattr(args, key, config.get(key))
     args.out_dir = Path(args.out_dir or ".")
+    try:
+        args.task = None if args.task is None else Task.parse(args.task)
+    except DataError as exc:
+        raise ConfigError(f"config field 'task': {exc}") from exc
     seed, seed_flag = config.get("seed"), getattr(args, "seed", None)  # predict has no --seed
     args.wrapper_cfg = _build(WrapperConfig, config, "wrapper", {"seed": seed}, {"seed": seed_flag})
     flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(TrainParams)}
@@ -186,7 +190,7 @@ def cmd_benchmark(args) -> int:
         change = "n/a" if change is None else f"{change:+.4f}%"
         line = f"{v['variant']:>20}  score={v['test_score']:.6f}  change={change}"
         if "runs" in v:  # runs with equal groups share one trained model
-            groupings = {ConstraintPartition.from_json_obj(r["groups"]).canonical() for r in v["runs"]}
+            groupings = {ConstraintPartition.from_json_obj(r["groups"], ds.n_features).canonical() for r in v["runs"]}
             line += f"  ({len(v['runs'])} runs, {len(groupings)} distinct groupings)"
         print(line)
     print(f"wrote {args.out_dir / 'report.json'} and {args.out_dir / 'report.csv'}")
@@ -208,10 +212,10 @@ def cmd_tune(args) -> int:
 
 def _add_shared_flags(sub: argparse.ArgumentParser, seeded: bool = True) -> None:
     sub.add_argument("--data", help="path to the dataset CSV")
-    sub.add_argument("--target", help="name of the target column")
-    sub.add_argument("--task", choices=[t.value for t in Task], help="prediction task")
     sub.add_argument("--config", help="JSON config file; flags override its fields")
-    if seeded:  # predict has nothing to seed
+    if seeded:  # predict reads its model's features and task, and has nothing to seed
+        sub.add_argument("--target", help="name of the target column")
+        sub.add_argument("--task", choices=[t.value for t in Task], help="prediction task")
         sub.add_argument("--seed", type=int, help="master seed (overrides config seeds)")
     sub.add_argument("--out-dir", help="directory for output files (default: .)")
 

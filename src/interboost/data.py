@@ -11,7 +11,6 @@ import json
 import math
 import numbers
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -251,24 +250,18 @@ def save_csv(ds: Dataset, path, target_name: str = "target") -> None:
     write_atomic(Path(path), buf.getvalue())
 
 
-_UMASK = os.umask(0)
-os.umask(_UMASK)
-
-
 def write_atomic(path: Path, text: str) -> None:
     """Write `text` to `path` through a temporary file in the same directory
     and a rename, so readers never see a partial file. The file gets the
-    mode `open` would give it (0666 less the umask), not mkstemp's 0600."""
+    mode `open` gives it: 0666 less the umask at the time of writing."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with open(tmp, "x", encoding="utf-8") as fh:
             fh.write(text)
-            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        tmp.unlink(missing_ok=True)
         raise
 
 

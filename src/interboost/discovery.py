@@ -15,6 +15,7 @@ and product terms never span closed groups.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,17 +37,19 @@ class ConstraintPartition:
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        groups = tuple(tuple(int(f) for f in g) for g in self.groups)
         seen: set[int] = set()
-        for group in groups:
+        for group in self.groups:
             if not group:
                 raise DataError("constraint groups must be nonempty")
             for f in group:
+                if not isinstance(f, numbers.Integral) or isinstance(f, bool):
+                    raise DataError(f"constraint group entry {f!r} is not an integer")
                 if f < 0:
                     raise DataError(f"negative feature index {f} in constraint group")
                 if f in seen:
                     raise DataError(f"feature {f} appears in more than one constraint group")
                 seen.add(f)
+        groups = tuple(tuple(int(f) for f in g) for g in self.groups)
         lookup = {f: gi for gi, group in enumerate(groups) for f in group}
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "_lookup", lookup)
@@ -73,17 +76,10 @@ class ConstraintPartition:
         return [list(g) for g in self.groups]
 
     @classmethod
-    def from_json_obj(cls, obj, n_features: int | None = None) -> "ConstraintPartition":
+    def from_json_obj(cls, obj, n_features: int) -> "ConstraintPartition":
         if not isinstance(obj, list) or not all(isinstance(g, list) for g in obj):
             raise DataError("constraint file must be a JSON array of arrays of feature indices")
-        for g in obj:
-            for f in g:
-                if not isinstance(f, int) or isinstance(f, bool):
-                    raise DataError(f"constraint group entry {f!r} is not an integer")
-        partition = cls(tuple(tuple(g) for g in obj))
-        if n_features is not None:
-            partition.validate_for(n_features)
-        return partition
+        return cls(tuple(tuple(g) for g in obj)).validate_for(n_features)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,6 @@ from interboost.discovery import WrapperConfig
 from interboost.experiment import TuningGrid, tune
 from interboost.synth import paired_products_dataset
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 @pytest.fixture
 def data_csv(tmp_path):
     ds = paired_products_dataset(120, seed=5)
@@ -599,9 +596,21 @@ class TestUsageErrors:
         assert run("train") == 1
         assert "missing required --data" in capsys.readouterr().err
 
-    def test_unknown_task_value(self, tmp_path, data_csv):
+    def test_unknown_task_value(self, tmp_path, data_csv, capsys):
         assert run("discover", "--data", data_csv, "--target", "y",
                    "--task", "ranking", "--out-dir", tmp_path) == 1
+        # a config's task is checked with the config, before any file is read
+        assert run("train", "--data", data_csv, "--target", "y", "--task", "regression",
+                   "--n-trees", 2, "--out-dir", tmp_path) == 0
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"task": "regresion"}))
+        commands = [("train", "--data", data, "--target", "y") for data in (data_csv, tmp_path / "missing.csv")]
+        commands.append(("predict", "--data", data_csv, "--model", tmp_path / "model.json"))
+        for argv in commands:
+            capsys.readouterr()
+            assert run(*argv, "--config", config, "--out-dir", tmp_path / "out") == 1
+            assert "config field 'task': unknown task 'regresion'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 SMALL_GRID = {"n_trees": [2], "max_depth": [2], "learning_rate": [0.3]}
@@ -771,14 +780,17 @@ def test_bad_train_flag_exits_cleanly(tmp_path, data_csv, capsys, monkeypatch, f
     assert not (out / "model.json").exists()
 
 
-def test_predict_takes_no_seed(tmp_path, data_csv, capsys):
-    # prediction has no randomness, so a seed there would change nothing
+@pytest.mark.parametrize(
+    "flag", [("--seed", 5), ("--target", "y"), ("--task", "regression")], ids=["seed", "target", "task"]
+)
+def test_predict_takes_no_training_flags(tmp_path, data_csv, capsys, flag):
+    # predict reads the feature names and the task from its model, and has no randomness to seed
     assert run("train", "--data", data_csv, "--target", "y", "--task", "regression",
                "--n-trees", 2, "--out-dir", tmp_path) == 0
     capsys.readouterr()
-    assert run("predict", "--model", tmp_path / "model.json", "--data", data_csv, "--seed", 5,
+    assert run("predict", "--model", tmp_path / "model.json", "--data", data_csv, *flag,
                "--out-dir", tmp_path) == 1
-    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
     assert not (tmp_path / "predictions.csv").exists()
 
 

@@ -1,3 +1,4 @@
+import os
 import tempfile
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from interboost.data import (
     save_csv,
     take_rows,
     train_test_split,
+    write_json,
 )
 
 
@@ -116,6 +118,26 @@ class TestLoadCsv:
         path = tmp_path / "saved.csv"
         save_csv(Dataset(np.zeros((2, 1)), ("a",), np.ones(2), Task.REGRESSION), path, target_name="t")
         assert path.stat().st_mode == plain.stat().st_mode
+
+    def test_written_file_has_the_mode_of_the_umask_at_write_time(self, tmp_path):
+        previous = os.umask(0o077)  # set after import: the umask when the file is written counts
+        try:
+            plain = tmp_path / "plain.json"
+            plain.write_text("{}\n")
+            path = tmp_path / "saved.json"
+            write_json(path, {})
+        finally:
+            os.umask(previous)
+        assert path.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777 == 0o600
+
+    def test_unencodable_name_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_bytes(b"a,t\n1,2\n")
+        ds = Dataset(np.zeros((2, 1)), ("\ud800",), np.ones(2), Task.REGRESSION)
+        with pytest.raises(UnicodeEncodeError):
+            save_csv(ds, path, target_name="t")
+        assert path.read_bytes() == b"a,t\n1,2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
 
 
 class TestDatasetInvariants:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -60,9 +61,19 @@ class TestConstraintPartition:
 
     def test_from_json_rejects_garbage(self):
         with pytest.raises(DataError):
-            ConstraintPartition.from_json_obj({"not": "a list"})
+            ConstraintPartition.from_json_obj({"not": "a list"}, 1)
         with pytest.raises(DataError):
-            ConstraintPartition.from_json_obj([[0.5]])
+            ConstraintPartition.from_json_obj([[0.5]], 1)
+
+    @pytest.mark.parametrize("entry", [0.9, np.float64(1.0), True], ids=["float", "np.float64", "bool"])
+    def test_rejects_an_entry_that_is_not_an_integer(self, entry):
+        with pytest.raises(DataError, match=re.escape(f"entry {entry!r} is not an integer")):
+            ConstraintPartition(((entry,), (2,)))
+
+    def test_accepts_numpy_integers(self):
+        p = ConstraintPartition(((np.int64(1), np.int64(0)), (np.int64(2),))).validate_for(3)
+        assert p.to_json_obj() == [[1, 0], [2]]
+        assert all(type(f) is int for g in p.groups for f in g)
 
 
 class TestDiscovery:

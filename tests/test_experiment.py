@@ -363,10 +363,10 @@ class TestSharedScores:
         )
         report = benchmark(ds, cfg)
         full, random = report["variants"][1], report["variants"][-1]
-        runs = {ConstraintPartition.from_json_obj(run["groups"]).canonical() for run in random["runs"]}
+        runs = {ConstraintPartition.from_json_obj(run["groups"], ds.n_features).canonical() for run in random["runs"]}
         if random_groups == 6:
             assert runs == {((0,), (1,), (2,), (3,), (4,), (5,))}
-        full_groups = ConstraintPartition.from_json_obj(full["constraint"]["partition"]).canonical()
+        full_groups = ConstraintPartition.from_json_obj(full["constraint"]["partition"], ds.n_features).canonical()
         fixed = ({full_groups} | runs) - {((0, 1, 2, 3, 4, 5),)}
         assert trained[0] is None  # the baseline
         assert sorted(trained[1:]) == sorted(fixed)  # each distinct constraint once
