@@ -5,8 +5,9 @@ between distinct values of every allowed feature is scored with the
 second-order gain
     0.5 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - (GL+GR)^2/(HL+HR+lambda)) - gamma.
 `train` sorts each feature once (`presort`) and every tree reuses that
-order: a child's sorted block is a stable filter of its parent's, and one
-2-D prefix-sum pass scores all allowed features of a node.
+order: a child's sorted block is a stable filter of its parent's, and a
+node's allowed features are scored by 2-D prefix-sum passes over slices of
+at most SCAN_CELLS block cells (one pass for all but the largest nodes).
 Routing is strictly "go left iff x[feature] < threshold" with thresholds at
 midpoints of adjacent distinct values (or the upper value, when the
 midpoint would not separate them); ties on gain break toward the lower
@@ -149,6 +150,7 @@ ConstraintSchedule = NoConstraints | FixedPartition | PerResidual
 
 
 WALK_CELLS = 2**16  # (tree, row) cells in one chunk of a prediction walk
+SCAN_CELLS = 2**15  # (feature, row) cells in one slice of a node's split scan
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,38 +264,48 @@ def _find_split(xs, rows, g, h, allowed, params: TrainParams, gamma: float):
 
     `rows` and `xs` are the node's presorted block: row k holds the node's
     row ids and values of feature allowed[k] (ascending), in stable
-    ascending order of that feature. All features are scored in one 2-D
-    pass; each feature's m-1 positions between adjacent rows get the gain
-    from prefix sums of g and h in that feature's order. A position between
-    equal values, leaving a child below min_child_samples or
-    min_child_hessian, or with a non-finite gain (possible when reg_lambda
-    and min_child_hessian are both zero) scores -inf. The first maximum in
-    row-major order wins, so ties go to the lower feature index, then the
-    lower threshold; a best gain that is not positive gives None. `gamma`
-    stands for params.gamma in the units of g squared."""
+    ascending order of that feature. The block is scored in slices of
+    max(1, SCAN_CELLS // m) features, one 2-D pass each, so a large node's
+    temporaries stay cache-sized; each feature's m-1 positions between
+    adjacent rows get the gain from prefix sums of g and h in that
+    feature's order. A position between equal values, leaving a child
+    below min_child_samples or min_child_hessian, or with a non-finite gain
+    (possible when reg_lambda and min_child_hessian are both zero) scores
+    -inf. A slice's first maximum in row-major order replaces the best of
+    the slices before only when it is strictly greater, so ties go to the
+    lower feature index, then the lower threshold; a best gain that is not
+    positive gives None. `gamma` stands for params.gamma in the units of g
+    squared."""
     m = xs.shape[1]
     min_rows, lam, min_hess = params.min_child_samples, params.reg_lambda, params.min_child_hessian
     if m < 2 * min_rows:
         return None
-    cg = np.cumsum(g[rows], axis=1)
-    ch = np.cumsum(h[rows], axis=1)
-    GL, HL, G, H = cg[:, :-1], ch[:, :-1], cg[:, -1:], ch[:, -1:]
-    invalid = ~(xs[:, :-1] < xs[:, 1:]) | (HL < min_hess) | (H - HL < min_hess)
-    # The gain expression of the module doc, term by term in its order of
-    # operations; in place, so that few (features, rows) arrays are alive.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        right = G - GL
-        right *= right
-        right /= H - HL + lam
-        gains = GL * GL / (HL + lam)
-        gains += right
-        gains = 0.5 * (gains - G * G / (H + lam)) - gamma
-    gains[invalid | ~np.isfinite(gains)] = -np.inf
-    gains[:, : min_rows - 1] = gains[:, m - min_rows :] = -np.inf  # a child below min_child_samples
-    k, i = divmod(int(np.argmax(gains)), m - 1)
-    if not gains[k, i] > 0.0:
+    step = max(1, SCAN_CELLS // m)
+    best_gain, best = 0.0, None
+    for lo in range(0, xs.shape[0], step):
+        part = slice(lo, lo + step)
+        cg = np.cumsum(g[rows[part]], axis=1)
+        ch = np.cumsum(h[rows[part]], axis=1)
+        GL, HL, G, H = cg[:, :-1], ch[:, :-1], cg[:, -1:], ch[:, -1:]
+        invalid = ~(xs[part, :-1] < xs[part, 1:]) | (HL < min_hess) | (H - HL < min_hess)
+        # The gain expression of the module doc, term by term in its order of
+        # operations; in place, so that few (features, rows) arrays are alive.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            right = G - GL
+            right *= right
+            right /= H - HL + lam
+            gains = GL * GL / (HL + lam)
+            gains += right
+            gains = 0.5 * (gains - G * G / (H + lam)) - gamma
+        gains[invalid | ~np.isfinite(gains)] = -np.inf
+        gains[:, : min_rows - 1] = gains[:, m - min_rows :] = -np.inf  # a child below min_child_samples
+        k, i = divmod(int(np.argmax(gains)), m - 1)
+        if gains[k, i] > best_gain:
+            best_gain, best = float(gains[k, i]), (lo + k, i)
+    if best is None:
         return None
-    return float(gains[k, i]), _split_threshold(float(xs[k, i]), float(xs[k, i + 1])), allowed[k]
+    k, i = best
+    return best_gain, _split_threshold(float(xs[k, i]), float(xs[k, i + 1])), allowed[k]
 
 
 def _grow(

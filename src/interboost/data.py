@@ -7,6 +7,7 @@ import collections
 import csv
 import enum
 import io
+import itertools
 import json
 import math
 import numbers
@@ -99,6 +100,9 @@ class RowIndexSet:
         return int(self.indices.size)
 
 
+CSV_BLOCK_LINES = 2**9  # lines converted at a time by read_csv's plain path
+
+
 def read_csv(path, columns=None) -> tuple[tuple[str, ...], np.ndarray]:
     """Parse a numeric CSV (header row, UTF-8 with or without a byte-order
     mark, decimal-point reals).
@@ -108,7 +112,69 @@ def read_csv(path, columns=None) -> tuple[tuple[str, ...], np.ndarray]:
     columns are parsed; each of their cells must be a finite real, and
     every row must have one cell per header name. Header names must be
     distinct. Blank lines are skipped.
+
+    A plain file is read CSV_BLOCK_LINES lines at a time (`_read_plain_csv`);
+    any other file, and every file with an error, goes through the `csv`
+    module (`_read_csv_reference`), which gives the same names and matrix
+    on a plain file and is the only source of error messages.
     """
+    plain = _read_plain_csv(path, columns)
+    return plain if plain is not None else _read_csv_reference(path, columns)
+
+
+def _read_plain_csv(path, columns) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """`read_csv` of a plain file, or None when the file is not plain.
+
+    A plain file holds no `"`, carriage return or NUL, ends every line with
+    a newline, has no line longer than `csv.field_size_limit()`, and has a
+    nonblank header of distinct names that holds every named column, at
+    least one data row and exactly one comma fewer than header names on
+    every data line; at least one column is selected, and every selected
+    cell is a finite real to `float`. Such a file splits on commas as the
+    `csv` module splits it, so `_read_csv_reference` would give the same
+    names and matrix."""
+    limit = csv.field_size_limit()
+    try:
+        with open(path, newline="\n", encoding="utf-8-sig") as fh:
+            header = fh.readline()
+            if header == "\n" or not _plain_lines(header, [header], limit):  # csv reads "\n" as no names
+                return None
+            names = tuple(h.strip() for h in header[:-1].split(","))
+            if len(set(names)) != len(names) or not set(columns or ()) <= set(names):
+                return None
+            positions = range(len(names)) if columns is None else [names.index(c) for c in columns]
+            if not positions:  # `float` meets no cell, so a blank line would pass for a row
+                return None
+            commas = len(names) - 1
+            blocks = []
+            while lines := list(itertools.islice(fh, CSV_BLOCK_LINES)):
+                text = "".join(lines)
+                if not _plain_lines(text, lines, limit) or any(line.count(",") != commas for line in lines):
+                    return None
+                cells = text[:-1].replace("\n", ",").split(",")
+                block = np.empty((len(lines), len(positions)))
+                for j, pos in enumerate(positions):
+                    block[:, j] = list(map(float, cells[pos :: len(names)]))
+                if not np.isfinite(block).all():
+                    return None
+                blocks.append(block)
+    except ValueError:  # a cell that float rejects, or a UnicodeDecodeError
+        return None
+    return (names, np.concatenate(blocks)) if blocks else None
+
+
+def _plain_lines(text: str, lines: list[str], limit: int) -> bool:
+    """Whether `text`, the join of `lines`, holds no quote, carriage return or
+    NUL, ends in a newline and has no line longer than `limit`."""
+    return (
+        text.endswith("\n")
+        and not ('"' in text or "\r" in text or "\0" in text)
+        and (len(text) <= limit or max(map(len, lines)) <= limit)
+    )
+
+
+def _read_csv_reference(path, columns) -> tuple[tuple[str, ...], np.ndarray]:
+    """`read_csv` through the `csv` module: any file, and every error message."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)

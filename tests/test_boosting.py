@@ -5,11 +5,13 @@ import math
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from interboost import boosting
 from interboost.boosting import (
     WALK_CELLS,
     Ensemble,
@@ -336,11 +338,15 @@ class TestGrowTree:
             else None
         )
         params = _stump_params(reg_lambda, max_depth=max_depth, min_child_samples=min_child_samples)
-        tree, values = _grow(X, g, h, presort(X), params, partition)
         expected, expected_values = reference_grow(X, g, h, params, partition)
-        assert tree.nodes.tobytes() == expected.nodes.tobytes()
-        assert values.tobytes() == expected_values.tobytes()
-        assert reference_leaf_values(tree, X).tobytes() == values.tobytes()  # each row's path, read back
+        # a block this small is one slice; patched, the scan cuts it into
+        # slices of 1 or more features, so "copy" columns tie across slices
+        for scan_cells in (boosting.SCAN_CELLS, 1, 2, 7, 64):
+            with mock.patch.object(boosting, "SCAN_CELLS", scan_cells):
+                tree, values = _grow(X, g, h, presort(X), params, partition)
+            assert tree.nodes.tobytes() == expected.nodes.tobytes()
+            assert values.tobytes() == expected_values.tobytes()
+            assert reference_leaf_values(tree, X).tobytes() == values.tobytes()  # each row's path, read back
 
 
 class TestTrain:

@@ -1,6 +1,8 @@
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -138,6 +140,116 @@ class TestLoadCsv:
             save_csv(ds, path, target_name="t")
         assert path.read_bytes() == b"a,t\n1,2\n"
         assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+
+
+# Cells for generated CSV files: numerals that `float` reads its own way,
+# then values it reads as not finite, text, quoting and control characters.
+PLAIN_CELLS = ["1", "-0.0", "2.5e-3", "1_000", "\u0661\u0662", " 5 ", "\u00a07", "0.1", "-3"]
+ODD_CELLS = ["nan", "1e400", "-inf", "abc", "", "  ", '"3"', '"4,5"', "1\x002", "\ufeff1", "0x1"]
+CSV_DEFECTS = [
+    "odd cell", "short row", "long row", "blank line", "repeated name", "missing column",
+    "crlf", "no final newline", "byte-order mark", "bad byte",
+]
+
+
+def csv_outcome(read, path, columns):
+    """Names, matrix dtype, shape and bytes of a read, or its DataError message."""
+    try:
+        names, matrix = read(path, columns)
+    except DataError as exc:
+        return str(exc)
+    return names, matrix.dtype, matrix.shape, matrix.tobytes()
+
+
+@st.composite
+def csv_files(draw):
+    """(bytes, columns) of a small plain CSV file with up to two defects
+    that `read_csv`'s plain path must leave to the `csv` parser, or that it
+    must take in its stride (an odd cell in a column that is not read)."""
+    names = ["a", "b", "c", " d ", "y"]
+    header = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
+    n_cols = len(header)
+    cells = st.lists(st.sampled_from(PLAIN_CELLS), min_size=n_cols + 1, max_size=n_cols + 1)
+    rows = [row[:n_cols] for row in draw(st.lists(cells, max_size=9))]
+    columns = draw(st.none() | st.lists(st.sampled_from([n.strip() for n in header]), max_size=3))
+    newline, end, prefix, suffix = "\n", "\n", b"", b""
+    for defect in draw(st.lists(st.sampled_from(CSV_DEFECTS), max_size=2)):
+        at = draw(st.integers(0, len(rows)))
+        if defect == "odd cell" and rows:
+            rows[min(at, len(rows) - 1)][draw(st.integers(0, n_cols - 1))] = draw(st.sampled_from(ODD_CELLS))
+        elif defect in ("short row", "long row"):
+            row = draw(cells)
+            rows.insert(at, row[: n_cols - 1] if defect == "short row" else row)
+        elif defect == "blank line":
+            rows.insert(at, [draw(st.sampled_from(["", "  ", "\t"]))])
+        elif defect == "repeated name":
+            header.append(header[0])
+            rows = [row + ["1"] for row in rows]
+        elif defect == "missing column":
+            columns = [*(columns or []), "zz"]
+        elif defect == "crlf":
+            newline = end = "\r\n"
+        elif defect == "no final newline":
+            end = ""
+        elif defect == "byte-order mark":
+            prefix = b"\xef\xbb\xbf"
+        elif defect == "bad byte":
+            suffix = b"\xff\n"
+    text = newline.join(",".join(row) for row in [header, *rows]) + end
+    return prefix + text.encode("utf-8") + suffix, columns
+
+
+class TestPlainCsv:
+    @settings(max_examples=400, deadline=None)
+    @given(file=csv_files(), block_lines=st.integers(1, 4))
+    @example(file=(b"a,b,y\n1,2,3,4\n5,6\n", None), block_lines=4)  # a long row, then a short one
+    @example(file=(b"a,b,y\n1,2,3\n4,5,6\n7,8,9\n", ["y", "a"]), block_lines=2)
+    @example(file=("a,b,y\n1,x,3\n4,\u0661,6\n".encode(), ["y", "a"]), block_lines=1)  # text in b
+    @example(file=(b'a,b,y\n"1,2",3\n', ["y"]), block_lines=1)  # a quoted comma in a short row
+    @example(file=(b"a,y\n1\r2,3\n", ["y"]), block_lines=1)  # a carriage return ends a csv row
+    @example(file=(b"a\n0." + b"0" * 2**17 + b"1\n", None), block_lines=1)  # over csv.field_size_limit()
+    @example(file=(b"a,b\n", None), block_lines=1)  # no data rows
+    @example(file=(b"\n1\n", None), block_lines=1)  # a blank header
+    @example(file=(b"a\n1\n\n2\n", None), block_lines=1)  # a blank line
+    @example(file=(b"a\n1\n\n2\n", []), block_lines=1)  # a blank line, no column read
+    def test_plain_path_matches_the_csv_parser(self, file, block_lines):
+        text, columns = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(text)
+            expected = csv_outcome(data._read_csv_reference, path, columns)
+            with mock.patch.object(data, "CSV_BLOCK_LINES", block_lines):
+                assert csv_outcome(read_csv, path, columns) == expected
+                plain = data._read_plain_csv(path, columns)
+        if plain is not None:
+            assert (plain[0], plain[1].dtype, plain[1].shape, plain[1].tobytes()) == expected
+
+    @staticmethod
+    def _plain_file(path, n_rows):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(n_rows, 16)) * 10.0 ** rng.integers(-5, 6, size=16)
+        save_csv(Dataset(X, tuple(f"x{i}" for i in range(16)), rng.normal(size=n_rows), Task.REGRESSION), path)
+
+    def test_a_plain_file_takes_the_plain_path(self, tmp_path):
+        path = tmp_path / "plain.csv"
+        self._plain_file(path, 3 * data.CSV_BLOCK_LINES + 5)
+        names, matrix = data._read_csv_reference(path, None)
+        with mock.patch.object(data, "_read_csv_reference", side_effect=AssertionError("csv parser used")):
+            plain_names, plain = read_csv(path)
+            _, some = read_csv(path, ["target", "x3"])
+        assert plain_names == names and plain.tobytes() == matrix.tobytes()
+        assert some.tobytes() == np.ascontiguousarray(matrix[:, [16, 3]]).tobytes()
+
+    def test_plain_path_peaks_below_the_csv_parser(self, tmp_path):
+        path = tmp_path / "tall.csv"
+        self._plain_file(path, 20000)
+        peaks = []
+        for read in (data._read_csv_reference, read_csv):
+            tracemalloc.start()
+            read(path, None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < peaks[0]
 
 
 class TestDatasetInvariants:
