@@ -522,20 +522,24 @@ def _only(obj: dict, keys: tuple[str, ...], what: str) -> dict:
     return obj
 
 
-def _tree_from_obj(obj: dict, n_features: int, partition: ConstraintPartition | None) -> Tree:
+def _tree_from_obj(obj: dict, n_features: int, max_depth: int, partition: ConstraintPartition | None) -> Tree:
     """Parse one tree from its node list in `_grow`'s preorder, checking
     that the list is exactly one complete tree: each node fills the slot of
     the latest split still waiting for a child (the root's slot first), so
     a node after the tree is complete, or an end while a split still waits,
-    is refused. A node holds exactly `leaf`, or exactly `feature` (in
-    [0, n_features)) and `threshold`, all finite, and every split lies in
-    `used_group(tree, partition)`. Each error names the node."""
+    is refused. No node lies deeper than `max_depth` (the root at depth 0),
+    so predict's walk takes at most `max_depth` steps. A node holds exactly
+    `leaf`, or exactly `feature` (in [0, n_features)) and `threshold`, all
+    finite, and every split lies in `used_group(tree, partition)`. Each
+    error names the node."""
     records: list[tuple] = []
-    waiting = [-1]  # ids of the splits still waiting for a child, one entry per child; -1 for the root
+    waiting = [(-1, 0)]  # (split id, child depth) per child still to come; -1 for the root
     for node_id, node in enumerate(_list(_only(obj, ("nodes",), "tree"), "nodes")):
         if not waiting:
             raise DataError(f"node {node_id} comes after the tree is complete")
-        waiting.pop()
+        _, depth = waiting.pop()
+        if depth > max_depth:
+            raise DataError(f"node {node_id} lies at depth {depth}, deeper than max_depth={max_depth}")
         keys = sorted(node) if isinstance(node, dict) else type(node).__name__
         if keys not in (["leaf"], ["feature", "threshold"]):
             raise DataError(f"node {node_id} holds {keys}: a node holds exactly leaf, or exactly feature and threshold")
@@ -549,11 +553,11 @@ def _tree_from_obj(obj: dict, n_features: int, partition: ConstraintPartition | 
             raise DataError(f"node {node_id}: {exc}") from exc
         if not 0 <= feature < n_features:
             raise DataError(f"node {node_id}: feature {feature} out of range for {n_features} features")
-        waiting += [node_id, node_id]
+        waiting += [(node_id, depth + 1)] * 2
     if not records:
         raise DataError("nodes is empty: a tree has at least its root")
     if waiting:
-        raise DataError(f"nodes end while node {waiting[-1]} waits for a child")
+        raise DataError(f"nodes end while node {waiting[-1][0]} waits for a child")
     tree = Tree(np.array(records, dtype=NODE))
     group = used_group(tree, partition)
     for node_id, feature in enumerate(tree.nodes["feature"].tolist()):
@@ -587,12 +591,14 @@ def ensemble_from_json_obj(obj: dict) -> Ensemble:
             for p in _list(obj, "constraint_log")
         )
         tree_objs = _list(obj, "trees")
+        if len(tree_objs) > params.n_trees:  # fewer is a prefix, `ens[:t]`
+            raise DataError(f"trees holds {len(tree_objs)} trees, more than n_trees={params.n_trees}")
         if len(log) != len(tree_objs):
             raise DataError(f"constraint_log has {len(log)} entries for {len(tree_objs)} trees")
         trees = []
         for i, (t, partition) in enumerate(zip(tree_objs, log)):
             try:
-                trees.append(_tree_from_obj(t, n_features, partition))
+                trees.append(_tree_from_obj(t, n_features, params.max_depth, partition))
             except (TypeError, ValueError) as exc:
                 raise DataError(f"tree {i}: {exc}") from exc
         return Ensemble(

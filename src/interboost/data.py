@@ -7,7 +7,6 @@ import collections
 import csv
 import enum
 import io
-import itertools
 import json
 import math
 import numbers
@@ -65,7 +64,7 @@ class Dataset:
             raise DataError("features and target must be finite (no NaN or infinity)")
         if self.task is Task.BINARY_CLASSIFICATION and not np.all((tgt == 0.0) | (tgt == 1.0)):
             bad = tgt[(tgt != 0.0) & (tgt != 1.0)][0]
-            raise DataError(f"classification target value {bad!r} outside {{0, 1}}")
+            raise DataError(f"classification target value {float(bad)!r} outside {{0, 1}}")
         feats.setflags(write=False)
         tgt.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -100,12 +99,12 @@ class RowIndexSet:
         return int(self.indices.size)
 
 
-CSV_BLOCK_LINES = 2**9  # lines converted at a time by read_csv's plain path
+CSV_BLOCK_ROWS = 2**9  # data rows that read_csv converts at a time
 
 
 def read_csv(path, columns=None) -> tuple[tuple[str, ...], np.ndarray]:
     """Parse a numeric CSV (header row, UTF-8 with or without a byte-order
-    mark, decimal-point reals).
+    mark, decimal-point reals) with the `csv` module.
 
     Returns the header names and a float64 matrix of the named `columns`
     in that order, or of every column when `columns` is None. Only those
@@ -113,68 +112,11 @@ def read_csv(path, columns=None) -> tuple[tuple[str, ...], np.ndarray]:
     every row must have one cell per header name. Header names must be
     distinct. Blank lines are skipped.
 
-    A plain file is read CSV_BLOCK_LINES lines at a time (`_read_plain_csv`);
-    any other file, and every file with an error, goes through the `csv`
-    module (`_read_csv_reference`), which gives the same names and matrix
-    on a plain file and is the only source of error messages.
+    Rows are converted CSV_BLOCK_ROWS at a time (`_csv_block`). Errors
+    come in file order: a row's error before a `csv.Error` or
+    `UnicodeDecodeError` on a later line.
     """
-    plain = _read_plain_csv(path, columns)
-    return plain if plain is not None else _read_csv_reference(path, columns)
-
-
-def _read_plain_csv(path, columns) -> tuple[tuple[str, ...], np.ndarray] | None:
-    """`read_csv` of a plain file, or None when the file is not plain.
-
-    A plain file holds no `"`, carriage return or NUL, ends every line with
-    a newline, has no line longer than `csv.field_size_limit()`, and has a
-    nonblank header of distinct names that holds every named column, at
-    least one data row and exactly one comma fewer than header names on
-    every data line; at least one column is selected, and every selected
-    cell is a finite real to `float`. Such a file splits on commas as the
-    `csv` module splits it, so `_read_csv_reference` would give the same
-    names and matrix."""
-    limit = csv.field_size_limit()
-    try:
-        with open(path, newline="\n", encoding="utf-8-sig") as fh:
-            header = fh.readline()
-            if header == "\n" or not _plain_lines(header, [header], limit):  # csv reads "\n" as no names
-                return None
-            names = tuple(h.strip() for h in header[:-1].split(","))
-            if len(set(names)) != len(names) or not set(columns or ()) <= set(names):
-                return None
-            positions = range(len(names)) if columns is None else [names.index(c) for c in columns]
-            if not positions:  # `float` meets no cell, so a blank line would pass for a row
-                return None
-            commas = len(names) - 1
-            blocks = []
-            while lines := list(itertools.islice(fh, CSV_BLOCK_LINES)):
-                text = "".join(lines)
-                if not _plain_lines(text, lines, limit) or any(line.count(",") != commas for line in lines):
-                    return None
-                cells = text[:-1].replace("\n", ",").split(",")
-                block = np.empty((len(lines), len(positions)))
-                for j, pos in enumerate(positions):
-                    block[:, j] = list(map(float, cells[pos :: len(names)]))
-                if not np.isfinite(block).all():
-                    return None
-                blocks.append(block)
-    except ValueError:  # a cell that float rejects, or a UnicodeDecodeError
-        return None
-    return (names, np.concatenate(blocks)) if blocks else None
-
-
-def _plain_lines(text: str, lines: list[str], limit: int) -> bool:
-    """Whether `text`, the join of `lines`, holds no quote, carriage return or
-    NUL, ends in a newline and has no line longer than `limit`."""
-    return (
-        text.endswith("\n")
-        and not ('"' in text or "\r" in text or "\0" in text)
-        and (len(text) <= limit or max(map(len, lines)) <= limit)
-    )
-
-
-def _read_csv_reference(path, columns) -> tuple[tuple[str, ...], np.ndarray]:
-    """`read_csv` through the `csv` module: any file, and every error message."""
+    blocks = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -192,34 +134,58 @@ def _read_csv_reference(path, columns) -> tuple[tuple[str, ...], np.ndarray]:
                 if missing:
                     raise DataError(f"{path}: columns {missing} not among headers {list(names)}")
                 positions = [names.index(c) for c in columns]
-            values: list[list[float]] = []
-            for row_no, row in enumerate(reader, start=1):
-                if not row or (len(row) == 1 and row[0].strip() == ""):
-                    continue
-                if len(row) != len(names):
-                    raise DataError(
-                        f"{path}: row {row_no} has {len(row)} cells, expected {len(names)}"
-                    )
-                parsed = []
-                for pos in positions:
-                    try:
-                        value = float(row[pos])
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: cell {row[pos]!r} at row {row_no}, column {names[pos]!r} "
-                            "is not a number"
-                        ) from None
-                    if not math.isfinite(value):
-                        raise DataError(
-                            f"{path}: non-finite value at row {row_no}, column {names[pos]!r}"
-                        )
-                    parsed.append(value)
-                values.append(parsed)
+            rows, row_nos = [], []
+            try:
+                for row_no, row in enumerate(reader, start=1):
+                    if not row or (len(row) == 1 and row[0].strip() == ""):
+                        continue
+                    rows.append(row)
+                    row_nos.append(row_no)
+                    if len(rows) == CSV_BLOCK_ROWS:
+                        blocks.append(_csv_block(path, names, positions, rows, row_nos))
+                        rows, row_nos = [], []
+            except (UnicodeDecodeError, csv.Error):
+                _csv_block(path, names, positions, rows, row_nos)  # the rows before the error raise theirs first
+                raise
+            if rows:
+                blocks.append(_csv_block(path, names, positions, rows, row_nos))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    if not values:
+    if not blocks:
         raise DataError(f"{path}: no data rows")
-    return names, np.asarray(values, dtype=np.float64)
+    return names, np.concatenate(blocks)
+
+
+def _csv_block(path, names: tuple[str, ...], positions, rows: list[list[str]], row_nos: list[int]) -> np.ndarray:
+    """The cells at `positions` of `rows`, the data rows numbered `row_nos`,
+    as a float64 matrix. Each column is converted in one pass; a block with
+    a row of the wrong length, a cell that `float` rejects or a value that
+    is not finite is converted again row by row, which raises the DataError
+    of its first bad row."""
+    block = np.empty((len(rows), len(positions)))
+    try:
+        if set(map(len, rows)) == {len(names)}:
+            cells = list(zip(*rows))
+            for j, pos in enumerate(positions):
+                block[:, j] = list(map(float, cells[pos]))
+            if np.isfinite(block).all():
+                return block
+    except ValueError:  # a cell that float rejects
+        pass
+    for i, (row_no, row) in enumerate(zip(row_nos, rows)):
+        if len(row) != len(names):
+            raise DataError(f"{path}: row {row_no} has {len(row)} cells, expected {len(names)}")
+        for j, pos in enumerate(positions):
+            try:
+                value = float(row[pos])
+            except ValueError:
+                raise DataError(
+                    f"{path}: cell {row[pos]!r} at row {row_no}, column {names[pos]!r} is not a number"
+                ) from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}: non-finite value at row {row_no}, column {names[pos]!r}")
+            block[i, j] = value
+    return block
 
 
 def load_csv(path, target_column: str, task: Task) -> Dataset:

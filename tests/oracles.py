@@ -15,11 +15,16 @@ trains every variant and every random run from scratch;
 evaluates each Newton iterate afresh for its gradient, its Hessian weights
 and its log-likelihood; `reference_sigmoid` splits its input by sign with
 boolean masks. `reference_children` reads a tree's child ids recursively,
-where the library sorts every node by its level.
+where the library sorts every node by its level. `reference_read_csv`
+converts a CSV one row and one cell at a time, where the library converts
+a block of rows column by column.
 """
 
 from __future__ import annotations
 
+import collections
+import csv
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -36,7 +41,7 @@ from interboost.boosting import (
     predict_matrix,
     train,
 )
-from interboost.data import kfold, train_test_split
+from interboost.data import DataError, kfold, train_test_split
 from interboost.discovery import discover_constraints
 from interboost.experiment import random_partition
 from interboost.linear import score_for_task, sigmoid
@@ -286,6 +291,56 @@ def reference_benchmark(ds, cfg, dataset_name="dataset"):
                   "wrapper_seed": cfg.wrapper_cfg.seed, "random_seeds": seeds},
         "variants": variants,
     }
+
+
+def reference_read_csv(path, columns=None):
+    """`interboost.data.read_csv` one row and one cell at a time: the same
+    names, matrix bytes and DataError messages."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file, expected a header row")
+            names = tuple(h.strip() for h in header)
+            repeated = sorted(n for n, count in collections.Counter(names).items() if count > 1)
+            if repeated:
+                raise DataError(f"{path}: repeated header names {repeated}")
+            if columns is None:
+                positions = range(len(names))
+            else:
+                missing = [c for c in columns if c not in names]
+                if missing:
+                    raise DataError(f"{path}: columns {missing} not among headers {list(names)}")
+                positions = [names.index(c) for c in columns]
+            values: list[list[float]] = []
+            for row_no, row in enumerate(reader, start=1):
+                if not row or (len(row) == 1 and row[0].strip() == ""):
+                    continue
+                if len(row) != len(names):
+                    raise DataError(
+                        f"{path}: row {row_no} has {len(row)} cells, expected {len(names)}"
+                    )
+                parsed = []
+                for pos in positions:
+                    try:
+                        value = float(row[pos])
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: cell {row[pos]!r} at row {row_no}, column {names[pos]!r} "
+                            "is not a number"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise DataError(
+                            f"{path}: non-finite value at row {row_no}, column {names[pos]!r}"
+                        )
+                    parsed.append(value)
+                values.append(parsed)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if not values:
+        raise DataError(f"{path}: no data rows")
+    return names, np.asarray(values, dtype=np.float64)
 
 
 def reference_sigmoid(z):

@@ -816,6 +816,9 @@ class TestSerialization:
             back = load_model(first)
             save_model(back, second)
             assert first.read_bytes() == second.read_bytes()
+            for t in range(n_trees):  # `ens[:t]` keeps params, so its file holds fewer than n_trees trees
+                save_model(ens[:t], second)
+                assert ensemble_to_json_obj(load_model(second)) == ensemble_to_json_obj(ens[:t])
         assert [tree.nodes.tolist() for tree in back.trees] == [tree.nodes.tolist() for tree in ens.trees]
 
     @settings(max_examples=30, deadline=None)

@@ -24,6 +24,7 @@ from interboost.data import (
     train_test_split,
     write_json,
 )
+from oracles import reference_read_csv
 
 
 class TestLoadCsv:
@@ -49,7 +50,7 @@ class TestLoadCsv:
 
     def test_classification_target_must_be_binary(self, tmp_csv):
         path = tmp_csv("x0,y\n1,0\n2,2\n")
-        with pytest.raises(DataError, match="outside"):
+        with pytest.raises(DataError, match=r"classification target value 2\.0 outside \{0, 1\}$"):
             load_csv(path, "y", Task.BINARY_CLASSIFICATION)
         # same file is a fine regression dataset
         assert load_csv(path, "y", Task.REGRESSION).n_rows == 2
@@ -163,9 +164,9 @@ def csv_outcome(read, path, columns):
 
 @st.composite
 def csv_files(draw):
-    """(bytes, columns) of a small plain CSV file with up to two defects
-    that `read_csv`'s plain path must leave to the `csv` parser, or that it
-    must take in its stride (an odd cell in a column that is not read)."""
+    """(bytes, columns) of a small CSV file with up to two defects, each of
+    which `read_csv` must report as `reference_read_csv` does, or take in
+    its stride (an odd cell in a column that is not read)."""
     names = ["a", "b", "c", " d ", "y"]
     header = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
     n_cols = len(header)
@@ -175,8 +176,11 @@ def csv_files(draw):
     newline, end, prefix, suffix = "\n", "\n", b"", b""
     for defect in draw(st.lists(st.sampled_from(CSV_DEFECTS), max_size=2)):
         at = draw(st.integers(0, len(rows)))
-        if defect == "odd cell" and rows:
-            rows[min(at, len(rows) - 1)][draw(st.integers(0, n_cols - 1))] = draw(st.sampled_from(ODD_CELLS))
+        if defect == "odd cell":
+            full = [i for i, row in enumerate(rows) if len(row) == len(header)]  # a cell per header name
+            if full:
+                row = rows[draw(st.sampled_from(full))]
+                row[draw(st.integers(0, len(header) - 1))] = draw(st.sampled_from(ODD_CELLS))
         elif defect in ("short row", "long row"):
             row = draw(cells)
             rows.insert(at, row[: n_cols - 1] if defect == "short row" else row)
@@ -199,52 +203,36 @@ def csv_files(draw):
     return prefix + text.encode("utf-8") + suffix, columns
 
 
-class TestPlainCsv:
+class TestReadCsv:
     @settings(max_examples=400, deadline=None)
-    @given(file=csv_files(), block_lines=st.integers(1, 4))
-    @example(file=(b"a,b,y\n1,2,3,4\n5,6\n", None), block_lines=4)  # a long row, then a short one
-    @example(file=(b"a,b,y\n1,2,3\n4,5,6\n7,8,9\n", ["y", "a"]), block_lines=2)
-    @example(file=("a,b,y\n1,x,3\n4,\u0661,6\n".encode(), ["y", "a"]), block_lines=1)  # text in b
-    @example(file=(b'a,b,y\n"1,2",3\n', ["y"]), block_lines=1)  # a quoted comma in a short row
-    @example(file=(b"a,y\n1\r2,3\n", ["y"]), block_lines=1)  # a carriage return ends a csv row
-    @example(file=(b"a\n0." + b"0" * 2**17 + b"1\n", None), block_lines=1)  # over csv.field_size_limit()
-    @example(file=(b"a,b\n", None), block_lines=1)  # no data rows
-    @example(file=(b"\n1\n", None), block_lines=1)  # a blank header
-    @example(file=(b"a\n1\n\n2\n", None), block_lines=1)  # a blank line
-    @example(file=(b"a\n1\n\n2\n", []), block_lines=1)  # a blank line, no column read
-    def test_plain_path_matches_the_csv_parser(self, file, block_lines):
+    @given(file=csv_files(), block_rows=st.integers(1, 4))
+    @example(file=(b"a,b,y\n1,2,3,4\n5,6\n", None), block_rows=4)  # a long row, then a short one
+    @example(file=(b"a,b,y\n1,2,3\n4,5,6\n7,8,9\n", ["y", "a"]), block_rows=2)
+    @example(file=("a,b,y\n1,x,3\n4,\u0661,6\n".encode(), ["y", "a"]), block_rows=1)  # text in b
+    @example(file=(b'a,b,y\n"1,2",3\n', ["y"]), block_rows=1)  # a quoted comma in a short row
+    @example(file=(b"a,y\n1\r2,3\n", ["y"]), block_rows=1)  # a carriage return ends a csv row
+    @example(file=(b"a\n0." + b"0" * 2**17 + b"1\n", None), block_rows=1)  # over csv.field_size_limit()
+    @example(file=(b"a\nx\n1" + b"0" * 2**17 + b"\n", None), block_rows=4)  # a bad cell, then a csv.Error
+    @example(file=(b"a,b\n", None), block_rows=1)  # no data rows
+    @example(file=(b"\n1\n", None), block_rows=1)  # a blank header
+    @example(file=(b"a\n1\n\n2\n", None), block_rows=1)  # a blank line
+    @example(file=(b"a\n1\n\n2\n", []), block_rows=1)  # a blank line, no column read
+    def test_read_csv_matches_the_reference_parser(self, file, block_rows):
         text, columns = file
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.csv"
             path.write_bytes(text)
-            expected = csv_outcome(data._read_csv_reference, path, columns)
-            with mock.patch.object(data, "CSV_BLOCK_LINES", block_lines):
+            expected = csv_outcome(reference_read_csv, path, columns)
+            with mock.patch.object(data, "CSV_BLOCK_ROWS", block_rows):
                 assert csv_outcome(read_csv, path, columns) == expected
-                plain = data._read_plain_csv(path, columns)
-        if plain is not None:
-            assert (plain[0], plain[1].dtype, plain[1].shape, plain[1].tobytes()) == expected
 
-    @staticmethod
-    def _plain_file(path, n_rows):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(n_rows, 16)) * 10.0 ** rng.integers(-5, 6, size=16)
-        save_csv(Dataset(X, tuple(f"x{i}" for i in range(16)), rng.normal(size=n_rows), Task.REGRESSION), path)
-
-    def test_a_plain_file_takes_the_plain_path(self, tmp_path):
-        path = tmp_path / "plain.csv"
-        self._plain_file(path, 3 * data.CSV_BLOCK_LINES + 5)
-        names, matrix = data._read_csv_reference(path, None)
-        with mock.patch.object(data, "_read_csv_reference", side_effect=AssertionError("csv parser used")):
-            plain_names, plain = read_csv(path)
-            _, some = read_csv(path, ["target", "x3"])
-        assert plain_names == names and plain.tobytes() == matrix.tobytes()
-        assert some.tobytes() == np.ascontiguousarray(matrix[:, [16, 3]]).tobytes()
-
-    def test_plain_path_peaks_below_the_csv_parser(self, tmp_path):
+    def test_read_csv_peaks_below_the_reference_parser(self, tmp_path):
         path = tmp_path / "tall.csv"
-        self._plain_file(path, 20000)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(20000, 16)) * 10.0 ** rng.integers(-5, 6, size=16)
+        save_csv(Dataset(X, tuple(f"x{i}" for i in range(16)), rng.normal(size=20000), Task.REGRESSION), path)
         peaks = []
-        for read in (data._read_csv_reference, read_csv):
+        for read in (reference_read_csv, read_csv):
             tracemalloc.start()
             read(path, None)
             peaks.append(tracemalloc.get_traced_memory()[1])
