@@ -25,8 +25,7 @@ root. Neither memory nor the file holds child ids; `FlatTrees`, which
 lays the trees out for prediction, works them out.
 
 Training has no randomness, so the first t trees of a run depend only on
-the schedule's first t rounds: `ens[:t]` is the model after t rounds, and
-`train` can continue such a prefix of another run (`prefix=`).
+the schedule's first t rounds: `ens[:t]` is the model after t rounds.
 
 Prediction walks every tree of an ensemble at once: the trees are laid out
 once per `Ensemble` in one flat node table (`FlatTrees`), and each walk step
@@ -212,12 +211,15 @@ class Ensemble:
         return FlatTrees.of(self.trees)
 
     def __getitem__(self, index: slice) -> Ensemble:
-        """The ensemble of `trees[index]` and their constraint-log entries;
-        `ens[:t]` is the model after its first t rounds. Only slices are
-        accepted, so an Ensemble is not a sequence of Ensembles."""
+        """The ensemble of `trees[index]` and their constraint-log entries,
+        with `params.n_trees` their count; `ens[:t]` is the model that
+        training t trees gives. Only slices are accepted, so an Ensemble is
+        not a sequence of Ensembles."""
         if not isinstance(index, slice):
             raise TypeError(f"an Ensemble takes a slice of its trees, not {index!r}")
-        return dataclasses.replace(self, trees=self.trees[index], constraint_log=self.constraint_log[index])
+        trees = self.trees[index]
+        params = dataclasses.replace(self.params, n_trees=len(trees))
+        return dataclasses.replace(self, trees=trees, params=params, constraint_log=self.constraint_log[index])
 
 
 def grad_hess(task: Task, y: np.ndarray, raw_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -385,35 +387,17 @@ def default_base_score(task: Task, y: np.ndarray) -> float:
     return math.log(p / (1.0 - p))
 
 
-def _check_prefix(prefix: Ensemble, ds: Dataset, params: TrainParams, base: float) -> None:
-    """Raise ValueError unless `train` on `ds` with `params` can continue `prefix`."""
-    ours = (ds.task, ds.feature_names, params.learning_rate, base)
-    if (prefix.task, prefix.feature_names, prefix.params.learning_rate, prefix.base_score) != ours:
-        raise ValueError("prefix does not fit this training run: task, feature names, learning_rate or base score differ")
-    if len(prefix.trees) > params.n_trees:
-        raise ValueError(f"prefix has {len(prefix.trees)} trees, more than n_trees={params.n_trees}")
-
-
 def train(
     ds: Dataset,
     rows: RowIndexSet | None,
     params: TrainParams,
     schedule: ConstraintSchedule = NoConstraints(),
-    prefix: Ensemble | None = None,
 ) -> Ensemble:
     """Boost `params.n_trees` trees under the given constraint schedule.
 
     Each round fits a tree to the current gradients/hessians and adds
     learning_rate times its leaf outputs to the raw predictions. The
     partition applied to each tree is recorded in the constraint log.
-
-    With `prefix`, the run keeps the prefix's trees and constraint log as
-    its first rounds and boosts rounds len(prefix.trees)+1 .. n_trees under
-    `schedule`. Prediction routes the training rows exactly as growing
-    them did, so the raw predictions rebuilt from the prefix equal those of
-    the run that grew it. A prefix of another task, other feature names,
-    learning rate or base score, or with more than n_trees trees, is a
-    ValueError.
 
     `rows` picks the training rows of `ds`; None trains on all of them.
     An index past the end is a DataError, and so is an empty row set.
@@ -426,18 +410,13 @@ def train(
     if first is not None:
         first.validate_for(ds.n_features)
     X, y = ds.features, ds.target
-    base = params.base_score if params.base_score is not None else default_base_score(ds.task, y)
+    base = float(params.base_score) if params.base_score is not None else default_base_score(ds.task, y)
     if not math.isfinite(base):
         raise DataError(f"base score {base} is not finite: the targets are too large")
-    if prefix is None:
-        prefix = Ensemble((), params, ds.task, float(base), ds.feature_names, ())
-    else:
-        _check_prefix(prefix, ds, params, float(base))
-    raw = predict_raw_matrix(prefix, X)
+    raw = np.full(ds.n_rows, base)
     presorted = presort(X)
-    trees = list(prefix.trees)
-    log = list(prefix.constraint_log)
-    for tree_number in range(len(trees) + 1, params.n_trees + 1):
+    trees, log = [], []
+    for tree_number in range(1, params.n_trees + 1):
         g, h = grad_hess(ds.task, y, raw)
         partition = schedule.for_round(tree_number, ds, g)
         tree, contribution = _grow(X, g, h, presorted, params, partition)
@@ -446,7 +425,7 @@ def train(
         raw = raw + params.learning_rate * contribution
         trees.append(tree)
         log.append(partition)
-    return dataclasses.replace(prefix, params=params, trees=tuple(trees), constraint_log=tuple(log))
+    return Ensemble(tuple(trees), params, ds.task, base, ds.feature_names, tuple(log))
 
 
 def _checked_features(ens: Ensemble, X: np.ndarray) -> np.ndarray:
@@ -591,8 +570,8 @@ def ensemble_from_json_obj(obj: dict) -> Ensemble:
             for p in _list(obj, "constraint_log")
         )
         tree_objs = _list(obj, "trees")
-        if len(tree_objs) > params.n_trees:  # fewer is a prefix, `ens[:t]`
-            raise DataError(f"trees holds {len(tree_objs)} trees, more than n_trees={params.n_trees}")
+        if len(tree_objs) != params.n_trees:
+            raise DataError(f"trees holds {len(tree_objs)} trees, but n_trees={params.n_trees}")
         if len(log) != len(tree_objs):
             raise DataError(f"constraint_log has {len(log)} entries for {len(tree_objs)} trees")
         trees = []

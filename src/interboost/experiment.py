@@ -143,26 +143,6 @@ def _test_score(ens: Ensemble, test_ds: Dataset) -> float:
     return score_for_task(test_ds.task, test_ds.target, prediction)
 
 
-def _partial_x_models(
-    train_ds: Dataset, params: TrainParams, cfg: BenchmarkConfig, base_partition: ConstraintPartition
-) -> dict[int, Ensemble]:
-    """The `PerResidual(x, ...)` model for each x of `cfg.partial_x_list`.
-
-    For x below the largest entry, PerResidual(x)'s first min(x, n_trees)
-    rounds are those of the largest entry's run, and every later round is
-    unconstrained; so the largest x is trained once and each smaller x
-    continues its first min(x, n_trees) trees under NoConstraints."""
-    if not cfg.partial_x_list:
-        return {}
-    longest_x = max(cfg.partial_x_list)
-    longest = train(train_ds, None, params, PerResidual(longest_x, cfg.wrapper_cfg, base_partition))
-    models = {longest_x: longest}
-    for x in cfg.partial_x_list:
-        if x not in models:
-            models[x] = train(train_ds, None, params, NoConstraints(), longest[: min(x, params.n_trees)])
-    return models
-
-
 def benchmark(ds: Dataset, cfg: BenchmarkConfig, dataset_name: str = "dataset") -> dict:
     """Run the full variant comparison on one holdout split and return the
     `report.json` document (schema in the README).
@@ -205,10 +185,10 @@ def benchmark(ds: Dataset, cfg: BenchmarkConfig, dataset_name: str = "dataset") 
         variant("baseline", None, baseline_score),
         variant("full_interaction", {"partition": base_groups}, score(base_partition)),
     ]
-    partial_models = _partial_x_models(train_ds, params, cfg, base_partition)
     for x in cfg.partial_x_list:
         constraint = {"first_x": x, "first_tree_partition": base_groups}
-        results.append(variant(f"interaction_{x}", constraint, _test_score(partial_models[x], test_ds)))
+        ens = train(train_ds, None, params, PerResidual(x, cfg.wrapper_cfg, base_partition))
+        results.append(variant(f"interaction_{x}", constraint, _test_score(ens, test_ds)))
 
     random_seeds = [mix_seed(cfg.split_seed, 2, i) for i in range(cfg.random_runs)]
     runs = []

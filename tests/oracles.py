@@ -249,8 +249,9 @@ def reference_tune(ds, grid, k, seed):
 
 def reference_benchmark(ds, cfg, dataset_name="dataset"):
     """`interboost.experiment.benchmark` without shared work: tuning by
-    `reference_tune`, then each variant, each `interaction_x` and each
-    random run trains its own model from scratch."""
+    `reference_tune`, then each variant and each random run trains its own
+    model from scratch, each `interaction_x` as its own `PerResidual(x)`
+    run, as `benchmark` trains it."""
     train_ds, test_ds = train_test_split(ds, cfg.test_fraction, cfg.split_seed)
     tune_seed = mix_seed(cfg.split_seed, 1)
     params = reference_tune(train_ds, cfg.grid, cfg.k, tune_seed)

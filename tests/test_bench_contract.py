@@ -124,3 +124,31 @@ def test_traced_benchmark_tunes_each_cell_once_at_the_largest_size():
     metrics = tracer.layer_metrics([recorder.spans])
     assert metrics["experiment.tune.useful_tree_ratio"] == 1.0
     assert metrics["experiment.tune.trees"] == 2 * 1 * 2 * 6  # depths x rates x folds x max n_trees
+
+
+def test_traced_tree_count_is_the_count_of_trees_grown(monkeypatch):
+    from interboost import boosting
+    from interboost.experiment import BenchmarkConfig, TuningGrid
+    from interboost.synth import paired_products_dataset
+
+    grown = []
+    grow = boosting._grow
+
+    def counting_grow(*args):
+        grown.append(1)
+        return grow(*args)
+
+    monkeypatch.setattr(boosting, "_grow", counting_grow)
+    cfg = BenchmarkConfig(
+        grid=TuningGrid((3, 6), (2, 3), (0.3,)),
+        k=2,
+        wrapper_cfg=WrapperConfig(seed=1, epsilon=5e-3),
+        partial_x_list=(2, 4),
+        random_runs=1,
+    )
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        from interboost import cli
+
+        cli.benchmark(paired_products_dataset(160, seed=2), cfg)
+    assert tracer.layer_metrics([recorder.spans])["boosting.trees"] == len(grown)

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import math
@@ -545,42 +544,11 @@ class TestScaleInvariance:
             train(ds, None, TrainParams(1, 1, 0.1, base_score=1e308))
 
 
-def _same_model(a, b):
-    assert [t.nodes.tobytes() for t in a.trees] == [t.nodes.tobytes() for t in b.trees]
-    assert [None if p is None else p.groups for p in a.constraint_log] == [
-        None if p is None else p.groups for p in b.constraint_log
-    ]
-    assert (a.params, a.base_score) == (b.params, b.base_score)
-
-
 class TestPrefix:
-    """`train(..., prefix=ens[:t])` continues another run from its first t trees."""
+    """`ens[:t]` is the model after the first t rounds of `ens`."""
 
     def _ds(self):
         return make_regression(90, 3, seed=12, target_fn=lambda X: X[:, 0] * X[:, 1] + X[:, 2], noise_sd=0.1)
-
-    @pytest.mark.parametrize("task", [Task.REGRESSION, Task.BINARY_CLASSIFICATION])
-    def test_unconstrained_continuation_equals_one_run(self, task):
-        if task is Task.REGRESSION:
-            ds = self._ds()
-        else:
-            ds = make_classification(90, 3, seed=12, logit_fn=lambda X: 3 * X[:, 0] * X[:, 1])
-        rows = RowIndexSet(np.arange(5, 80))
-        params = TrainParams(7, 3, 0.3)
-        full = train(ds, rows, params)
-        for t in (0, 1, 3, 7):
-            _same_model(train(ds, rows, params, NoConstraints(), prefix=full[:t]), full)
-
-    @pytest.mark.parametrize("x", [1, 2, 4, 5, 8])
-    def test_continuing_a_longer_per_residual_run_equals_per_residual_x(self, x):
-        ds = self._ds()
-        params = TrainParams(5, 2, 0.3)
-        partition = ConstraintPartition(((0, 1), (2,)))
-        schedule = PerResidual(params.n_trees + 3, WrapperConfig(seed=0, epsilon=5e-3), partition)
-        longest = train(ds, None, params, schedule)
-        forked = train(ds, None, params, NoConstraints(), prefix=longest[: min(x, params.n_trees)])
-        direct = train(ds, None, params, dataclasses.replace(schedule, first_x=x))
-        _same_model(forked, direct)
 
     def test_stages_are_the_predictions_of_each_prefix(self):
         ds = self._ds()
@@ -591,31 +559,6 @@ class TestPrefix:
             ens[0]
         for t, raw in enumerate(stages):
             assert raw.tobytes() == predict_raw_matrix(ens[:t], ds.features).tobytes()
-
-    @pytest.mark.parametrize(
-        "change",
-        ["task", "n_features", "feature_names", "learning_rate", "base_score", "too_many_trees"],
-    )
-    def test_prefix_that_does_not_fit_is_rejected(self, change):
-        ds = self._ds()
-        params = TrainParams(4, 2, 0.3)
-        prefix = train(ds, None, TrainParams(3, 2, 0.3))
-        if change == "task":
-            ds = Dataset(ds.features, ds.feature_names, (ds.target > 0).astype(float), Task.BINARY_CLASSIFICATION)
-            prefix = dataclasses.replace(prefix, base_score=default_base_score(ds.task, ds.target))
-        elif change == "n_features":
-            ds = Dataset(ds.features[:, :2], ds.feature_names[:2], ds.target, ds.task)
-            prefix = dataclasses.replace(prefix, base_score=default_base_score(ds.task, ds.target))
-        elif change == "feature_names":
-            ds = Dataset(ds.features, tuple(f"z{i}" for i in range(ds.n_features)), ds.target, ds.task)
-        elif change == "learning_rate":
-            params = TrainParams(4, 2, 0.2)
-        elif change == "base_score":
-            params = TrainParams(4, 2, 0.3, base_score=prefix.base_score + 1.0)
-        else:
-            params = TrainParams(2, 2, 0.3)
-        with pytest.raises(ValueError, match="prefix"):
-            train(ds, None, params, NoConstraints(), prefix=prefix)
 
 
 def _hand_built_ensemble(trees, n_features, learning_rate=0.5, base_score=0.0):
@@ -816,7 +759,9 @@ class TestSerialization:
             back = load_model(first)
             save_model(back, second)
             assert first.read_bytes() == second.read_bytes()
-            for t in range(n_trees):  # `ens[:t]` keeps params, so its file holds fewer than n_trees trees
+            for t in range(n_trees):  # `ens[:t]` is the model a run of t trees trains
+                shorter = self._schedule_model(seed, schedule, classification, max_depth, t)
+                assert ensemble_to_json_obj(ens[:t]) == ensemble_to_json_obj(shorter)
                 save_model(ens[:t], second)
                 assert ensemble_to_json_obj(load_model(second)) == ensemble_to_json_obj(ens[:t])
         assert [tree.nodes.tolist() for tree in back.trees] == [tree.nodes.tolist() for tree in ens.trees]

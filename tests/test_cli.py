@@ -379,7 +379,9 @@ class TestTrainPredictCommands:
             (lambda m: m["trees"][1]["nodes"].append({"leaf": 0.5}), "tree 1: node 7 comes after the tree is complete"),
             (lambda m: m["trees"][0]["nodes"].pop(), "tree 0: nodes end while node"),
             (lambda m: m["params"].update(max_depth=1), "tree 0: node 2 lies at depth 2, deeper than max_depth=1"),
-            (lambda m: m["params"].update(n_trees=1), "trees holds 2 trees, more than n_trees=1"),
+            (lambda m: m["params"].update(n_trees=1), "trees holds 2 trees, but n_trees=1"),
+            (lambda m: [m[key].pop() for key in ("trees", "constraint_log")], "trees holds 1 trees, but n_trees=2"),
+            (lambda m: m.update(trees=[], constraint_log=[]), "trees holds 0 trees, but n_trees=2"),
             (_format_1, "unexpected keyword argument 'seed'"),
             (_format_2, "tree 0: node 0 holds ['feature', 'left', 'right', 'threshold']"),
             (lambda m: m.update(n_trees=len(m["trees"])), "unknown model key 'n_trees'"),
@@ -392,7 +394,7 @@ class TestTrainPredictCommands:
              "repeated-feature-name", "feature-names-dict", "trees-dict", "trees-string", "nodes-dict",
              "constraint-log-dict", "constraint-log-short",
              "constraint-log-partial", "split-outside-used-group", "empty-nodes", "node-after-complete-tree",
-             "last-node-dropped", "too-deep", "too-many-trees", "format-1", "format-2", "model-key", "tree-key", "leaf-with-split-keys",
+             "last-node-dropped", "too-deep", "too-many-trees", "too-few-trees", "no-trees", "format-1", "format-2", "model-key", "tree-key", "leaf-with-split-keys",
              "padded-feature-name", "bom-feature-name"],
     )
     def test_corrupt_model_is_data_error(self, tmp_path, data_csv, capsys, mutate, message):

@@ -130,9 +130,9 @@ class TestStagedTune:
     def test_trains_once_per_depth_rate_fold_at_the_largest_size(self, monkeypatch):
         sizes = []
 
-        def counting_train(ds, rows, params, schedule=NoConstraints(), prefix=None):
+        def counting_train(ds, rows, params, schedule=NoConstraints()):
             sizes.append(params.n_trees)
-            return train(ds, rows, params, schedule, prefix)
+            return train(ds, rows, params, schedule)
 
         monkeypatch.setattr(experiment, "train", counting_train)
         ds = make_regression(60, 2, seed=3, target_fn=lambda X: X[:, 0] * X[:, 1], noise_sd=0.2)
@@ -311,8 +311,8 @@ class TestBenchmark:
         assert again == report
 
 
-class TestForkedPartialRuns:
-    def test_rediscovers_only_for_the_largest_x(self, monkeypatch):
+class TestPartialRuns:
+    def test_each_x_is_its_own_per_residual_run(self, monkeypatch):
         calls = []
         discover = boosting.discover_constraints_for_residuals
 
@@ -328,8 +328,8 @@ class TestForkedPartialRuns:
         report = benchmark(ds, cfg)
         tuned = TrainParams(**report["tuned_params"])
         assert tuned.n_trees == 4
-        assert len(calls) == min(6, 4) - 1
-        # each interaction_x is the model PerResidual(x) trains directly
+        assert len(calls) == sum(min(x, 4) - 1 for x in (2, 6, 3))
+        # each interaction_x is the model PerResidual(x) trains alone
         train_ds, test_ds = train_test_split(ds, cfg.test_fraction, cfg.split_seed)
         base_partition = report["variants"][1]["constraint"]["partition"]
         partial = report["variants"][2:-1]
@@ -350,10 +350,10 @@ class TestSharedScores:
     def test_equal_groups_train_once(self, monkeypatch, random_groups):
         trained = []
 
-        def counting_train(ds, rows, params, schedule=NoConstraints(), prefix=None):
-            if rows is None and prefix is None and not isinstance(schedule, PerResidual):  # not tuning or interaction_x
+        def counting_train(ds, rows, params, schedule=NoConstraints()):
+            if rows is None and not isinstance(schedule, PerResidual):  # not tuning or interaction_x
                 trained.append(None if isinstance(schedule, NoConstraints) else schedule.partition.canonical())
-            return train(ds, rows, params, schedule, prefix)
+            return train(ds, rows, params, schedule)
 
         monkeypatch.setattr(experiment, "train", counting_train)
         ds = paired_products_dataset(160, seed=2)
