@@ -8,6 +8,9 @@ second-order gain
 order: a child's sorted block is a stable filter of its parent's, and a
 node's allowed features are scored by 2-D prefix-sum passes over slices of
 at most SCAN_CELLS block cells (one pass for all but the largest nodes).
+g and h are prefix-summed together, as the real and imaginary parts of one
+complex128 array: a complex add adds the two parts separately, so each part
+has the bits of its own real prefix sum.
 Routing is strictly "go left iff x[feature] < threshold" with thresholds at
 midpoints of adjacent distinct values (or the upper value, when the
 midpoint would not separate them); ties on gain break toward the lower
@@ -261,23 +264,34 @@ def _split_threshold(a: float, b: float) -> float:
     return t if t > a else b
 
 
-def _find_split(xs, rows, g, h, allowed, params: TrainParams, gamma: float):
+def _packed(g, h):
+    """One complex128 array with real part g and imaginary part h, each
+    with the bits of its input (`g + 1j * h` would turn -0.0 into +0.0)."""
+    gh = np.empty(len(g), np.complex128)
+    gh.real, gh.imag = g, h
+    return gh
+
+
+def _find_split(xs, rows, gh, allowed, params: TrainParams, gamma: float):
     """(gain, threshold, feature) of the best split of one node, or None.
 
     `rows` and `xs` are the node's presorted block: row k holds the node's
     row ids and values of feature allowed[k] (ascending), in stable
-    ascending order of that feature. The block is scored in slices of
-    max(1, SCAN_CELLS // m) features, one 2-D pass each, so a large node's
-    temporaries stay cache-sized; each feature's m-1 positions between
-    adjacent rows get the gain from prefix sums of g and h in that
-    feature's order. A position between equal values, leaving a child
-    below min_child_samples or min_child_hessian, or with a non-finite gain
-    (possible when reg_lambda and min_child_hessian are both zero) scores
-    -inf. A slice's first maximum in row-major order replaces the best of
-    the slices before only when it is strictly greater, so ties go to the
-    lower feature index, then the lower threshold; a best gain that is not
-    positive gives None. `gamma` stands for params.gamma in the units of g
-    squared."""
+    ascending order of that feature. `gh` holds each row's g as the real
+    part and its h as the imaginary part of one complex128. The block is
+    scored in slices of max(1, SCAN_CELLS // m) features, one 2-D pass
+    each, so a large node's temporaries stay cache-sized; each feature's
+    m-1 positions between adjacent rows get the gain from prefix sums of g
+    and h in that feature's order. One complex prefix sum gives both: a
+    complex add adds the real parts and the imaginary parts separately, so
+    each part has the bits of the real prefix sum of g or h. A position
+    between equal values, leaving a child below min_child_samples or
+    min_child_hessian, or with a non-finite gain (possible when reg_lambda
+    and min_child_hessian are both zero) scores -inf. A slice's first
+    maximum in row-major order replaces the best of the slices before only
+    when it is strictly greater, so ties go to the lower feature index,
+    then the lower threshold; a best gain that is not positive gives None.
+    `gamma` stands for params.gamma in the units of g squared."""
     m = xs.shape[1]
     min_rows, lam, min_hess = params.min_child_samples, params.reg_lambda, params.min_child_hessian
     if m < 2 * min_rows:
@@ -286,20 +300,30 @@ def _find_split(xs, rows, g, h, allowed, params: TrainParams, gamma: float):
     best_gain, best = 0.0, None
     for lo in range(0, xs.shape[0], step):
         part = slice(lo, lo + step)
-        cg = np.cumsum(g[rows[part]], axis=1)
-        ch = np.cumsum(h[rows[part]], axis=1)
-        GL, HL, G, H = cg[:, :-1], ch[:, :-1], cg[:, -1:], ch[:, -1:]
-        invalid = ~(xs[part, :-1] < xs[part, 1:]) | (HL < min_hess) | (H - HL < min_hess)
+        c = np.cumsum(gh[rows[part]], axis=1)
+        G, H = c.real[:, -1:], c.imag[:, -1:]
+        GL, HL = c.real[:, :-1].copy(), c.imag[:, :-1].copy()  # contiguous: strided views are slow
+        HR = H - HL
+        invalid = xs[part, :-1] == xs[part, 1:]  # a tie: block rows are sorted and hold no NaN
+        invalid |= HL < min_hess
+        invalid |= HR < min_hess
         # The gain expression of the module doc, term by term in its order of
         # operations; in place, so that few (features, rows) arrays are alive.
         with np.errstate(divide="ignore", invalid="ignore"):
             right = G - GL
             right *= right
-            right /= H - HL + lam
-            gains = GL * GL / (HL + lam)
+            HR += lam
+            right /= HR
+            gains = GL
+            gains *= gains
+            HL += lam
+            gains /= HL
             gains += right
-            gains = 0.5 * (gains - G * G / (H + lam)) - gamma
-        gains[invalid | ~np.isfinite(gains)] = -np.inf
+            gains -= G * G / (H + lam)
+            gains *= 0.5
+            gains -= gamma
+        invalid |= ~np.isfinite(gains)
+        np.copyto(gains, -np.inf, where=invalid)
         gains[:, : min_rows - 1] = gains[:, m - min_rows :] = -np.inf  # a child below min_child_samples
         k, i = divmod(int(np.argmax(gains)), m - 1)
         if gains[k, i] > best_gain:
@@ -333,6 +357,7 @@ def _grow(
     with np.errstate(over="ignore"):  # a gamma past the largest float allows no split
         scan_g, gamma = np.ldexp(g, -e), np.ldexp(params.gamma, -2 * e)
     n = X.shape[0]
+    gh = _packed(scan_g, h)
     records: list[tuple] = []
     values = np.empty(n)
     in_left = np.zeros(n, dtype=bool)  # valid on the rows of the node being split
@@ -342,7 +367,7 @@ def _grow(
         pos, rows, xs, depth, allowed = stack.pop()
         found = None
         if depth < params.max_depth:
-            found = _find_split(xs, rows, scan_g, h, allowed, params, gamma)
+            found = _find_split(xs, rows, gh, allowed, params, gamma)
         if found is None:
             with np.errstate(over="ignore"):  # `train` refuses a weight that is not finite
                 weight = leaf_weight(float(g[pos].sum()), float(h[pos].sum()), params.reg_lambda)

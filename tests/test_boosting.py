@@ -23,6 +23,7 @@ from interboost.boosting import (
     Tree,
     _find_split,
     _grow,
+    _packed,
     default_base_score,
     presort,
     ensemble_from_json_obj,
@@ -133,7 +134,7 @@ def _find(ds, allowed, gh, params):
     pair `gh`: (gain, threshold, feature) or None."""
     rows, xs = presort(ds.features)
     allowed = list(allowed)
-    return _find_split(xs[allowed], rows[allowed], *gh, tuple(allowed), params, params.gamma)
+    return _find_split(xs[allowed], rows[allowed], _packed(*gh), tuple(allowed), params, params.gamma)
 
 
 class TestBestSplit:
@@ -194,6 +195,38 @@ class TestBestSplit:
         split = _find(ds, (0,), gh, _stump_params(min_child_samples=2))
         assert split is not None
         assert split[1] == 2.5  # the 3.5 boundary would leave one row
+
+
+# Values whose sums are easy to get wrong: signed zeros, subnormals, and
+# magnitudes far apart, so that rounding depends on the order of the adds.
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 1e300, -1e300]),
+    st.floats(-1e6, 1e6, allow_subnormal=True),
+    st.floats(-1e-300, 1e-300, allow_subnormal=True),
+)
+
+
+class TestPackedPrefixSums:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(_EDGE_FLOATS, _EDGE_FLOATS), min_size=1, max_size=40),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        regression=st.booleans(),
+    )
+    @example(pairs=[(-0.0, 1.0), (-0.0, 1.0)], k=1, seed=0, regression=True)
+    def test_complex_prefix_sum_has_the_bits_of_two_real_ones(self, pairs, k, seed, regression):
+        # The split scan prefix-sums g and h as one complex array (`_packed`),
+        # gathered in (k, m) blocks of row ids, and reads the parts back as
+        # the sums of g and h: each part must have the bits of the separate
+        # real `cumsum`, signed zeros included.
+        g, h = np.array(pairs).T
+        h = np.ones_like(h) if regression else np.abs(h)  # regression's hessians are all 1
+        rows = np.argsort(np.random.default_rng(seed).random((k, len(g))), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            both = np.cumsum(_packed(g, h)[rows], axis=1)
+            assert both.real.tobytes() == np.cumsum(g[rows], axis=1).tobytes()
+            assert both.imag.tobytes() == np.cumsum(h[rows], axis=1).tobytes()
 
 
 class TestGrowTree:
@@ -300,11 +333,23 @@ class TestGrowTree:
         max_depth=st.integers(1, 5),
         min_child_samples=st.integers(1, 3),
         reg_lambda=st.sampled_from([0.0, 1.0]),
+        gamma=st.sampled_from([0.0, 0.01, 0.3, 2.0]),
+        min_child_hessian=st.sampled_from([0.0, 1e-6, 0.1, 0.5]),
         grouped=st.booleans(),
         classification=st.booleans(),
     )
     def test_presorted_grower_matches_reference(
-        self, seed, n_rows, columns, max_depth, min_child_samples, reg_lambda, grouped, classification
+        self,
+        seed,
+        n_rows,
+        columns,
+        max_depth,
+        min_child_samples,
+        reg_lambda,
+        gamma,
+        min_child_hessian,
+        grouped,
+        classification,
     ):
         # "copy" repeats the previous column, so equal gains on different
         # features must go to the lower one; "adjacent" and "huge" put the
@@ -336,7 +381,13 @@ class TestGrowTree:
             if grouped and half > 0
             else None
         )
-        params = _stump_params(reg_lambda, max_depth=max_depth, min_child_samples=min_child_samples)
+        params = _stump_params(
+            reg_lambda,
+            max_depth=max_depth,
+            min_child_samples=min_child_samples,
+            gamma=gamma,
+            min_child_hessian=min_child_hessian,
+        )
         expected, expected_values = reference_grow(X, g, h, params, partition)
         # a block this small is one slice; patched, the scan cuts it into
         # slices of 1 or more features, so "copy" columns tie across slices
