@@ -31,10 +31,11 @@ Training has no randomness, so the first t trees of a run depend only on
 the schedule's first t rounds: `ens[:t]` is the model after t rounds.
 
 Prediction walks every tree of an ensemble at once: the trees are laid out
-once per `Ensemble` in one flat node table (`FlatTrees`), and each walk step
-moves every (tree, row) cell one level down with a few numpy gathers. Rows
-are walked in chunks of at most WALK_CELLS cells, so predict's temporary
-memory grows with the rows, not with rows times trees.
+once per `Ensemble` in one flat slot table (`FlatTrees`), and each of the
+deepest tree's `depth` walk steps moves every (tree, row) cell one level
+down with one slot lookup; a cell that reaches a leaf early loops on it.
+Rows are walked in chunks of at most WALK_CELLS cells, so predict's
+temporary memory grows with the rows, not with rows times trees.
 """
 
 from __future__ import annotations
@@ -157,23 +158,28 @@ SCAN_CELLS = 2**15  # (feature, row) cells in one slice of a node's split scan
 
 @dataclass(frozen=True, eq=False)
 class FlatTrees:
-    """Every tree of an ensemble in one read-only node table, with child ids.
+    """Every tree of an ensemble in one read-only slot table.
 
-    Tree t's nodes are numbered on from the end of tree t-1's, so `root[t]`
-    is where its nodes start. A split's left child is the next node; its
-    right child is the next node at the split's level (the sum of +1 per
-    split and -1 per leaf over the nodes before), since the left subtree
-    between them lies above it, so one sort by level, then id, finds them all.
-    A leaf loops to itself (feature 0, left = right = its own id), so a walk
-    step moves every cell without a mask and a cell on a leaf stays there."""
+    Tree t's nodes are numbered on from the end of tree t-1's; node i owns
+    slots 2i and 2i+1, both holding its feature, threshold and weight, and
+    `root[t]` is tree t's root slot. `child[2i]` is the first slot of i's
+    right child and `child[2i+1]` that of its left one, so a walk step from
+    slot s is `child[s + (x[feature[s]] < threshold[s])]`. A leaf has
+    feature 0 and both slots point back to 2i, so a cell on a leaf stays
+    there. `depth` is the deepest leaf's depth (0 without splits): the steps
+    that bring every cell to its leaf.
+
+    A split's left child is the next node; its right child is the next node
+    at the split's level (the sum of +1 per split and -1 per leaf over the
+    nodes before), since the left subtree between them lies above it, so
+    one sort by level, then id, finds them all."""
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    child: np.ndarray
     weight: np.ndarray
-    is_leaf: np.ndarray
     root: np.ndarray
+    depth: int
 
     @classmethod
     def of(cls, trees: tuple[Tree, ...]) -> FlatTrees:
@@ -185,17 +191,25 @@ class FlatTrees:
         by_level = np.lexsort((own, np.cumsum(step) - step))  # by level, then node id
         after = np.empty_like(own)  # the next node at the same level, for all but the last (a leaf)
         after[by_level[:-1]] = by_level[1:]
+        left = np.where(is_leaf, own, own + 1)
+        right = np.where(is_leaf, own, after)
+        root = np.cumsum(sizes) - sizes
+        depth, splits = 0, root[~is_leaf[root]]
+        while splits.size:
+            depth += 1
+            below = np.concatenate((left[splits], right[splits]))
+            splits = below[~is_leaf[below]]
         flat = cls(
-            feature=np.where(is_leaf, 0, nodes["feature"]),
-            threshold=np.ascontiguousarray(nodes["threshold"]),
-            left=np.where(is_leaf, own, own + 1),
-            right=np.where(is_leaf, own, after),
-            weight=np.ascontiguousarray(nodes["weight"]),
-            is_leaf=is_leaf,
-            root=np.cumsum(sizes) - sizes,
+            feature=np.repeat(np.where(is_leaf, 0, nodes["feature"]), 2),
+            threshold=np.repeat(nodes["threshold"], 2),
+            child=2 * np.column_stack((right, left)).ravel(),
+            weight=np.repeat(nodes["weight"], 2),
+            root=2 * root,
+            depth=depth,
         )
-        for array in vars(flat).values():
-            array.setflags(write=False)
+        for name, array in vars(flat).items():
+            if name != "depth":
+                array.setflags(write=False)
         return flat
 
 
@@ -463,10 +477,10 @@ def _checked_features(ens: Ensemble, X: np.ndarray) -> np.ndarray:
 def _leaf_weights(ens: Ensemble, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """(rows, weights) for consecutive chunks of the rows of X, where
     weights[t, i] is the leaf weight that row i of the chunk reaches in
-    tree t. Every (tree, row) cell starts at its tree's root; each step
-    sends every cell left where x[feature] < threshold and right otherwise
-    (NaN goes right), until all cells stand on leaves. A chunk has at most
-    WALK_CELLS cells (one row, when there are more trees than that)."""
+    tree t. Every (tree, row) cell starts at its tree's root slot; each of
+    `flat.depth` steps sends every cell left where x[feature] < threshold
+    and right otherwise (NaN goes right). A chunk has at most WALK_CELLS
+    cells (one row, when there are more trees than that)."""
     flat = ens.flat
     n_rows, n_features = X.shape
     chunk = max(1, WALK_CELLS // max(1, len(flat.root)))
@@ -475,9 +489,8 @@ def _leaf_weights(ens: Ensemble, X: np.ndarray) -> Iterator[tuple[slice, np.ndar
         cells = np.ascontiguousarray(X[rows]).ravel()
         row_start = np.arange(rows.stop - start) * n_features
         at = np.repeat(flat.root[:, None], rows.stop - start, axis=1)
-        while not flat.is_leaf[at].all():
-            x = cells[row_start + flat.feature[at]]
-            at = np.where(x < flat.threshold[at], flat.left[at], flat.right[at])
+        for _ in range(flat.depth):
+            at = flat.child[at + (cells[row_start + flat.feature[at]] < flat.threshold[at])]
         yield rows, flat.weight[at]
 
 
@@ -490,6 +503,7 @@ def predict_raw_matrix(ens: Ensemble, X: np.ndarray) -> np.ndarray:
     raw = np.full(X.shape[0], ens.base_score)
     for rows, chunk_weights in _leaf_weights(ens, X):
         chunk_raw = raw[rows]  # a view: adding to it adds to raw
+        # tree by tree: np.add.reduce would sum a one-row chunk pairwise, in another order
         for tree_terms in ens.params.learning_rate * chunk_weights:
             chunk_raw += tree_terms
     return raw

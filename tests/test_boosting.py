@@ -665,7 +665,9 @@ class TestPredict:
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n_trees=st.integers(0, 6),
+        # past 8 trees numpy's pairwise sum would add a one-row chunk's terms
+        # in another order, so these counts catch a reordered tree sum
+        n_trees=st.one_of(st.integers(0, 6), st.sampled_from([9, 17, 40])),
         n_features=st.integers(1, 3),
         n_internal=st.integers(0, 12),
         chain=st.booleans(),
@@ -693,15 +695,35 @@ class TestPredict:
         # no trees, single leaves (0 splits), chains and bushy trees, in one table
         rng = np.random.default_rng(seed)
         trees = tuple(_random_tree(rng, 3, n_internal, chain) for n_internal, chain in shapes)
-        left, right, roots = [], [], []
+        left, right, roots, depths = [], [], [], [0]
         for tree in trees:
             start = len(left)
             roots.append(start)
+            depth = np.zeros(len(tree.nodes), dtype=np.int64)
             for node_id, (l, r) in enumerate(zip(*reference_children(tree))):
                 left.append(start + (node_id if l < 0 else l))  # a leaf loops to itself
                 right.append(start + (node_id if r < 0 else r))
+                if l >= 0:  # preorder: a parent's depth is known before its children's
+                    depth[[l, r]] = depth[node_id] + 1
+            depths.append(int(depth.max()))
         flat = FlatTrees.of(trees)
-        assert (flat.left.tolist(), flat.right.tolist(), flat.root.tolist()) == (left, right, roots)
+        # node i owns slots 2i (right) and 2i + 1 (left)
+        assert (flat.child[1::2] // 2).tolist() == left
+        assert (flat.child[::2] // 2).tolist() == right
+        assert (flat.root // 2).tolist() == roots
+        assert flat.depth == max(depths)
+        nodes = np.concatenate([np.empty(0, dtype=NODE), *(tree.nodes for tree in trees)])
+        assert flat.feature.tolist() == np.repeat(np.maximum(nodes["feature"], 0), 2).tolist()  # a leaf reads column 0
+        for field in ("threshold", "weight"):
+            assert getattr(flat, field).tobytes() == np.repeat(nodes[field], 2).tobytes()
+
+    def test_depth_is_zero_without_splits(self):
+        leaf = Tree(np.array([(-1, 0.0, 1.5)], dtype=NODE))
+        assert FlatTrees.of(()).depth == 0
+        assert FlatTrees.of((leaf, leaf)).depth == 0
+        # a walk of no steps leaves every cell on its tree's only leaf
+        ens = _hand_built_ensemble([leaf, leaf], 2)
+        assert predict_raw_matrix(ens, np.full((3, 2), np.nan)).tolist() == [1.5, 1.5, 1.5]
 
     def test_predict_memory_is_bounded_by_the_row_chunk(self):
         # 20 000 rows x 200 trees: a (rows, trees) matrix of node ids or
@@ -727,6 +749,36 @@ class TestPredict:
         tree = Tree(nodes)
         values = reference_leaf_values(tree, np.array([[1.9], [2.0], [2.1]]))
         np.testing.assert_array_equal(values, [-1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "threshold, x",
+        [(2.0, 2.0), (2.0, np.nan), (0.0, -0.0)],
+        ids=["equal", "nan", "negative-zero"],
+    )
+    def test_library_walk_routes_right_at_the_root_and_below(self, threshold, x):
+        # the same split at the root of a stump and at depth 2 of a deeper
+        # tree, walked together: x goes right, the float below it goes left
+        stump = Tree(np.array([(0, threshold, 0.0), (-1, 0.0, -1.0), (-1, 0.0, 1.0)], dtype=NODE))
+        deep = Tree(
+            np.array(
+                [
+                    (1, 10.0, 0.0),  # x1 = 0 goes left twice, to the split on x0
+                    (1, 5.0, 0.0),
+                    (0, threshold, 0.0),
+                    (-1, 0.0, -100.0),
+                    (-1, 0.0, 100.0),
+                    (-1, 0.0, 7000.0),
+                    (-1, 0.0, 9000.0),
+                ],
+                dtype=NODE,
+            )
+        )
+        X = np.array([[x, 0.0], [np.nextafter(threshold, -np.inf), 0.0]])
+        ens = _hand_built_ensemble([stump, deep], 2, learning_rate=1.0)
+        assert ens.flat.depth == 3
+        assert predict_raw_matrix(ens[:1], X).tolist() == [1.0, -1.0]
+        assert predict_raw_matrix(ens[1:], X).tolist() == [100.0, -100.0]
+        assert predict_raw_matrix(ens, X).tolist() == [101.0, -101.0]
 
     def test_single_leaf_scaled_by_learning_rate(self):
         ds = Dataset(np.ones((3, 1)), ("a",), np.array([2.0, 2.0, 2.0]), Task.REGRESSION)
