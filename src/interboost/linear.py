@@ -8,11 +8,11 @@ every pair of `sorted(scope)` in lexicographic order. Features are
 standardized with statistics fitted on training rows, which keeps the
 normal equations well conditioned.
 
-A design's values `A` carry their intercept column: `materialize` gives
-one design `(n, q + 1)` with a last column of ones, and the fits, `predict`
-and `FoldScorer` take a stack `(c, n, q + 1)` of c such designs over the
-same rows (`A[None]` is a stack of one). Each design of a stack gets the
-arithmetic it gets in a stack of one, bit for bit. `fit_ols` and
+A design's values `A` carry their intercept column: `materialize` builds
+a stack `(c, n, q + 1)` of c designs of one shape from standardized rows,
+with a last column of ones, and the fits and `predict` take such a stack
+over the same rows (`A[None]` is a stack of one). Each design of a stack
+gets the arithmetic it gets in a stack of one, bit for bit. `fit_ols` and
 `fit_logistic` take only the stack and the target: their ridges and
 Newton's stop rule are the module constants below. `raw_to_prediction` is
 the link of each task, for these fits and for boosting's raw sums.
@@ -39,13 +39,6 @@ def _check_design(n_features: int, features, scope) -> None:
         raise ValueError(f"duplicate features in design ({features}, {scope})")
     if not set(scope) <= set(features):
         raise ValueError(f"interaction scope {scope} names a feature with no base column")
-
-
-def _design_columns(std, features, scope) -> list[np.ndarray]:
-    """Columns of the design `(features, scope)`; `std[f]` is feature f's
-    standardized column."""
-    products = itertools.combinations(sorted(scope), 2)
-    return [std[f] for f in features] + [std[a] * std[b] for a, b in products]
 
 
 OLS_RIDGE = 1e-8  # neither ridge penalizes the intercept
@@ -89,34 +82,6 @@ def _column_stats(col: np.ndarray) -> tuple[float, float]:
     if not np.isfinite(sd) or sd <= 0.0:
         sd = 1.0
     return mean, sd
-
-
-def materialize(
-    ds: Dataset,
-    rows: np.ndarray | None,
-    features,
-    scope,
-    standardization: dict[int, tuple[float, float]] | None = None,
-) -> tuple[np.ndarray, dict[int, tuple[float, float]]]:
-    """The values `(n, q + 1)` of the design `(features, scope)` over the
-    row indices `rows` (None: all rows), ones in the last column, and the
-    standardization statistics that built them.
-
-    With `standardization=None` each feature's (mean, sample stddev) is
-    fitted on these rows; otherwise the supplied (train-fitted) statistics
-    are applied. Discovery scores with `FoldScorer`, which builds the same
-    columns; this per-call path is the reference for it.
-    """
-    idx = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("cannot materialize a design over an empty row set")
-    _check_design(ds.n_features, features, scope)
-    stats = standardization
-    if stats is None:
-        stats = {f: _column_stats(ds.features[idx, f]) for f in features}
-    std = {f: (ds.features[idx, f] - stats[f][0]) / stats[f][1] for f in features}
-    values = np.column_stack(_design_columns(std, features, scope) + [np.ones(idx.size)])
-    return values, stats
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -302,7 +267,7 @@ def fit_for_task(task: Task, A: np.ndarray, y: np.ndarray) -> LinearModel:
     return fit_logistic(A, y)
 
 
-def _design_stack(std: np.ndarray, features: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+def materialize(std: np.ndarray, features: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Values (c, rows, columns + 1) of c designs of one shape: the columns
     of `features[i]`, the products of `pairs[i]`, then ones; `std` holds
     one standardized row per feature."""
@@ -320,10 +285,11 @@ class FoldScorer:
     The fold plan and each fold's data are built once: every feature
     standardized with statistics from that fold's training rows (one row per
     feature, for the training and the validation rows), and both target
-    slices. Designs of one shape are scored together: per fold, one stacked
-    fit and one stacked predict over up to STACK_CELLS cells, with the
-    arithmetic of materializing and fitting each design alone. Each distinct
-    design is scored once per scorer.
+    slices. Designs of one shape are scored together: per fold, `materialize`
+    builds one training and one validation stack of up to STACK_CELLS cells
+    from those rows, for one stacked fit and one stacked predict, with the
+    arithmetic of each design alone. Each distinct design is scored once per
+    scorer.
     """
 
     def __init__(self, ds: Dataset, k: int = 3, seed: int = 0):
@@ -381,8 +347,8 @@ class FoldScorer:
         # a score that overflows is not finite, which score_many rejects
         with np.errstate(over="ignore", invalid="ignore"):
             for train_std, val_std, y_train, y_val in self._folds:
-                model = fit_for_task(task, _design_stack(train_std, features, pairs), y_train)
-                prediction = predict(task, model, _design_stack(val_std, features, pairs))
+                model = fit_for_task(task, materialize(train_std, features, pairs), y_train)
+                prediction = predict(task, model, materialize(val_std, features, pairs))
                 scores.append(score_for_task(task, y_val, prediction))
             return np.mean(np.stack(scores, axis=1), axis=1).tolist()
 

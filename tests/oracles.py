@@ -4,26 +4,29 @@ Everything here deliberately avoids the library's own code paths: stump
 search enumerates every candidate with direct sums instead of prefix
 scans, least squares goes through an explicit SVD pseudo-inverse, and
 gradients are checked by central finite differences. `reference_grow`,
-`reference_tune`, `reference_benchmark`, `reference_leaf_values` and
-`reference_fit_logistic` are the exceptions: they are the simpler forms
-that the library must match bit for bit, so they share its building
-blocks. `reference_grow` sorts every allowed feature again in every node;
-`reference_tune` trains every grid cell separately; `reference_benchmark`
-trains every variant and every random run from scratch;
-`reference_leaf_values` walks one tree at a time, and
+`reference_tune`, `reference_benchmark`, `reference_leaf_values`,
+`reference_fit_logistic` and `reference_materialize` are the exceptions:
+they are the simpler forms that the library must match bit for bit, so
+they share its building blocks. `reference_grow` sorts every allowed
+feature again in every node; `reference_tune` trains every grid cell
+separately; `reference_benchmark` trains every variant and every random
+run from scratch; `reference_leaf_values` walks one tree at a time, and
 `reference_stages` adds its trees up one by one; `reference_fit_logistic`
 evaluates each Newton iterate afresh for its gradient, its Hessian weights
 and its log-likelihood; `reference_sigmoid` splits its input by sign with
 boolean masks. `reference_children` reads a tree's child ids recursively,
 where the library sorts every node by its level. `reference_read_csv`
 converts a CSV one row and one cell at a time, where the library converts
-a block of rows column by column.
+a block of rows column by column. `reference_materialize` builds one
+design column by column, where the library builds a stack of designs of
+one shape.
 """
 
 from __future__ import annotations
 
 import collections
 import csv
+import itertools
 import math
 from dataclasses import asdict
 
@@ -44,7 +47,7 @@ from interboost.boosting import (
 from interboost.data import DataError, kfold, train_test_split
 from interboost.discovery import discover_constraints
 from interboost.experiment import random_partition
-from interboost.linear import score_for_task, sigmoid
+from interboost.linear import _check_design, _column_stats, score_for_task, sigmoid
 from interboost.prng import mix_seed
 
 
@@ -354,6 +357,27 @@ def reference_sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def reference_materialize(ds, rows, features, scope, standardization=None):
+    """The values `(n, q + 1)` of the design `(features, scope)` over the
+    row indices `rows` (None: all rows), ones in the last column, and the
+    standardization statistics that built them.
+
+    With `standardization=None` each feature's (mean, sample stddev) is
+    fitted on these rows; otherwise the supplied (train-fitted) statistics
+    are applied."""
+    idx = np.arange(ds.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
+    if idx.size == 0:
+        raise ValueError("cannot materialize a design over an empty row set")
+    _check_design(ds.n_features, features, scope)
+    stats = standardization
+    if stats is None:
+        stats = {f: _column_stats(ds.features[idx, f]) for f in features}
+    std = {f: (ds.features[idx, f] - stats[f][0]) / stats[f][1] for f in features}
+    products = itertools.combinations(sorted(scope), 2)
+    columns = [std[f] for f in features] + [std[a] * std[b] for a, b in products]
+    return np.column_stack(columns + [np.ones(idx.size)]), stats
 
 
 def reference_fit_logistic(A, y):

@@ -32,7 +32,6 @@ from interboost.linear import (
     fit_ols,
     logistic_grad,
     logistic_loglik,
-    materialize,
     sigmoid,
 )
 from interboost.synth import paired_products_dataset, shifted_products_dataset
@@ -43,6 +42,7 @@ from oracles import (
     pinv_least_squares,
     reference_children,
     reference_leaf_values,
+    reference_materialize,
 )
 
 # CV-noise-aware epsilon for the statistical wrapper criteria (see ledger /
@@ -154,7 +154,7 @@ def test_criterion_3_linear_model_oracles():
         y = rng.integers(0, 2, size=n).astype(float)
         ds = Dataset(X, tuple(f"x{i}" for i in range(p)), y, Task.BINARY_CLASSIFICATION)
         features = tuple(range(p))
-        A, _ = materialize(ds, None, features, features if p >= 2 else ())
+        A, _ = reference_materialize(ds, None, features, features if p >= 2 else ())
         for _ in range(10):
             theta = rng.normal(scale=0.7, size=A.shape[1])
             analytic = logistic_grad(A, y, theta, sigmoid(A @ theta))

@@ -10,6 +10,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 from interboost.boosting import TrainParams, ensemble_to_json_obj
 from interboost.discovery import WrapperConfig
 from conftest import make_classification, make_regression
@@ -89,6 +91,25 @@ def test_traced_discovery_records_one_linear_predict_per_fit():
         cli.discover_constraints_traced(ds, WrapperConfig(seed=1))
     names = [s.name for s in recorder.spans]
     assert names.count("linear.predict") == names.count("linear.fit_ols") > 0
+
+
+@pytest.mark.parametrize(
+    "ds",
+    [
+        make_regression(60, 3, seed=2, target_fn=lambda X: X[:, 0] * X[:, 1], noise_sd=0.1),
+        make_classification(60, 3, seed=2, logit_fn=lambda X: 3.0 * X[:, 0] * X[:, 1]),
+    ],
+    ids=["regression", "classification"],
+)
+def test_traced_discovery_materializes_a_train_and_a_validation_stack_per_fit(ds):
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        from interboost import cli
+
+        cli.discover_constraints_traced(ds, WrapperConfig(seed=1))
+    names = [s.name for s in recorder.spans]
+    fits = names.count("linear.fit_ols") + names.count("linear.fit_logistic")
+    assert names.count("linear.materialize") == 2 * fits > 0
 
 
 def test_traced_classification_discovery_records_newton_iterations():

@@ -11,7 +11,6 @@ from interboost.linear import (
     OLS_RIDGE,
     FoldScorer,
     LinearModel,
-    _design_stack,
     accuracy,
     cv_score_terms,
     fit_for_task,
@@ -25,7 +24,13 @@ from interboost.linear import (
     score_for_task,
     sigmoid,
 )
-from oracles import central_difference_grad, pinv_least_squares, reference_fit_logistic, reference_sigmoid
+from oracles import (
+    central_difference_grad,
+    pinv_least_squares,
+    reference_fit_logistic,
+    reference_materialize,
+    reference_sigmoid,
+)
 
 from conftest import make_classification, make_regression
 
@@ -33,7 +38,7 @@ from conftest import make_classification, make_regression
 def _columns_of(ds, *terms):
     """One column per tuple of feature indices: the product of those
     features' standardized columns."""
-    std, _ = materialize(ds, None, tuple(range(ds.n_features)), ())
+    std, _ = reference_materialize(ds, None, tuple(range(ds.n_features)), ())
     return np.column_stack([np.prod(std[:, list(t)], axis=1) for t in terms])
 
 
@@ -51,23 +56,23 @@ def _with_ones(values):
 class TestExpandPairwise:
     def test_three_features_with_interactions(self):
         ds = make_regression(10, 3, seed=0)
-        values, _ = materialize(ds, None, (0, 1, 2), (0, 1, 2))
+        values, _ = reference_materialize(ds, None, (0, 1, 2), (0, 1, 2))
         expected = _columns_of(ds, (0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
         np.testing.assert_array_equal(_without_ones(values), expected)
 
     def test_single_feature_has_no_products(self):
         ds = make_regression(10, 6, seed=0)
-        values, _ = materialize(ds, None, (5,), (5,))
+        values, _ = reference_materialize(ds, None, (5,), (5,))
         np.testing.assert_array_equal(_without_ones(values), _columns_of(ds, (5,)))
 
     def test_without_interactions(self):
         ds = make_regression(10, 2, seed=0)
-        values, _ = materialize(ds, None, (0, 1), ())
+        values, _ = reference_materialize(ds, None, (0, 1), ())
         np.testing.assert_array_equal(_without_ones(values), _columns_of(ds, (0,), (1,)))
 
     def test_subset_order_kept_products_lexicographic(self):
         ds = make_regression(10, 3, seed=0)
-        values, _ = materialize(ds, None, (2, 0), (2, 0))
+        values, _ = reference_materialize(ds, None, (2, 0), (2, 0))
         np.testing.assert_array_equal(_without_ones(values), _columns_of(ds, (2,), (0,), (0, 2)))
 
     def test_duplicate_rejected(self):
@@ -75,14 +80,14 @@ class TestExpandPairwise:
         with pytest.raises(ValueError):
             FoldScorer(ds, 3, 0).score_many([((1, 1), ())])
         with pytest.raises(ValueError):
-            materialize(ds, None, (1, 1), ())
+            reference_materialize(ds, None, (1, 1), ())
 
     @given(st.integers(min_value=1, max_value=20))
     def test_term_count(self, size):
         ds = make_regression(3, 20, seed=0)
         subset = tuple(range(size))
-        assert materialize(ds, None, subset, subset)[0].shape[1] == size + size * (size - 1) // 2 + 1
-        assert materialize(ds, None, subset, ())[0].shape[1] == size + 1
+        assert reference_materialize(ds, None, subset, subset)[0].shape[1] == size + size * (size - 1) // 2 + 1
+        assert reference_materialize(ds, None, subset, ())[0].shape[1] == size + 1
 
 
 class TestMaterialize:
@@ -93,64 +98,64 @@ class TestMaterialize:
 
     def test_standardizes_to_unit_sample_stddev(self):
         ds = self._ds([np.array([1.0, 2.0, 3.0])])
-        values, _ = materialize(ds, None, (0,), ())
+        values, _ = reference_materialize(ds, None, (0,), ())
         np.testing.assert_allclose(values[:, 0], [-1.0, 0.0, 1.0])
 
     def test_constant_column_becomes_zeros(self):
         ds = self._ds([np.array([4.0, 4.0, 4.0])])
-        values, stats = materialize(ds, None, (0,), ())
+        values, stats = reference_materialize(ds, None, (0,), ())
         np.testing.assert_array_equal(values[:, 0], [0.0, 0.0, 0.0])
         assert stats[0] == (4.0, 1.0)
 
     @pytest.mark.parametrize("k", [-1000, -600, -1, 1, 600, 1000])
     def test_stats_scale_exactly_by_powers_of_two(self, k):
         col = np.array([0.3, -1.7, 2.9, 0.05])
-        _, stats = materialize(self._ds([col, np.ldexp(col, k)]), None, (0, 1), ())
+        _, stats = reference_materialize(self._ds([col, np.ldexp(col, k)]), None, (0, 1), ())
         assert stats[1] == (np.ldexp(stats[0][0], k), np.ldexp(stats[0][1], k))
 
     def test_stats_of_the_largest_floats(self):
-        _, stats = materialize(self._ds([np.array([1.7e308, 1.6e308])]), None, (0,), ())
+        _, stats = reference_materialize(self._ds([np.array([1.7e308, 1.6e308])]), None, (0,), ())
         np.testing.assert_allclose(stats[0], (1.65e308, np.std([1.7, 1.6], ddof=1) * 1e308))
 
     def test_product_of_standardized_bases(self):
         ds = self._ds([np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0])])
-        values, _ = materialize(ds, None, (0, 1), (0, 1))
+        values, _ = reference_materialize(ds, None, (0, 1), (0, 1))
         np.testing.assert_allclose(values[:, 2], [-1.0, 0.0, -1.0])
 
     def test_fitted_stats_reused(self):
         ds = self._ds([np.array([1.0, 2.0, 3.0, 10.0])])
-        _, stats = materialize(ds, np.array([0, 1, 2]), (0,), ())
-        values, _ = materialize(ds, np.array([3]), (0,), (), stats)
+        _, stats = reference_materialize(ds, np.array([0, 1, 2]), (0,), ())
+        values, _ = reference_materialize(ds, np.array([3]), (0,), (), stats)
         np.testing.assert_allclose(values[:, 0], [(10.0 - 2.0) / 1.0])
 
     def test_empty_rows_rejected(self):
         ds = self._ds([np.array([1.0, 2.0])])
         with pytest.raises(ValueError, match="empty"):
-            materialize(ds, np.array([], dtype=np.int64), (0,), ())
+            reference_materialize(ds, np.array([], dtype=np.int64), (0,), ())
 
     def test_out_of_range_feature(self):
         ds = self._ds([np.array([1.0, 2.0])])
         with pytest.raises(ValueError, match="out of range"):
-            materialize(ds, None, (3,), ())
+            reference_materialize(ds, None, (3,), ())
 
     def test_product_without_base_rejected(self):
         ds = self._ds([np.array([1.0, 2.0]), np.array([3.0, 5.0])])
         with pytest.raises(ValueError, match="no base column"):
-            materialize(ds, None, (), (0, 1))
+            reference_materialize(ds, None, (), (0, 1))
 
 
 class TestFitOls:
     def test_exact_linear_data(self):
         x = np.array([-1.0, 0.0, 1.0, 2.0])
         ds = Dataset(x[:, None], ("x0",), 2.0 * x, Task.REGRESSION)
-        values, _ = materialize(ds, None, (0,), (), {0: (0.0, 1.0)})
+        values, _ = reference_materialize(ds, None, (0,), (), {0: (0.0, 1.0)})
         model = fit_ols(values[None], ds.target)
         assert abs(model.coefficients[0, 0] - 2.0) < 1e-8
         assert abs(model.intercept[0]) < 1e-8
 
     def test_constant_target(self):
         ds = make_regression(20, 3, seed=1, target_fn=lambda X: np.full(X.shape[0], 7.5))
-        values, _ = materialize(ds, None, (0, 1, 2), (0, 1, 2))
+        values, _ = reference_materialize(ds, None, (0, 1, 2), (0, 1, 2))
         model = fit_ols(values[None], ds.target)
         assert np.all(np.abs(model.coefficients) < 1e-8)
         assert abs(model.intercept[0] - 7.5) < 1e-8
@@ -174,7 +179,7 @@ class TestFitOls:
         # normal equations at the solution: X'(y - yhat) = ridge * beta
         for seed in range(10):
             ds = make_regression(40, 3, seed=seed, target_fn=lambda X: X @ [1.0, -2.0, 0.5], noise_sd=0.3)
-            values, _ = materialize(ds, None, (0, 1, 2), (0, 1, 2))
+            values, _ = reference_materialize(ds, None, (0, 1, 2), (0, 1, 2))
             columns = _without_ones(values)
             model = fit_ols(values[None], ds.target)
             fitted = columns @ model.coefficients[0] + model.intercept[0]
@@ -196,7 +201,7 @@ def _logistic_oracle_instance():
     z_true = 1.5 * X[:, 0] - 1.0 * X[:, 1] + 0.3
     y = (rng.uniform(size=20) < sigmoid(z_true)).astype(float)
     ds = Dataset(X, ("a", "b"), y, Task.BINARY_CLASSIFICATION)
-    values, _ = materialize(ds, None, (0, 1), (0, 1))
+    values, _ = reference_materialize(ds, None, (0, 1), (0, 1))
     return values, y
 
 
@@ -220,7 +225,7 @@ class TestFitLogistic:
         x = np.concatenate([np.linspace(-2.0, -0.1, 10), np.linspace(0.1, 2.0, 10)])
         y = (x > 0).astype(float)
         ds = Dataset(x[:, None], ("x0",), y, Task.BINARY_CLASSIFICATION)
-        values, _ = materialize(ds, None, (0,), ())
+        values, _ = reference_materialize(ds, None, (0,), ())
         model = fit_logistic(values[None], y)
         assert np.all(np.isfinite(model.coefficients))
         assert accuracy(y, predict(ds.task, model, values[None])[0]) == 1.0
@@ -228,7 +233,7 @@ class TestFitLogistic:
     def test_all_ones_target(self):
         ds = make_classification(25, 2, seed=3)
         y = np.ones(25)
-        values, _ = materialize(ds, None, (0, 1), ())
+        values, _ = reference_materialize(ds, None, (0, 1), ())
         model = fit_logistic(values[None], y)
         probs = sigmoid(_without_ones(values) @ model.coefficients[0] + model.intercept[0])
         assert np.all(probs > 0.5)
@@ -249,7 +254,7 @@ class TestFitLogistic:
         # fit_logistic takes the oracle's iterates, whose path ascends
         for seed in range(5):
             ds = make_classification(40, 3, seed=seed, logit_fn=lambda X: X[:, 0] - X[:, 1])
-            values, _ = materialize(ds, None, (0, 1, 2), (0, 1, 2))
+            values, _ = reference_materialize(ds, None, (0, 1, 2), (0, 1, 2))
             model = fit_logistic(values[None], ds.target)
             theta, path, steps = reference_fit_logistic(values, ds.target)
             assert np.all(np.diff(path) >= 0.0)
@@ -427,7 +432,7 @@ class TestDesignStack:
         ],
         ids=["seeds", "pairs", "triples", "scope-subsets"],
     )
-    def test_each_design_equals_materialize_bit_for_bit(self, task, designs):
+    def test_each_design_equals_the_reference_bit_for_bit(self, task, designs):
         # the scorer's stack and the per-design reference build the same
         # values, ones last, on a fold's rows with its training statistics
         ds = _scoring_table("constant", task)
@@ -437,35 +442,35 @@ class TestDesignStack:
             [list(itertools.combinations(scope, 2)) for _, scope in designs], dtype=np.intp
         ).reshape(len(designs), -1, 2)
         for (tr, va), (train_std, val_std, _, _) in zip(kfold(ds.n_rows, 3, 6), scorer._folds):
-            train_stack = _design_stack(train_std, features, pairs)
-            val_stack = _design_stack(val_std, features, pairs)
+            train_stack = materialize(train_std, features, pairs)
+            val_stack = materialize(val_std, features, pairs)
             for i, design in enumerate(designs):
-                values, stats = materialize(ds, tr.indices, *design)
+                values, stats = reference_materialize(ds, tr.indices, *design)
                 assert train_stack[i].tobytes() == values.tobytes()
-                assert val_stack[i].tobytes() == materialize(ds, va.indices, *design, stats)[0].tobytes()
+                assert val_stack[i].tobytes() == reference_materialize(ds, va.indices, *design, stats)[0].tobytes()
                 assert np.all(values[:, -1] == 1.0) and values.shape == train_stack[i].shape
 
 
 class TestPredict:
     def test_zero_model_logistic_gives_half(self):
         ds = make_classification(10, 2, seed=0)
-        values, _ = materialize(ds, None, (0,), ())
+        values, _ = reference_materialize(ds, None, (0,), ())
         model = LinearModel(np.zeros((1, 1)), np.zeros(1))
         np.testing.assert_array_equal(predict(ds.task, model, values[None]), np.full((1, 10), 0.5))
 
     def test_zero_coefficients_ols_gives_intercept(self):
         ds = make_regression(10, 2, seed=0)
-        values, _ = materialize(ds, None, (0,), ())
+        values, _ = reference_materialize(ds, None, (0,), ())
         model = fit_ols(values[None], np.full(10, 3.25))
         np.testing.assert_allclose(predict(ds.task, model, values[None]), np.full((1, 10), 3.25), atol=1e-8)
 
     def test_linear_extrapolation(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         train = Dataset(x[:, None], ("x0",), 2.0 * x, Task.REGRESSION)
-        values, stats = materialize(train, None, (0,), ())
+        values, stats = reference_materialize(train, None, (0,), ())
         model = fit_ols(values[None], train.target)
         probe = Dataset(np.array([[5.0]]), ("x0",), np.array([0.0]), Task.REGRESSION)
-        probe_values, _ = materialize(probe, None, (0,), (), stats)
+        probe_values, _ = reference_materialize(probe, None, (0,), (), stats)
         np.testing.assert_allclose(predict(probe.task, model, probe_values[None]), [[10.0]], atol=1e-7)
 
 
@@ -535,9 +540,9 @@ class TestCvScore:
         gaps = []
         for with_products in (False, True):
             design = ((0, 1), (0, 1) if with_products else ())
-            values, stats = materialize(ds, train_idx, *design)
+            values, stats = reference_materialize(ds, train_idx, *design)
             model = fit_ols(values[None], y[train_idx])
-            [pred] = predict(ds.task, model, materialize(ds, val_idx, *design, stats)[0][None])
+            [pred] = predict(ds.task, model, reference_materialize(ds, val_idx, *design, stats)[0][None])
             gaps.append(r_squared(y[val_idx], pred))
         oracle_gap = gaps[1] - gaps[0]
         assert oracle_gap > 0.3
@@ -566,9 +571,9 @@ def reference_cv_score(ds, rows, design, k, seed):
     scores = []
     for fold_train, fold_val in kfold(len(rows), k, seed):
         train_rows, val_rows = rows[fold_train.indices], rows[fold_val.indices]
-        values, stats = materialize(ds, train_rows, *design)
+        values, stats = reference_materialize(ds, train_rows, *design)
         model = fit_for_task(ds.task, values[None], ds.target[train_rows])
-        [prediction] = predict(ds.task, model, materialize(ds, val_rows, *design, stats)[0][None])
+        [prediction] = predict(ds.task, model, reference_materialize(ds, val_rows, *design, stats)[0][None])
         scores.append(score_for_task(ds.task, ds.target[val_rows], prediction))
     return float(np.mean(scores))
 
